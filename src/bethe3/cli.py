@@ -13,7 +13,6 @@ import sys
 from dataclasses import dataclass, field
 
 from .continuation import find_critical, spectrum, trace_root
-from .equations import NoConvergenceError
 from .model import QuantumLabel
 from .observables import density_grid, norm_squared, potential_expectation
 from .tolerances import BASE_STEP, residual_tolerance
@@ -149,7 +148,7 @@ def run(config: RunConfig) -> int:
     stream = open(config.out, "w") if config.out else sys.stdout
     try:
         return _dispatch(config, stream)
-    except (NoConvergenceError, ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, ArithmeticError) as exc:  # exit 2, never a traceback
         _Writer(stream, "json-lines", []).write(
             {"error": f"{type(exc).__name__}: {exc}"}
         )

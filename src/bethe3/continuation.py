@@ -6,7 +6,8 @@ damped-Newton corrector.  Labels with min(n1,n2) = 1 turn complex at the
 critical coupling C(1,n2) in [-6,-4); labels with min = 0 turn complex at
 C = 0; labels with both n_j >= 2 stay real for all c.  Near a critical point
 the square-root local models seed the corrector and the step is refined
-geometrically.
+geometrically.  Each branch and complex family is one Chart (unknowns,
+residual, closed-form Jacobian, guard), and a single march loop runs them all.
 
 Partner labels (n1 > n2) are never re-solved: the canonical trajectory is
 traced and mapped through the conjugation symmetry sample by sample.
@@ -16,13 +17,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import equations as eq
 from .model import (
     TWO_PI,
+    Branch,
     ComplexCoords,
     QuantumLabel,
     RealCoords,
@@ -80,8 +82,25 @@ def find_critical(label: QuantumLabel) -> CriticalPoint:
     n2 = lab.n2
     if n2 == 1:
         return CriticalPoint(C=-6.0, u0=0.0)
-    lo = -TWO_PI * n2 - 10.0
-    u0 = brentq(u0_equation, lo, 0.0, args=(n2,), xtol=1e-14, rtol=8.9e-16)
+    # Newton on the increasing u0_equation, f' = 4(q-1)^2/q^2 with q = 1 + u^2,
+    # falling back to bisection whenever a step leaves the bracket f(lo) < 0 < f(hi)
+    lo, hi = -TWO_PI * n2 - 10.0, 0.0
+    u0 = 0.5 * lo
+    for _ in range(200):
+        f = u0_equation(u0, n2)
+        if f == 0.0:
+            break
+        if f < 0.0:
+            lo = u0
+        else:
+            hi = u0
+        slope = 4.0 * (u0 * u0 / (1.0 + u0 * u0)) ** 2
+        u = u0 - f / slope if slope > 0.0 else hi
+        if not lo < u < hi:
+            u = 0.5 * (lo + hi)
+        u0, step = u, u - u0
+        if abs(step) <= 4e-16 * abs(u0):
+            break
     return CriticalPoint(C=-4.0 - 2.0 / (1.0 + u0 * u0), u0=u0)
 
 
@@ -136,25 +155,58 @@ def branch_switch(
 
 
 # ---------------------------------------------------------------------------
-# Marching engine
+# Charts: one parameterization per branch and complex family
 # ---------------------------------------------------------------------------
 
 
-def _real_guard(lab: QuantumLabel):
-    """Loose sheet guard for the real-branch Newton; the published delta windows
-    are enforced exactly on accepted samples."""
-    hi1 = TWO_PI * (lab.n1 + 1) + math.pi
-    hi2 = TWO_PI * (lab.n2 + 1) + math.pi
+@dataclass(frozen=True)
+class Chart:
+    """Unknowns x of one branch or complex family and their corrector pieces.
 
-    def guard(x):
-        return 0.0 <= x[0] < hi1 and 0.0 <= x[1] < hi2
+    residual, guard and accept take the marcher first (label, winding
+    trackers); accept runs at every accepted point, sheet at every returned
+    sample.
+    """
 
-    return guard
+    branch: Branch
+    to_x: Callable        # (coords, c) -> x
+    to_coords: Callable   # (x, c, p) -> RealCoords | ComplexCoords
+    residual: Callable    # (marcher, x, c) -> residuals
+    jacobian: Callable    # (x, c) -> rows of d(residual)/dx
+    guard: Callable       # (marcher, x, c) -> x on the valid sheet
+    sheet: Callable       # (label, c, coords), raises BoundsViolationError off the sheet
+    accept: Callable = lambda m, x, c: None
+
+    @property
+    def divisor(self) -> float:
+        """Far from c = 0 the march step grows like BASE_STEP*|c|/divisor, since
+        the roots flatten there; the complex roots flatten more slowly."""
+        return 10.0 if self.branch is Branch.REAL_K else 25.0
 
 
-def _check_real_bounds(lab: QuantumLabel, c: float, d1: float, d2: float) -> None:
+def _real_guard(m, x, c) -> bool:
+    """Loose sheet guard for the real-branch Newton; _real_sheet enforces the
+    published delta windows exactly on returned samples."""
+    return (0.0 <= x[0] < TWO_PI * (m.lab.n1 + 1) + math.pi
+            and 0.0 <= x[1] < TWO_PI * (m.lab.n2 + 1) + math.pi)
+
+
+def _winding_crosscheck(m, x, c) -> None:
+    """Tracked-log residual must agree with the theta-sum at every accept."""
+    d1, d2 = x[0], x[-1]
+    if d1 <= 0.0 or d2 <= 0.0:
+        return  # z_j degenerates to 0/0 at the reference / critical ends
+    point = eq.residual_real(d1, d2, c, m.lab, winding=m.winding)
+    if max(abs(point.residual[0]), abs(point.residual[1])) > 1e-9:
+        raise BoundsViolationError(
+            f"winding-tracked residual diverged from theta-sum at c={c}: {point.residual}"
+        )
+
+
+def _real_sheet(lab: QuantumLabel, c: float, coords: RealCoords) -> None:
+    """The published delta windows, enforced exactly on returned samples."""
     slack = 1e-9
-    for d, n in ((d1, lab.n1), (d2, lab.n2)):
+    for d, n in ((coords.delta1, lab.n1), (coords.delta2, lab.n2)):
         if c > 0:
             lo, hi = TWO_PI * n - math.pi, TWO_PI * (n + 1)
         elif c < 0:
@@ -165,6 +217,93 @@ def _check_real_bounds(lab: QuantumLabel, c: float, d1: float, d2: float) -> Non
             raise BoundsViolationError(
                 f"delta bound broken for {lab} at c={c}: delta={d}, window=({lo}, {hi})"
             )
+
+
+# the internal beta/eta guards are strict; the public alpha view may
+# saturate at the sheet edge once |beta| drops below eps*|c|
+def _dimer_sheet(lab: QuantumLabel, c: float, coords: ComplexCoords) -> None:
+    if not 0.0 < coords.alpha <= -c / 2.0:
+        raise BoundsViolationError(f"(1,n2) sheet broken at c={c}: alpha={coords.alpha}")
+
+
+def _trimer_sheet(lab: QuantumLabel, c: float, coords: ComplexCoords) -> None:
+    if not 2.0 * coords.alpha + c >= 0.0:
+        raise BoundsViolationError(f"(0,n2) sheet broken at c={c}: alpha={coords.alpha}")
+
+
+def _shifted(frac: float, with_gamma: bool) -> dict:
+    """Converters for the complex unknowns (alpha + frac*c[, gamma]); solving in
+    beta = alpha + c/2 or eta = alpha + c keeps their exponentially small
+    values exact deep in the attractive regime."""
+    if with_gamma:
+        return dict(to_x=lambda co, c: (co.alpha + frac * c, co.gamma),
+                    to_coords=lambda x, c, p: ComplexCoords(x[0] - frac * c, x[1], p))
+    return dict(to_x=lambda co, c: (co.alpha + frac * c,),
+                to_coords=lambda x, c, p: ComplexCoords(x[0] - frac * c, 0.0, p))
+
+
+REAL_DIAGONAL = Chart(  # n1 = n2: one common delta
+    Branch.REAL_K,
+    to_x=lambda co, c: (co.delta1,),
+    to_coords=lambda x, c, p: RealCoords(x[0], x[0], p),
+    residual=lambda m, x, c: (eq.residual_equal_delta(x[0], c, m.lab.n1),),
+    jacobian=lambda x, c: ((eq.jacobian_equal_delta(x[0], c),),),
+    guard=lambda m, x, c: x[0] >= 0.0,
+    sheet=_real_sheet,
+    accept=_winding_crosscheck,
+)
+REAL_COUPLED = Chart(
+    Branch.REAL_K,
+    to_x=lambda co, c: (co.delta1, co.delta2),
+    to_coords=lambda x, c, p: RealCoords(x[0], x[1], p),
+    residual=lambda m, x, c: eq.residual_real_thetasum(x[0], x[1], c, m.lab.n1, m.lab.n2),
+    jacobian=lambda x, c: eq.jacobian_real_thetasum(x[0], x[1], c),
+    guard=_real_guard,
+    sheet=_real_sheet,
+    accept=_winding_crosscheck,
+)
+PAIR = Chart(  # (1,1): gamma = 0, beta < 0
+    Branch.COMPLEX_K, **_shifted(0.5, False),
+    residual=lambda m, x, c: (eq.pair_residual_beta(x[0], c),),
+    jacobian=lambda x, c: ((eq.pair_jacobian_beta(x[0], c),),),
+    guard=lambda m, x, c: c / 2.0 < x[0] < 0.0,
+    sheet=_dimer_sheet,
+)
+FAMILY1 = Chart(  # (1, n2 >= 2) in (beta, gamma)
+    Branch.COMPLEX_K, **_shifted(0.5, True),
+    residual=lambda m, x, c: eq.family1_residual_beta(x[0], x[1], c, m.lab.n2),
+    jacobian=lambda x, c: eq.family1_jacobian_beta(x[0], x[1], c),
+    guard=lambda m, x, c: c / 2.0 < x[0] < 0.0,
+    sheet=_dimer_sheet,
+)
+TRIMER = Chart(  # (0,0): gamma = 0, eta > 0
+    Branch.COMPLEX_K, **_shifted(1.0, False),
+    residual=lambda m, x, c: (eq.trimer_residual_eta(x[0], c),),
+    jacobian=lambda x, c: ((eq.trimer_jacobian_eta(x[0], c),),),
+    guard=lambda m, x, c: x[0] > 0.0,
+    sheet=_trimer_sheet,
+)
+FAMILY0_ETA = Chart(  # (0,1) in (eta, gamma); the trackers follow arg(-3g + i*eta)
+    Branch.COMPLEX_K, **_shifted(1.0, True),
+    residual=lambda m, x, c: eq.family0_residual_eta(x[0], x[1], c, 1, m.winding_b.fork()),
+    jacobian=lambda x, c: eq.family0_jacobian_eta(x[0], x[1], c),
+    guard=lambda m, x, c: -c + 2.0 * x[0] > 0.0 and (x[0] != 0.0 or x[1] != 0.0),
+    sheet=_trimer_sheet,
+    accept=lambda m, x, c: m.winding_b.arg("B", complex(-3.0 * x[1], x[0])),
+)
+FAMILY0_BETA = Chart(  # (0, n2 >= 2) in (beta, gamma)
+    Branch.COMPLEX_K, **_shifted(0.5, True),
+    residual=lambda m, x, c: eq.family0_residual_beta(x[0], x[1], c, m.lab.n2, m.winding_b.fork()),
+    jacobian=lambda x, c: eq.family0_jacobian_beta(x[0], x[1], c),
+    guard=lambda m, x, c: x[0] > 0.0,
+    sheet=_trimer_sheet,
+    accept=lambda m, x, c: m.winding_b.arg("B", complex(-3.0 * x[1], c / 2.0 + x[0])),
+)
+
+
+# ---------------------------------------------------------------------------
+# Marching engine
+# ---------------------------------------------------------------------------
 
 
 class _Marcher:
@@ -179,253 +318,108 @@ class _Marcher:
         self.winding = eq.WindingState()      # real-branch tracked-log cross-check
         self.winding_b = eq.WindingState()    # family-0 gamma-argument tracker
 
-    # -- real branch ---------------------------------------------------------
-
-    def _solve_real(self, c: float, guess: np.ndarray) -> np.ndarray:
-        lab = self.lab
-        if lab.is_diagonal:
-            res = eq.newton_solve(
-                lambda x: np.array([eq.residual_equal_delta(x[0], c, lab.n1)]),
-                guess[:1],
-                tol=self.tol,
-                guard=lambda x: x[0] >= 0.0,
-                scale=[max(abs(guess[0]), 1e-6)],
-            )
-            return np.array([res.root[0], res.root[0]])
-        res = eq.newton_solve(
-            lambda x: np.array(eq.residual_real_thetasum(x[0], x[1], c, lab.n1, lab.n2)),
+    def _solve(self, chart: Chart, c: float, guess) -> tuple:
+        return eq.newton_solve(
+            lambda x: chart.residual(self, x, c),
+            lambda x: chart.jacobian(x, c),
             guess,
             tol=self.tol,
-            guard=_real_guard(lab),
-        )
-        return res.root
+            guard=lambda x: chart.guard(self, x, c),
+        ).root
 
-    def _winding_crosscheck(self, c: float, d: np.ndarray) -> None:
-        """Tracked-log residual must agree with the theta-sum at every accept."""
-        if d[0] <= 0.0 or d[1] <= 0.0:
-            return  # z_j degenerates to 0/0 at the reference / critical ends
-        point = eq.residual_real(d[0], d[1], c, self.lab, winding=self.winding)
-        if max(abs(point.residual[0]), abs(point.residual[1])) > 1e-9:
-            raise BoundsViolationError(
-                f"winding-tracked residual diverged from theta-sum at c={c}: {point.residual}"
-            )
-
-    def _guess_real(self, c, x, cprev, xprev, cn) -> np.ndarray:
-        lab = self.lab
-        if lab.n1 == 0 and 0.0 < cn <= 0.05:
+    def _predict(self, chart: Chart, c, x, cprev, xprev, cn):
+        """Small-c series or square-root fold model where they apply, else secant."""
+        lab, crit = self.lab, self.critical
+        if chart.branch is Branch.COMPLEX_K:
+            seed = branch_switch(lab, cn, crit)
+            if seed.alpha < FOLD_ALPHA_SMALL:
+                return chart.to_x(seed, cn)
+        elif lab.n1 == 0 and 0.0 < cn <= 0.05:
             from .asymptotics import delta_small_c
 
-            return np.array(delta_small_c(lab, cn))
-        if self.cls is CriticalClass.WINDOW and cn < 0:
-            crit = self.critical
-            if x[0] < FOLD_ALPHA_SMALL or cn - crit.C < 0.1:
-                return np.array(delta1_fold_model(lab, cn, crit))
-        if xprev is None or cprev is None or cprev == c:
-            return x.copy()
-        return x + (x - xprev) * (cn - c) / (c - cprev)
+            return chart.to_x(RealCoords(*delta_small_c(lab, cn), self.p), cn)
+        elif crit is not None and cn < 0 and (x[0] < FOLD_ALPHA_SMALL or cn - crit.C < 0.1):
+            return chart.to_x(RealCoords(*delta1_fold_model(lab, cn, crit), self.p), cn)
+        if xprev is None or cprev == c:
+            return x
+        frac = (cn - c) / (c - cprev)
+        guess = [a + (a - b) * frac for a, b in zip(x, xprev)]
+        # the leading complex unknown (beta or eta) decays exponentially deep
+        # in the attractive regime; predict it multiplicatively there
+        if (chart.branch is Branch.COMPLEX_K and abs(x[0]) < 1e-2 and xprev[0] != 0.0
+                and x[0] * xprev[0] > 0.0):
+            guess[0] = x[0] * (x[0] / xprev[0]) ** frac
+        return guess
 
-    def march_real(self, targets: list[float]) -> list[StateSolution]:
-        """Real-branch march from c = 0 through targets (ascending |c|)."""
-        lab = self.lab
+    def march(self, chart: Chart, targets: list[float], c: float, x, fold_c) -> list[StateSolution]:
+        """March the accepted point x at c through targets (ascending |c - c0|).
+
+        While heading for the fold at fold_c (None: no fold ahead) the step is
+        at most half the remaining distance: always on the real branch, while
+        alpha is small on the complex one.
+        """
         out = []
-        self.winding = eq.WindingState()
-        descending = bool(targets) and targets[-1] < 0
-        fold_c = self.critical.C if (descending and self.cls is CriticalClass.WINDOW) else None
-        c = 0.0
-        x = np.array([TWO_PI * lab.n1, TWO_PI * lab.n2], float)
-        if lab.n1 >= 1:
-            self._winding_crosscheck(c, x)
+        chart.accept(self, x, c)
         xprev = cprev = None
         for tgt in targets:
-            if tgt == 0.0:
-                out.append(build_state(lab, 0.0, RealCoords(x[0], x[1], self.p)))
-                continue
-            sign = 1.0 if tgt > 0 else -1.0
             while c != tgt:
-                base = BASE_STEP * max(1.0, abs(c) / 10.0)  # roots flatten like 1/c far out
-                step = min(base, abs(tgt - c))
-                if fold_c is not None:
-                    step = min(step, max(0.5 * (c - fold_c), FOLD_MIN_SPAN / 4.0))
+                sign = 1.0 if tgt > c else -1.0
+                step = min(BASE_STEP * max(1.0, abs(c) / chart.divisor), abs(tgt - c))
+                if fold_c is not None and (
+                    chart.branch is Branch.REAL_K
+                    or chart.to_coords(x, c, self.p).alpha < FOLD_ALPHA_SMALL
+                ):
+                    step = min(step, max(0.5 * abs(c - fold_c), FOLD_MIN_SPAN / 4.0))
                 cn = c + sign * step
                 if sign * (tgt - cn) < 1e-12 * max(1.0, abs(tgt)):
                     cn = tgt
-                guess = self._guess_real(c, x, cprev, xprev, cn)
+                guess = self._predict(chart, c, x, cprev, xprev, cn)
                 try:
-                    xn = self._solve_real(cn, guess)
+                    xn = self._solve(chart, cn, guess)
                 except eq.NoConvergenceError as exc:
                     raise eq.NoConvergenceError(
-                        f"real-branch corrector failed at c={cn} "
+                        f"{chart.branch.value}-branch corrector failed at c={cn} "
                         f"(last good c={c}): {exc}",
                         exc.root, exc.residual, exc.iterations,
                     ) from exc
-                xprev, cprev = x, c
-                x, c = xn, cn
-                self._winding_crosscheck(c, x)
-            _check_real_bounds(lab, c, x[0], x[1])
-            out.append(build_state(lab, c, RealCoords(x[0], x[1], self.p)))
-        return out
-
-    # -- complex branch --------------------------------------------------------
-
-    def _complex_forms(self):
-        """Stable per-label parameterization: converters, residual, guard, scale."""
-        lab = self.lab
-        p = self.p
-        if lab.n1 == 1 and lab.n2 == 1:
-            return (
-                lambda coords, c: np.array([coords.alpha + c / 2.0]),
-                lambda x, c: ComplexCoords(-c / 2.0 + x[0], 0.0, p),
-                lambda c: (lambda x: np.array([eq.pair_residual_beta(x[0], c)])),
-                lambda c: (lambda x: c / 2.0 < x[0] < 0.0),
-                lambda g: [max(abs(g[0]), 1e-280)],
-            )
-        if lab.n1 == 1:
-            return (
-                lambda coords, c: np.array([coords.alpha + c / 2.0, coords.gamma]),
-                lambda x, c: ComplexCoords(-c / 2.0 + x[0], x[1], p),
-                lambda c: (lambda x: np.array(eq.family1_residual_beta(x[0], x[1], c, lab.n2))),
-                lambda c: (lambda x: c / 2.0 < x[0] < 0.0),
-                lambda g: [max(abs(g[0]), 1e-280), max(abs(g[1]), 1.0)],
-            )
-        if lab.n2 == 0:
-            return (
-                lambda coords, c: np.array([coords.alpha + c]),
-                lambda x, c: ComplexCoords(-c + x[0], 0.0, p),
-                lambda c: (lambda x: np.array([eq.trimer_residual_eta(x[0], c)])),
-                lambda c: (lambda x: x[0] > 0.0),
-                lambda g: [max(abs(g[0]), 1e-280)],
-            )
-        if lab.n2 == 1:
-            return (
-                lambda coords, c: np.array([coords.alpha + c, coords.gamma]),
-                lambda x, c: ComplexCoords(-c + x[0], x[1], p),
-                lambda c: (
-                    lambda x: np.array(
-                        eq.family0_residual_eta(x[0], x[1], c, 1, self.winding_b.fork())
-                    )
-                ),
-                lambda c: (lambda x: -c + 2.0 * x[0] > 0.0 and (x[0] != 0.0 or x[1] != 0.0)),
-                lambda g: [max(abs(g[0]), 1e-280), max(abs(g[1]), 1e-280)],
-            )
-        return (
-            lambda coords, c: np.array([coords.alpha + c / 2.0, coords.gamma]),
-            lambda x, c: ComplexCoords(-c / 2.0 + x[0], x[1], p),
-            lambda c: (
-                lambda x: np.array(
-                    eq.family0_residual_beta(x[0], x[1], c, lab.n2, self.winding_b.fork())
-                )
-            ),
-            lambda c: (lambda x: x[0] > 0.0),
-            lambda g: [max(abs(g[0]), 1e-280), max(abs(g[1]), 1.0)],
-        )
-
-    def _accept_tracker(self, x: np.ndarray, c: float) -> None:
-        """Advance the shared family-0 argument tracker to an accepted point."""
-        lab = self.lab
-        if lab.n1 != 0 or lab.n2 == 0:
-            return
-        if lab.n2 == 1:
-            z = complex(-3.0 * x[1], x[0])            # eta coordinates
-        else:
-            z = complex(-3.0 * x[1], c / 2.0 + x[0])  # beta coordinates
-        self.winding_b.arg("B", z)
-
-    def _check_complex_sheet(self, coords: ComplexCoords, c: float) -> None:
-        # the internal beta/eta guards are strict; the public alpha view may
-        # saturate at the sheet edge once |beta| drops below eps*|c|
-        a = coords.alpha
-        if self.lab.n1 == 1 and not (0.0 < a <= -c / 2.0):
-            raise BoundsViolationError(f"(1,n2) sheet broken at c={c}: alpha={a}")
-        if self.lab.n1 == 0 and not (2.0 * a + c >= 0.0):
-            raise BoundsViolationError(f"(0,n2) sheet broken at c={c}: alpha={a}")
-
-    def march_complex(self, targets: list[float], c_crit: float) -> list[StateSolution]:
-        """Complex-branch march for c below the critical coupling."""
-        to_x, to_coords, make_residual, guard_at, scale_at = self._complex_forms()
-        out = []
-        c = max(c_crit - FOLD_MIN_SPAN, targets[0])
-        seed = branch_switch(self.lab, c, self.critical)
-        x = to_x(seed, c)
-        x = self._solve_complex(make_residual, guard_at, scale_at, c, x)
-        xprev = cprev = None
-        for tgt in targets:
-            while c != tgt:
-                alpha = to_coords(x, c).alpha
-                base = BASE_STEP * max(1.0, abs(c) / 25.0)
-                step = min(base, c - tgt)
-                if alpha < FOLD_ALPHA_SMALL:
-                    step = min(step, max(0.5 * (c_crit - c), FOLD_MIN_SPAN / 4.0))
-                cn = c - step
-                if cn - tgt < 1e-12 * max(1.0, abs(tgt)):
-                    cn = tgt
-                guess = self._guess_complex(to_x, c, x, cprev, xprev, cn)
-                try:
-                    xn = self._solve_complex(make_residual, guard_at, scale_at, cn, guess)
-                except eq.NoConvergenceError as exc:
-                    raise eq.NoConvergenceError(
-                        f"complex-branch corrector failed at c={cn} "
-                        f"(last good c={c}): {exc}",
-                        exc.root, exc.residual, exc.iterations,
-                    ) from exc
-                xprev, cprev = x, c
-                x, c = xn, cn
-            coords = to_coords(x, c)
-            self._check_complex_sheet(coords, c)
+                xprev, cprev, x, c = x, c, xn, cn
+                chart.accept(self, x, c)
+            coords = chart.to_coords(x, c, self.p)
+            chart.sheet(self.lab, c, coords)
             out.append(build_state(self.lab, c, coords))
         return out
 
-    def _guess_complex(self, to_x, c, x, cprev, xprev, cn) -> np.ndarray:
-        seed = branch_switch(self.lab, cn, self.critical)
-        if seed.alpha < FOLD_ALPHA_SMALL:
-            return to_x(seed, cn)
-        if xprev is None or cprev is None or cprev == c:
-            return x.copy()
-        frac = (cn - c) / (c - cprev)
-        guess = x + (x - xprev) * frac
-        # the leading unknown (beta or eta) decays exponentially deep in the
-        # attractive regime; predict it multiplicatively there
-        if abs(x[0]) < 1e-2 and xprev[0] != 0.0 and x[0] * xprev[0] > 0.0:
-            ratio = x[0] / xprev[0]
-            if ratio > 0.0:
-                guess[0] = x[0] * ratio ** frac
-        return guess
-
-    def _solve_complex(self, make_residual, guard_at, scale_at, c, guess) -> np.ndarray:
-        res = eq.newton_solve(
-            make_residual(c),
-            guess,
-            tol=self.tol,
-            guard=guard_at(c),
-            scale=scale_at(guess),
-        )
-        self._accept_tracker(res.root, c)
-        return res.root
-
-    # -- orchestration ---------------------------------------------------------
-
     def solve_targets(self, targets: list[float]) -> list[StateSolution]:
         """Solve at every requested c (any order); returns states in input order."""
+        lab = self.lab
         pos = sorted(t for t in targets if t >= 0.0)
         neg = sorted((t for t in targets if t < 0.0), reverse=True)
-        states: dict[float, StateSolution] = {}
-        for st in self.march_real(pos):
-            states[st.c] = st
+        if self.critical:
+            c_crit = self.critical.C
+        else:
+            c_crit = 0.0 if self.cls is CriticalClass.AT_ZERO else -math.inf
+        if any(abs(t - c_crit) < 1e-13 for t in neg):
+            raise ValueError(f"cannot solve exactly at the critical point C={c_crit}")
+        real = REAL_DIAGONAL if lab.is_diagonal else REAL_COUPLED
+        x0 = real.to_x(RealCoords(TWO_PI * lab.n1, TWO_PI * lab.n2, self.p), 0.0)
+        sides = [(pos, None)]
         if neg:
-            c_crit = {
-                CriticalClass.NONE: -math.inf,
-                CriticalClass.WINDOW: self.critical.C if self.critical else -math.inf,
-                CriticalClass.AT_ZERO: 0.0,
-            }[self.cls]
-            if any(abs(t - c_crit) < 1e-13 for t in neg):
-                raise ValueError(f"cannot solve exactly at the critical point C={c_crit}")
-            neg_real = [t for t in neg if t > c_crit]
-            neg_complex = [t for t in neg if t < c_crit]
-            for st in self.march_real(neg_real):
-                states[st.c] = st
-            if neg_complex:
-                for st in self.march_complex(neg_complex, c_crit):
-                    states[st.c] = st
-        return [states[float(t)] for t in targets]
+            sides.append(([t for t in neg if t > c_crit], c_crit if self.critical else None))
+        states = []
+        for side, fold_c in sides:
+            self.winding = eq.WindingState()
+            states += self.march(real, side, 0.0, x0, fold_c)
+        neg_complex = [t for t in neg if t < c_crit]
+        if neg_complex:
+            if lab.n1 == 1:
+                chart = PAIR if lab.n2 == 1 else FAMILY1
+            else:
+                chart = (TRIMER, FAMILY0_ETA, FAMILY0_BETA)[min(lab.n2, 2)]
+            c = max(c_crit - FOLD_MIN_SPAN, neg_complex[0])
+            x = self._solve(chart, c, chart.to_x(branch_switch(lab, c, self.critical), c))
+            states += self.march(chart, neg_complex, c, x, c_crit)
+        by_c = {st.c: st for st in states}
+        return [by_c[float(t)] for t in targets]
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,12 @@ Internally the solvers work in shifted correction variables
 (beta = alpha + c/2, eta = alpha + c) to avoid the catastrophic cancellation
 of -c - 2*alpha (or alpha + c) deep in the attractive regime; the public
 functions accept plain (alpha, gamma).
+
+Every residual the corrector solves has its closed-form Jacobian next to it,
+built from d(theta)/d(dk) = -2c/(c^2 + dk^2) and the derivatives of log|z|
+and arg z (a tracked argument has the same derivative as the principal one).
+newton_solve is a damped Newton for these one- and two-unknown systems; the
+test suite checks each Jacobian against central differences.
 """
 from __future__ import annotations
 
@@ -37,11 +43,8 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .model import TWO_PI, QuantumLabel
 from .tolerances import (
-    FD_STEP,
     IMAG_TOL,
     NEWTON_MAX_HALVINGS,
     NEWTON_MAX_ITER,
@@ -81,6 +84,11 @@ def theta(dk: float, c: float) -> float:
     if dk == 0.0 and c == 0.0:
         return -math.pi
     return -2.0 * math.atan2(dk, c)
+
+
+def dtheta(dk: float, c: float) -> float:
+    """d(theta)/d(dk) = -2c/(c^2 + dk^2)."""
+    return -2.0 * c / (c * c + dk * dk)
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +181,12 @@ def residual_real_thetasum(d1: float, d2: float, c: float, n1: int, n2: int) -> 
     return r1, r2
 
 
+def jacobian_real_thetasum(d1: float, d2: float, c: float):
+    """Rows d(r1, r2)/d(d1, d2) of the theta-sum residual."""
+    p1, p2, p3 = dtheta(d1, c), dtheta(d2, c), dtheta(d1 + d2, c)
+    return ((1.0 - 2.0 * p1 - p3, p2 - p3), (p1 - p3, 1.0 - 2.0 * p2 - p3))
+
+
 def residual_real(
     d1: float,
     d2: float,
@@ -208,6 +222,11 @@ def residual_equal_delta(d: float, c: float, n0: int) -> float:
     return d - theta(d, c) - theta(2.0 * d, c) - TWO_PI * (n0 + 1)
 
 
+def jacobian_equal_delta(d: float, c: float) -> float:
+    """d/dd of residual_equal_delta."""
+    return 1.0 - dtheta(d, c) - 2.0 * dtheta(2.0 * d, c)
+
+
 def ddelta_dc(delta: float, c: float) -> float:
     """Implicit derivative d(delta)/dc on the equal-delta root curve."""
     d2 = delta * delta
@@ -239,47 +258,69 @@ def family1_residual_beta(b: float, g: float, c: float, n2: int) -> tuple[float,
     return ra, rg
 
 
+def family1_jacobian_beta(b: float, g: float, c: float):
+    """Rows d(r_alpha, r_gamma)/d(beta, gamma) of family1_residual_beta."""
+    xm = -c / 2.0 - b
+    xp = -1.5 * c + b
+    dm = xm * xm + 9.0 * g * g
+    dp = xp * xp + 9.0 * g * g
+    cross = 9.0 * g / dm - 9.0 * g / dp
+    return (
+        (2.0 + 2.0 / b - 2.0 / (b - c) - 2.0 * xm / dm - 2.0 * xp / dp, 2.0 * cross),
+        (cross, -3.0 + 9.0 * xp / dp + 9.0 * xm / dm),
+    )
+
+
+def _family0_residual(a2, s2, t2, u, v, g, n2, winding):
+    """n1 = 0 family from its pieces a2 = 2a, s2 = 2a+c, t2 = 2a-c, u = a+c, v = a-c."""
+    if s2 <= 0.0:
+        raise ConstraintViolationError(f"2*alpha + c must stay positive, got {s2}")
+    ra = a2 + 2.0 * (math.log(s2) - math.log(t2)) \
+        + math.log(u * u + 9.0 * g * g) - math.log(v * v + 9.0 * g * g)
+    if winding is None:
+        arg_u = math.atan2(u, -3.0 * g)
+    else:
+        arg_u = winding.arg("B", complex(-3.0 * g, u))
+    rg = -3.0 * g + 3.0 * math.atan2(v, -3.0 * g) - 3.0 * arg_u - TWO_PI * n2
+    return ra, rg
+
+
+def _family0_jacobian(s2: float, t2: float, u: float, v: float, g: float):
+    """Rows d(r_alpha, r_gamma)/d(alpha, gamma) of _family0_residual; shifting
+    alpha by a constant (beta, eta) leaves them unchanged."""
+    du = u * u + 9.0 * g * g
+    dv = v * v + 9.0 * g * g
+    cross = 9.0 * g / du - 9.0 * g / dv   # not g*(1/du - ...): du may be ~1e-309
+    return (
+        (2.0 + 4.0 / s2 - 4.0 / t2 + 2.0 * u / du - 2.0 * v / dv, 2.0 * cross),
+        (cross, -3.0 + 9.0 * v / dv - 9.0 * u / du),
+    )
+
+
 def family0_residual_beta(
     b: float, g: float, c: float, n2: int, winding: WindingState | None = None
 ) -> tuple[float, float]:
-    """n1 = 0 family in beta = alpha + c/2 (> 0), gamma.
+    """n1 = 0 family in beta = alpha + c/2 (> 0), gamma."""
+    return _family0_residual(
+        -c + 2.0 * b, 2.0 * b, -2.0 * c + 2.0 * b, c / 2.0 + b, -1.5 * c + b, g, n2, winding
+    )
 
-    Pieces: 2a+c = 2b, 2a-c = -2c+2b, a+c = c/2+b, a-c = -3c/2+b.
-    """
-    if b <= 0.0:
-        raise ConstraintViolationError(f"2*alpha + c must stay positive, beta={b}")
-    eta = c / 2.0 + b       # alpha + c
-    am = -1.5 * c + b       # alpha - c > 0
-    ra = (-c + 2.0 * b) + 2.0 * (math.log(2.0 * b) - math.log(-2.0 * c + 2.0 * b)) \
-        + math.log(eta * eta + 9.0 * g * g) - math.log(am * am + 9.0 * g * g)
-    arg_a = math.atan2(am, -3.0 * g)
-    if winding is None:
-        arg_b = math.atan2(eta, -3.0 * g)
-    else:
-        arg_b = winding.arg("B", complex(-3.0 * g, eta))
-    rg = -3.0 * g + 3.0 * arg_a - 3.0 * arg_b - TWO_PI * n2
-    return ra, rg
+
+def family0_jacobian_beta(b: float, g: float, c: float):
+    return _family0_jacobian(2.0 * b, -2.0 * c + 2.0 * b, c / 2.0 + b, -1.5 * c + b, g)
 
 
 def family0_residual_eta(
     e: float, g: float, c: float, n2: int, winding: WindingState | None = None
 ) -> tuple[float, float]:
-    """n1 = 0 family in eta = alpha + c, gamma (trimer-side parameterization).
+    """n1 = 0 family in eta = alpha + c, gamma (trimer-side parameterization)."""
+    return _family0_residual(
+        -2.0 * c + 2.0 * e, -c + 2.0 * e, -3.0 * c + 2.0 * e, e, -2.0 * c + e, g, n2, winding
+    )
 
-    Pieces: 2a+c = -c+2e, 2a-c = -3c+2e, a+c = e, a-c = -2c+e.
-    """
-    if -c + 2.0 * e <= 0.0:
-        raise ConstraintViolationError(f"2*alpha + c must stay positive, eta={e}, c={c}")
-    am = -2.0 * c + e
-    ra = (-2.0 * c + 2.0 * e) + 2.0 * (math.log(-c + 2.0 * e) - math.log(-3.0 * c + 2.0 * e)) \
-        + math.log(e * e + 9.0 * g * g) - math.log(am * am + 9.0 * g * g)
-    arg_a = math.atan2(am, -3.0 * g)
-    if winding is None:
-        arg_b = math.atan2(e, -3.0 * g)
-    else:
-        arg_b = winding.arg("B", complex(-3.0 * g, e))
-    rg = -3.0 * g + 3.0 * arg_a - 3.0 * arg_b - TWO_PI * n2
-    return ra, rg
+
+def family0_jacobian_eta(e: float, g: float, c: float):
+    return _family0_jacobian(-c + 2.0 * e, -3.0 * c + 2.0 * e, e, -2.0 * c + e, g)
 
 
 def pair_residual_beta(b: float, c: float) -> float:
@@ -294,12 +335,22 @@ def pair_residual_beta(b: float, c: float) -> float:
     )
 
 
+def pair_jacobian_beta(b: float, c: float) -> float:
+    """d/d(beta) of pair_residual_beta."""
+    return 1.0 - 1.0 / (b - 1.5 * c) - 1.0 / (b - c) - 1.0 / (-c / 2.0 - b) + 1.0 / b
+
+
 def trimer_residual_eta(e: float, c: float) -> float:
     """Scalar gamma = 0 equation for the (0,0) branch in eta = alpha + c > 0."""
     if e <= 0.0:
         raise ConstraintViolationError(f"alpha + c must stay positive, eta={e}")
     return (-c + e) - math.log((-2.0 * c + e) * (-3.0 * c + 2.0 * e)) \
         + math.log(e) + math.log(-c + 2.0 * e)
+
+
+def trimer_jacobian_eta(e: float, c: float) -> float:
+    """d/d(eta) of trimer_residual_eta."""
+    return 1.0 - 1.0 / (e - 2.0 * c) - 2.0 / (2.0 * e - 3.0 * c) + 1.0 / e + 2.0 / (2.0 * e - c)
 
 
 def residual_complex(
@@ -379,98 +430,81 @@ def gamma_squared_from_alpha(alpha: float, c: float) -> float:
 
 @dataclass
 class NewtonResult:
-    root: np.ndarray
-    residual: np.ndarray
+    root: tuple[float, ...]
+    residual: tuple[float, ...]
     iterations: int
+
+
+def _newton_step(jac, r) -> tuple[float, ...]:
+    """Solve J*s = -r for one or two unknowns (Cramer's rule).
+
+    Rows are scaled to unit max-norm first, so the determinant stays finite
+    when an exponentially small unknown puts 1/eta ~ 1e160 into the Jacobian.
+    """
+    if len(r) == 1:
+        return (-r[0] / jac[0][0],)
+    (a, b), (c, d) = jac
+    s0, s1 = max(abs(a), abs(b)), max(abs(c), abs(d))
+    a, b, r0 = a / s0, b / s0, r[0] / s0
+    c, d, r1 = c / s1, d / s1, r[1] / s1
+    det = a * d - b * c
+    return ((b * r1 - d * r0) / det, (c * r0 - a * r1) / det)
 
 
 def newton_solve(
     residual,
+    jacobian,
     guess,
     tol: float | None = None,
     max_iter: int = NEWTON_MAX_ITER,
     guard=None,
-    scale=None,
 ) -> NewtonResult:
-    """Damped Newton with central-difference Jacobian.
+    """Damped Newton for one or two unknowns with a closed-form Jacobian.
 
-    residual maps an n-vector to an n-vector; guard(x) -> bool marks the valid
-    sheet (steps never cross it); scale is an optional per-unknown magnitude
-    so the FD step 1e-7*max(1,|y|) is taken in scaled space (y = x/scale).
+    residual maps the tuple of unknowns to a sequence of residuals and
+    jacobian maps it to the rows of d(residual)/d(unknown); guard(x) -> bool
+    marks the valid sheet (steps never cross it).  Each step is halved until
+    it stays on the sheet with a finite residual whose max-norm does not grow.
     Raises NoConvergenceError / ConstraintViolationError.
     """
     tol = residual_tolerance(tol)
-    x = np.atleast_1d(np.asarray(guess, dtype=float)).copy()
-    n = x.size
-    s = np.ones(n) if scale is None else np.broadcast_to(np.asarray(scale, float), (n,)).copy()
-    if np.any(s <= 0):
-        raise ValueError("scale entries must be positive")
-
-    def f(y: np.ndarray) -> np.ndarray:
-        return np.atleast_1d(np.asarray(residual(y * s), dtype=float))
-
+    x = tuple(float(v) for v in guess)
     if guard is not None and not guard(x):
         raise ConstraintViolationError(f"initial guess {x} violates constraints")
-    y = x / s
-    r = f(y)
-    it = 0
+    r = residual(x)
     for it in range(1, max_iter + 1):
-        rmax = np.max(np.abs(r))
+        rmax = max(abs(v) for v in r)
         if rmax < tol:
-            return NewtonResult(root=y * s, residual=r, iterations=it - 1)
-        jac = np.empty((n, n))
-        for j in range(n):
-            h = FD_STEP * max(1.0, abs(y[j]))
-            yp = y.copy(); yp[j] += h
-            ym = y.copy(); ym[j] -= h
-            ok_p = guard is None or guard(yp * s)
-            ok_m = guard is None or guard(ym * s)
-            try:
-                if ok_p and ok_m:
-                    jac[:, j] = (f(yp) - f(ym)) / (2.0 * h)
-                elif ok_p:
-                    jac[:, j] = (f(yp) - r) / h
-                elif ok_m:
-                    jac[:, j] = (r - f(ym)) / h
-                else:
-                    raise ConstraintViolationError("FD probes blocked on both sides")
-            except (SingularArgumentError, ValueError) as exc:
-                raise NoConvergenceError(
-                    f"Jacobian evaluation failed: {exc}", y * s, r, it
-                ) from exc
+            return NewtonResult(root=x, residual=tuple(r), iterations=it - 1)
         try:
-            step = np.linalg.solve(jac, -r)
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergenceError(f"singular Jacobian: {exc}", y * s, r, it) from exc
+            step = _newton_step(jacobian(x), r)
+        except ZeroDivisionError as exc:
+            raise NoConvergenceError(f"singular Jacobian at {x}: {exc}", x, r, it) from exc
         lam = 1.0
-        accepted = False
         for _ in range(NEWTON_MAX_HALVINGS):
-            y_new = y + lam * step
-            if guard is None or guard(y_new * s):
+            x_new = tuple(xi + lam * si for xi, si in zip(x, step))
+            if guard is None or guard(x_new):
                 try:
-                    r_new = f(y_new)
+                    r_new = residual(x_new)
                 except (SingularArgumentError, ConstraintViolationError):
                     lam *= 0.5
                     continue
-                if np.all(np.isfinite(r_new)) and (
-                    np.max(np.abs(r_new)) <= rmax or np.max(np.abs(r_new)) < tol
-                ):
-                    accepted = True
+                if all(math.isfinite(v) for v in r_new) and max(abs(v) for v in r_new) <= rmax:
                     break
             lam *= 0.5
-        if not accepted:
+        else:
             # keep the last guarded candidate if any; otherwise the step is blocked
-            y_new = y + lam * step
-            if guard is not None and not guard(y_new * s):
+            x_new = tuple(xi + lam * si for xi, si in zip(x, step))
+            if guard is not None and not guard(x_new):
                 raise ConstraintViolationError(
-                    f"Newton step blocked by sign constraints near x={y * s}"
+                    f"Newton step blocked by sign constraints near x={x}"
                 )
             try:
-                r_new = f(y_new)
+                r_new = residual(x_new)
             except (SingularArgumentError, ConstraintViolationError) as exc:
-                raise NoConvergenceError(str(exc), y * s, r, it) from exc
-        y, r = y_new, r_new
+                raise NoConvergenceError(str(exc), x, r, it) from exc
+        x, r = x_new, r_new
     raise NoConvergenceError(
-        f"no convergence after {max_iter} iterations (|r|={np.max(np.abs(r)):.3e})",
-        y * s, r, max_iter,
+        f"no convergence after {max_iter} iterations (|r|={max(abs(v) for v in r):.3e})",
+        x, r, max_iter,
     )

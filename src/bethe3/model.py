@@ -255,8 +255,3 @@ def reference_state(label: QuantumLabel) -> StateSolution:
     coords = RealCoords(TWO_PI * label.n1, TWO_PI * label.n2, label.p)
     return build_state(label, 0.0, coords)
 
-
-def sort_momenta(values: tuple[complex, complex, complex]) -> Momenta:
-    """Canonical ordering: ascending real parts; conjugate pair stored Im>0 first."""
-    vals = sorted(values, key=lambda z: (round(z.real, 12), -z.imag))
-    return Momenta(*vals)

@@ -13,7 +13,6 @@ import os
 RESIDUAL_TOL = 1e-12        # default inf-norm residual at accepted roots
 NEWTON_MAX_ITER = 100
 NEWTON_MAX_HALVINGS = 40
-FD_STEP = 1e-7              # central-difference Jacobian step (scaled space)
 
 # Identity / bookkeeping checks
 IDENTITY_TOL = 1e-10        # momentum conservation, round trips

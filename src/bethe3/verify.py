@@ -26,6 +26,7 @@ from .observables import (
     potential_expectation,
     simplex_integral,
 )
+from .oracles import quad_simplex_exp
 from .wavefunction import dimer_prefactor, jump_residual, periodicity_residual
 
 SEED = 20260809
@@ -157,7 +158,7 @@ def suite_observables() -> list[CheckResult]:
         a = rng.uniform(-12, 12, 2) + 1j * rng.uniform(-2, 2, 2)
         key = classify_exponents(a[0], a[1], -a[0] - a[1])
         got = simplex_integral(key)
-        ref = _quad_simplex(a[0], a[1], -a[0] - a[1])
+        ref = quad_simplex_exp(a[0], a[1], -a[0] - a[1])
         worst = max(worst, abs(got - ref) / max(1e-30, abs(ref)))
     out.append(_check("simplex-vs-quadrature", worst < 1e-8, f"max rel {worst:.2e}"))
 
@@ -178,20 +179,6 @@ def suite_observables() -> list[CheckResult]:
         )
     )
     return out
-
-
-def _quad_simplex(a1, a2, a3, n=48):
-    x, w = np.polynomial.legendre.leggauss(n)
-    x = 0.5 * (x + 1.0)
-    w = 0.5 * w
-    t3, t2, t1 = np.meshgrid(x, x, x, indexing="ij")
-    w3, w2, w1 = np.meshgrid(w, w, w, indexing="ij")
-    x3 = t3
-    x2 = t3 * t2
-    x1 = t3 * t2 * t1
-    jac = t3 ** 2 * t2
-    val = np.exp(1j * (a1 * x1 + a2 * x2 + a3 * x3)) * jac
-    return np.sum(val * w1 * w2 * w3)
 
 
 SUITES = {

@@ -2,34 +2,15 @@
 
 The quadrature oracles are independent evaluation routes: tensor
 Gauss-Legendre on smooth mapped domains (the integrands are analytic inside
-the ordered simplex, so convergence is spectral).
+the ordered simplex, so convergence is spectral).  The simplex-exponential
+oracle lives in bethe3.oracles, shared with `bethe3 verify`.
 """
 import numpy as np
 import pytest
 
 from bethe3 import QuantumLabel, solve_state
+from bethe3.oracles import gl_nodes, quad_simplex_exp, simplex_rule  # noqa: F401  (re-exported)
 from bethe3.wavefunction import PERMUTATIONS, amplitudes
-
-
-def gl_nodes(n):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
-
-
-def quad_simplex_exp(a1, a2, a3, n=48):
-    """int over 0<=x1<=x2<=x3<=1 of exp(i(a1 x1 + a2 x2 + a3 x3)).
-
-    Maps the simplex to the cube via x3 = t3, x2 = t3 t2, x1 = t3 t2 t1
-    (Jacobian t3^2 t2); the integrand is entire, so GL converges spectrally.
-    """
-    x, w = gl_nodes(n)
-    t3, t2, t1 = np.meshgrid(x, x, x, indexing="ij")
-    w3, w2, w1 = np.meshgrid(w, w, w, indexing="ij")
-    x3 = t3
-    x2 = t3 * t2
-    x1 = t3 * t2 * t1
-    val = np.exp(1j * (a1 * x1 + a2 * x2 + a3 * x3)) * t3 ** 2 * t2
-    return np.sum(val * w1 * w2 * w3)
 
 
 def psi_on_grid(state, x1, x2, x3):
@@ -45,14 +26,8 @@ def psi_on_grid(state, x1, x2, x3):
 
 def quad_norm(state, n=48):
     """6 * simplex integral of |psi|^2 by mapped Gauss-Legendre."""
-    x, w = gl_nodes(n)
-    t3, t2, t1 = np.meshgrid(x, x, x, indexing="ij")
-    w3, w2, w1 = np.meshgrid(w, w, w, indexing="ij")
-    x3 = t3
-    x2 = t3 * t2
-    x1 = t3 * t2 * t1
-    val = psi_on_grid(state, x1, x2, x3)
-    return 6.0 * np.sum(np.abs(val) ** 2 * t3 ** 2 * t2 * w1 * w2 * w3)
+    x1, x2, x3, w = simplex_rule(n)
+    return 6.0 * np.sum(np.abs(psi_on_grid(state, x1, x2, x3)) ** 2 * w)
 
 
 def quad_potential(state, n=160, norm=None):

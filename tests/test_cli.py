@@ -2,9 +2,12 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+from bethe3 import cli
 from bethe3.cli import EXIT_OK, EXIT_SOLVER, EXIT_USAGE, EXIT_VERIFY, main
 
 
@@ -132,6 +135,21 @@ class TestDensity:
         assert r12 + r23 + r31 == pytest.approx(1.0, abs=1e-12)
         assert dens >= 0.0
 
+    @pytest.mark.parametrize("args", [
+        ["density", "--label", "0,0", "--c", "-5", "--resolution", "4"],
+        ["spectrum", "--labels", "0,0", "1,2", "--c", "-5", "--observables"],
+    ])
+    def test_arithmetic_error_exit(self, args, monkeypatch, capsys):
+        # an ArithmeticError inside an observable exits 2 with an error record
+        def divide_by_zero(*args, **kwargs):
+            raise ZeroDivisionError("float division by zero")
+
+        monkeypatch.setattr(cli, "density_grid", divide_by_zero)
+        monkeypatch.setattr(cli, "norm_squared", divide_by_zero)
+        code, out, _ = run_cli(args, capsys)
+        assert code == EXIT_SOLVER
+        assert json.loads(out.strip().splitlines()[-1])["error"].startswith("ZeroDivisionError")
+
 
 class TestVerify:
     def test_core_suite_passes(self, capsys):
@@ -178,3 +196,15 @@ class TestTolEnv:
         monkeypatch.setenv("BETHE3_TOL", "-1")
         with pytest.raises(ValueError):
             residual_tolerance()
+
+
+def test_import_leaves_scipy_out():
+    import bethe3
+
+    src = os.path.dirname(os.path.dirname(bethe3.__file__))
+    probe = "import sys, bethe3.cli; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    ).stdout
+    assert out.strip() == "False"

@@ -48,6 +48,16 @@ class TestFindCritical:
         assert all(-6.0 <= v < -4.0 for v in values)
         assert values[-1] > -4.02
 
+    def test_matches_brentq_oracle(self):
+        from scipy.optimize import brentq
+
+        for n2 in range(2, 41):
+            lo = -TWO_PI * n2 - 10.0
+            u0 = brentq(u0_equation, lo, 0.0, args=(n2,), xtol=1e-14, rtol=8.9e-16)
+            crit = find_critical(QuantumLabel(1, n2))
+            assert crit.C == pytest.approx(-4.0 - 2.0 / (1.0 + u0 * u0), abs=1e-14)
+            assert crit.u0 == pytest.approx(u0, rel=1e-14)
+
     def test_rejects_other_families(self):
         with pytest.raises(ValueError):
             find_critical(QuantumLabel(2, 3))
@@ -80,9 +90,8 @@ class TestBranchSwitch:
         c = crit.C - 1e-3
         seed = branch_switch(QuantumLabel(1, 2), c, crit)
         res = eq.newton_solve(
-            lambda x: np.array(
-                eq.family1_residual_beta(x[0], x[1], c, 2)
-            ),
+            lambda x: eq.family1_residual_beta(x[0], x[1], c, 2),
+            lambda x: eq.family1_jacobian_beta(x[0], x[1], c),
             [seed.alpha + c / 2.0, seed.gamma],
             guard=lambda x: c / 2.0 < x[0] < 0.0,
         )
@@ -161,7 +170,8 @@ class TestTraceRoot:
         for c in (1.0, -2.0, 5.0):
             st = solve_state(QuantumLabel(2, 2), c)
             res = eq.newton_solve(
-                lambda x: np.array(eq.residual_real_thetasum(x[0], x[1], c, 2, 2)),
+                lambda x: eq.residual_real_thetasum(x[0], x[1], c, 2, 2),
+                lambda x: eq.jacobian_real_thetasum(x[0], x[1], c),
                 [st.coords.delta1 + 0.05, st.coords.delta2 - 0.03],
                 tol=1e-13,
             )

@@ -1,13 +1,16 @@
 import cmath
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import bethe3.continuation as cont
 import bethe3.equations as eq
-from bethe3 import QuantumLabel, solve_state
+from bethe3 import Branch, QuantumLabel, solve_state
 from bethe3.asymptotics import delta_large_c, small_c_slope
 from bethe3.continuation import find_critical
+from bethe3.oracles import fd_jacobian
 
 TWO_PI = 2 * math.pi
 
@@ -123,7 +126,8 @@ class TestResidualEqualDelta:
                 hi = mid
         d_bisect = 0.5 * (lo + hi)
         res = eq.newton_solve(
-            lambda x: np.array(eq.residual_real_thetasum(x[0], x[1], 1.0, 2, 2)),
+            lambda x: eq.residual_real_thetasum(x[0], x[1], 1.0, 2, 2),
+            lambda x: eq.jacobian_real_thetasum(x[0], x[1], 1.0),
             [2 * TWO_PI + 0.5, 2 * TWO_PI + 0.5],
         )
         assert res.root[0] == pytest.approx(d_bisect, abs=1e-10)
@@ -188,35 +192,68 @@ class TestGammaSquared:
 
 class TestNewton:
     def test_linear_single_step(self):
-        res = eq.newton_solve(lambda x: x - 2.5, [2.8])
-        assert res.iterations <= 2  # FD Jacobian rounding costs one polish step
+        res = eq.newton_solve(lambda x: (x[0] - 2.5,), lambda x: ((1.0,),), [2.8])
+        assert res.iterations <= 2
         assert res.root[0] == pytest.approx(2.5, abs=1e-12)
 
     def test_matches_independent_solver(self):
         from scipy.optimize import fsolve
 
         fun = lambda x: np.array(eq.residual_real_thetasum(x[0], x[1], -2.0, 1, 2))
-        mine = eq.newton_solve(fun, [TWO_PI, 2 * TWO_PI])
+        jac = lambda x: eq.jacobian_real_thetasum(x[0], x[1], -2.0)
+        mine = eq.newton_solve(fun, jac, [TWO_PI, 2 * TWO_PI])
         ref = fsolve(fun, [TWO_PI, 2 * TWO_PI], xtol=1e-13)
         assert mine.root == pytest.approx(ref, abs=1e-10)
 
     def test_no_convergence_raises(self):
         with pytest.raises(eq.NoConvergenceError):
-            eq.newton_solve(lambda x: np.array([x[0] ** 2 + 1.0]), [0.5], max_iter=20)
+            eq.newton_solve(
+                lambda x: (x[0] ** 2 + 1.0,), lambda x: ((2.0 * x[0],),), [0.5], max_iter=20
+            )
 
     def test_guard_blocks_boundary(self):
         # root at -1 is outside the guarded region; the solve must not cross 0
         with pytest.raises((eq.ConstraintViolationError, eq.NoConvergenceError)):
             eq.newton_solve(
-                lambda x: np.array([x[0] + 1.0]), [0.5], guard=lambda x: x[0] > 0.0,
-                max_iter=25,
+                lambda x: (x[0] + 1.0,), lambda x: ((1.0,),), [0.5],
+                guard=lambda x: x[0] > 0.0, max_iter=25,
             )
 
     def test_scaled_tiny_unknown(self):
-        # root at 1e-9 with a log-singular residual: plain FD steps would cross it
-        fun = lambda x: np.array([math.log(x[0] / 1e-9)])
-        res = eq.newton_solve(fun, [3e-9], guard=lambda x: x[0] > 0.0, scale=[1e-9])
+        # root at 1e-9 with a log-singular residual: steps must not cross zero
+        fun = lambda x: (math.log(x[0] / 1e-9),)
+        res = eq.newton_solve(fun, lambda x: ((1.0 / x[0],),), [3e-9], guard=lambda x: x[0] > 0.0)
         assert res.root[0] == pytest.approx(1e-9, rel=1e-9)
+
+
+# every corrector chart with a label it serves and the sign of its shifted unknown
+CHARTS = [
+    (cont.REAL_DIAGONAL, (2, 2), 1.0), (cont.REAL_COUPLED, (1, 3), 1.0),
+    (cont.PAIR, (1, 1), -1.0), (cont.FAMILY1, (1, 3), -1.0), (cont.TRIMER, (0, 0), 1.0),
+    (cont.FAMILY0_ETA, (0, 1), 1.0), (cont.FAMILY0_BETA, (0, 3), 1.0),
+]
+
+
+@pytest.mark.parametrize("c", [-5.0, -40.0, -200.0, -1000.0])
+@pytest.mark.parametrize("chart, label, sign", CHARTS)
+def test_closed_form_jacobian_matches_fd_oracle(chart, label, sign, c):
+    # shifted unknowns are sampled directly (alpha rounds beta to 0 by c = -200)
+    # and compared in scaled space, column j times |x_j| relative to the row
+    # maximum: a raw FD probe cannot move an O(1) residual at beta ~ 1e-200
+    marcher = SimpleNamespace(lab=QuantumLabel(*label), winding_b=eq.WindingState())
+    if chart.branch is Branch.REAL_K:
+        points = [(0.7, 5.0), (6.5, 13.0)]
+    else:
+        points = [(sign * v, g) for v in (1e-200, 1e-30, 1e-3, 0.9) for g in (-1.7, 1e-3)]
+    for x in points:
+        x = x[:len(chart.jacobian(x, c))]
+        exact = chart.jacobian(x, c)
+        approx = fd_jacobian(lambda y: chart.residual(marcher, y, c), x)
+        for row, fd_row in zip(exact, approx):
+            scaled = [v * abs(xj) for v, xj in zip(row, x)]
+            fd_scaled = [v * abs(xj) for v, xj in zip(fd_row, x)]
+            worst = max(abs(a - b) for a, b in zip(scaled, fd_scaled))
+            assert worst <= 1e-5 * max(abs(v) for v in scaled), (x, row, fd_row)
 
 
 class TestImplicitDerivative:
