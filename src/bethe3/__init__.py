@@ -23,7 +23,7 @@ from .equations import (
     NoConvergenceError,
     ResidualPoint,
     SingularArgumentError,
-    WindingState,
+    continued_arg,
     ddelta_dc,
     gamma_squared_from_alpha,
     newton_solve,
@@ -31,16 +31,14 @@ from .equations import (
     residual_equal_delta,
     residual_real,
     theta,
-    tracked_log,
 )
 from .continuation import (
     BoundsViolationError,
-    CriticalClass,
     CriticalPoint,
     SpectrumResult,
     Trajectory,
     branch_switch,
-    critical_class,
+    critical_point,
     find_critical,
     solve_state,
     spectrum,

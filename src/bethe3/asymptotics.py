@@ -149,9 +149,7 @@ def delta_small_c(label: QuantumLabel, c: float) -> tuple[float, float]:
     lab = label.canonical()
     n1, n2 = lab.n1, lab.n2
     if n1 >= 1:
-        a1 = (2.0 * n1 * n2 + 2.0 * n2 * n2 - n1 * n1) / (n1 * n2 * (n1 + n2) * math.pi)
-        a2 = (2.0 * n2 * n1 + 2.0 * n1 * n1 - n2 * n2) / (n2 * n1 * (n2 + n1) * math.pi)
-        return (TWO_PI * n1 + a1 * c, TWO_PI * n2 + a2 * c)
+        return (TWO_PI * n1 + small_c_slope(n1, n2) * c, TWO_PI * n2 + small_c_slope(n2, n1) * c)
     if c < 0:
         raise ValueError(f"n1 = 0 labels have no real branch for c < 0 (got c={c})")
     if n2 == 0:

@@ -110,6 +110,17 @@ class _Writer:
             self.stream.write(json.dumps(encoded, separators=(",", ":")) + "\n")
 
 
+def _report_error(stream, fmt: str, message: str, label: QuantumLabel | None = None) -> None:
+    """An error record in json-lines; a csv table has no column for it, so
+    there it goes to stderr."""
+    if fmt == "csv":
+        where = "" if label is None else f"label {label}: "
+        print(f"error: {where}{message}", file=sys.stderr)
+    else:
+        rec = {} if label is None else {"n1": label.n1, "n2": label.n2}
+        _Writer(stream, fmt, []).write({**rec, "error": message})
+
+
 def _state_record(state, with_observables: bool) -> dict:
     coords = state.coords
     rec = {
@@ -149,9 +160,7 @@ def run(config: RunConfig) -> int:
     try:
         return _dispatch(config, stream)
     except (ValueError, RuntimeError, ArithmeticError) as exc:  # exit 2, never a traceback
-        _Writer(stream, "json-lines", []).write(
-            {"error": f"{type(exc).__name__}: {exc}"}
-        )
+        _report_error(stream, config.fmt, f"{type(exc).__name__}: {exc}")
         return EXIT_SOLVER
     finally:
         if config.out:
@@ -172,12 +181,7 @@ def _dispatch(config: RunConfig, stream) -> int:
                     step=config.step, tol=config.tol,
                 )
             except Exception as exc:
-                message = f"{type(exc).__name__}: {exc}"
-                if config.fmt == "csv":
-                    print(f"error: label {label}: {message}", file=sys.stderr)
-                    writer.write({"n1": label.n1, "n2": label.n2})
-                else:
-                    writer.write({"n1": label.n1, "n2": label.n2, "error": message})
+                _report_error(stream, config.fmt, f"{type(exc).__name__}: {exc}", label)
                 status = EXIT_SOLVER
                 continue
             for st in traj.samples:
@@ -191,12 +195,9 @@ def _dispatch(config: RunConfig, stream) -> int:
         )
         for st in result.states:
             writer.write(_state_record(st, config.observables))
-        if result.failures:
-            for label, msg in result.failures.items():
-                if config.fmt != "csv":
-                    writer.write({"n1": label.n1, "n2": label.n2, "error": msg})
-            return EXIT_SOLVER
-        return EXIT_OK
+        for label, msg in result.failures.items():
+            _report_error(stream, config.fmt, msg, label)
+        return EXIT_SOLVER if result.failures else EXIT_OK
 
     if config.command == "critical":
         writer = _Writer(stream, config.fmt, ["n2", "C", "u0"])

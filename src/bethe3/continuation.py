@@ -4,10 +4,13 @@ Every trajectory starts from the exact non-interacting solution
 delta_j(0) = 2*pi*n_j and marches outward with a secant predictor and the
 damped-Newton corrector.  Labels with min(n1,n2) = 1 turn complex at the
 critical coupling C(1,n2) in [-6,-4); labels with min = 0 turn complex at
-C = 0; labels with both n_j >= 2 stay real for all c.  Near a critical point
-the square-root local models seed the corrector and the step is refined
-geometrically.  Each branch and complex family is one Chart (unknowns,
-residual, closed-form Jacobian, guard), and a single march loop runs them all.
+C = 0; labels with both n_j >= 2 stay real for all c (critical_point).  Near
+a critical point the square-root local models seed the corrector and the
+step is refined geometrically.  Five Charts (unknowns, residual, closed-form
+Jacobian, guard) cover the two real branches and the complex families, whose
+gamma = 0 members (1,1) and (0,0) need no chart of their own, and a single
+march loop runs them all.  The marcher carries the continued arguments of
+the log forms as plain floats, updated at each accepted point.
 
 Partner labels (n1 > n2) are never re-solved: the canonical trajectory is
 traced and mapped through the conjugation symmetry sample by sample.
@@ -16,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Callable
 
 import numpy as np
@@ -45,12 +47,6 @@ class BoundsViolationError(RuntimeError):
     """A trajectory sample broke a branch-sheet bound."""
 
 
-class CriticalClass(Enum):
-    AT_ZERO = "at_zero"    # min(n1,n2) = 0: complex immediately below c = 0
-    WINDOW = "window"      # min(n1,n2) = 1: critical point in [-6, -4)
-    NONE = "none"          # both n_j >= 2: real for all c
-
-
 @dataclass(frozen=True)
 class CriticalPoint:
     """Critical coupling record; u0 is the critical delta2/c ratio (0.0 for
@@ -58,15 +54,6 @@ class CriticalPoint:
 
     C: float
     u0: float
-
-
-def critical_class(label: QuantumLabel) -> CriticalClass:
-    lab = label.canonical()
-    if lab.n1 == 0:
-        return CriticalClass.AT_ZERO
-    if lab.n1 == 1:
-        return CriticalClass.WINDOW
-    return CriticalClass.NONE
 
 
 def u0_equation(u: float, n2: int) -> float:
@@ -104,6 +91,15 @@ def find_critical(label: QuantumLabel) -> CriticalPoint:
     return CriticalPoint(C=-4.0 - 2.0 / (1.0 + u0 * u0), u0=u0)
 
 
+def critical_point(label: QuantumLabel) -> CriticalPoint | None:
+    """Where the label turns complex: C = 0 for n1 = 0, C(1, n2) for n1 = 1,
+    None when both n_j >= 2 (real for all c)."""
+    lab = label.canonical()
+    if lab.n1 == 0:
+        return CriticalPoint(C=0.0, u0=0.0)
+    return find_critical(lab) if lab.n1 == 1 else None
+
+
 def fold_coefficients(u0: float) -> tuple[float, float]:
     """Local fold constants at C(1,n2>=2): c = C + Kc*u1^2, u2 = u0 - u1/2 + Ku*u1^2."""
     if u0 == 0.0:
@@ -132,20 +128,17 @@ def branch_switch(
     """Square-root local-model seed (alpha, gamma) for c slightly below C."""
     lab = label.canonical()
     p = TWO_PI * lab.np
-    cls = critical_class(lab)
-    if cls is CriticalClass.NONE:
+    crit = critical or critical_point(lab)
+    if crit is None:
         raise ValueError(f"label {label} has no complex branch")
-    if cls is CriticalClass.AT_ZERO:
-        if c >= 0:
-            raise ValueError(f"seed requires c < 0, got {c}")
+    if c >= crit.C:
+        raise ValueError(f"seed requires c < C = {crit.C}, got {c}")
+    if lab.n1 == 0:
         if lab.n2 == 0:
             return ComplexCoords(alpha=math.sqrt(-3.0 * c), gamma=0.0, p=p)
         alpha = math.sqrt(-c)
         gamma = -(2.0 / 3.0) * math.pi * lab.n2 + alpha * alpha / (math.pi * lab.n2)
         return ComplexCoords(alpha=alpha, gamma=gamma, p=p)
-    crit = critical or find_critical(lab)
-    if c >= crit.C:
-        raise ValueError(f"seed requires c < C = {crit.C}, got {c}")
     if lab.n2 == 1:
         return ComplexCoords(alpha=math.sqrt(6.0 * (-6.0 - c)), gamma=0.0, p=p)
     kc, ku = fold_coefficients(crit.u0)
@@ -163,8 +156,8 @@ def branch_switch(
 class Chart:
     """Unknowns x of one branch or complex family and their corrector pieces.
 
-    residual, guard and accept take the marcher first (label, winding
-    trackers); accept runs at every accepted point, sheet at every returned
+    residual, guard and accept take the marcher first (label, continued
+    arguments); accept runs at every accepted point, sheet at every returned
     sample.
     """
 
@@ -192,15 +185,21 @@ def _real_guard(m, x, c) -> bool:
 
 
 def _winding_crosscheck(m, x, c) -> None:
-    """Tracked-log residual must agree with the theta-sum at every accept."""
+    """Log-form residual must agree with the theta-sum at every accept."""
     d1, d2 = x[0], x[-1]
     if d1 <= 0.0 or d2 <= 0.0:
         return  # z_j degenerates to 0/0 at the reference / critical ends
-    point = eq.residual_real(d1, d2, c, m.lab, winding=m.winding)
+    point = eq.residual_real(d1, d2, c, m.lab, refs=m.args_z)
+    m.args_z = point.args
     if max(abs(point.residual[0]), abs(point.residual[1])) > 1e-9:
         raise BoundsViolationError(
-            f"winding-tracked residual diverged from theta-sum at c={c}: {point.residual}"
+            f"log-form residual diverged from theta-sum at c={c}: {point.residual}"
         )
+
+
+def _continue_b(m, z: complex) -> None:
+    """Family 0: continue arg(-3g + i(alpha + c)) to the accepted point."""
+    m.arg_b = eq.continued_arg(z, m.arg_b)
 
 
 def _real_sheet(lab: QuantumLabel, c: float, coords: RealCoords) -> None:
@@ -231,15 +230,12 @@ def _trimer_sheet(lab: QuantumLabel, c: float, coords: ComplexCoords) -> None:
         raise BoundsViolationError(f"(0,n2) sheet broken at c={c}: alpha={coords.alpha}")
 
 
-def _shifted(frac: float, with_gamma: bool) -> dict:
-    """Converters for the complex unknowns (alpha + frac*c[, gamma]); solving in
+def _shifted(frac: float) -> dict:
+    """Converters for the complex unknowns (alpha + frac*c, gamma); solving in
     beta = alpha + c/2 or eta = alpha + c keeps their exponentially small
     values exact deep in the attractive regime."""
-    if with_gamma:
-        return dict(to_x=lambda co, c: (co.alpha + frac * c, co.gamma),
-                    to_coords=lambda x, c, p: ComplexCoords(x[0] - frac * c, x[1], p))
-    return dict(to_x=lambda co, c: (co.alpha + frac * c,),
-                to_coords=lambda x, c, p: ComplexCoords(x[0] - frac * c, 0.0, p))
+    return dict(to_x=lambda co, c: (co.alpha + frac * c, co.gamma),
+                to_coords=lambda x, c, p: ComplexCoords(x[0] - frac * c, x[1], p))
 
 
 REAL_DIAGONAL = Chart(  # n1 = n2: one common delta
@@ -262,42 +258,28 @@ REAL_COUPLED = Chart(
     sheet=_real_sheet,
     accept=_winding_crosscheck,
 )
-PAIR = Chart(  # (1,1): gamma = 0, beta < 0
-    Branch.COMPLEX_K, **_shifted(0.5, False),
-    residual=lambda m, x, c: (eq.pair_residual_beta(x[0], c),),
-    jacobian=lambda x, c: ((eq.pair_jacobian_beta(x[0], c),),),
-    guard=lambda m, x, c: c / 2.0 < x[0] < 0.0,
-    sheet=_dimer_sheet,
-)
-FAMILY1 = Chart(  # (1, n2 >= 2) in (beta, gamma)
-    Branch.COMPLEX_K, **_shifted(0.5, True),
+FAMILY1 = Chart(  # (1, n2) in (beta, gamma); (1,1) keeps gamma = 0
+    Branch.COMPLEX_K, **_shifted(0.5),
     residual=lambda m, x, c: eq.family1_residual_beta(x[0], x[1], c, m.lab.n2),
     jacobian=lambda x, c: eq.family1_jacobian_beta(x[0], x[1], c),
     guard=lambda m, x, c: c / 2.0 < x[0] < 0.0,
     sheet=_dimer_sheet,
 )
-TRIMER = Chart(  # (0,0): gamma = 0, eta > 0
-    Branch.COMPLEX_K, **_shifted(1.0, False),
-    residual=lambda m, x, c: (eq.trimer_residual_eta(x[0], c),),
-    jacobian=lambda x, c: ((eq.trimer_jacobian_eta(x[0], c),),),
-    guard=lambda m, x, c: x[0] > 0.0,
-    sheet=_trimer_sheet,
-)
-FAMILY0_ETA = Chart(  # (0,1) in (eta, gamma); the trackers follow arg(-3g + i*eta)
-    Branch.COMPLEX_K, **_shifted(1.0, True),
-    residual=lambda m, x, c: eq.family0_residual_eta(x[0], x[1], c, 1, m.winding_b.fork()),
+FAMILY0_ETA = Chart(  # (0,0), (0,1) in (eta, gamma); arg_b follows arg(-3g + i*eta)
+    Branch.COMPLEX_K, **_shifted(1.0),
+    residual=lambda m, x, c: eq.family0_residual_eta(x[0], x[1], c, m.lab.n2, m.arg_b),
     jacobian=lambda x, c: eq.family0_jacobian_eta(x[0], x[1], c),
     guard=lambda m, x, c: -c + 2.0 * x[0] > 0.0 and (x[0] != 0.0 or x[1] != 0.0),
     sheet=_trimer_sheet,
-    accept=lambda m, x, c: m.winding_b.arg("B", complex(-3.0 * x[1], x[0])),
+    accept=lambda m, x, c: _continue_b(m, complex(-3.0 * x[1], x[0])),
 )
 FAMILY0_BETA = Chart(  # (0, n2 >= 2) in (beta, gamma)
-    Branch.COMPLEX_K, **_shifted(0.5, True),
-    residual=lambda m, x, c: eq.family0_residual_beta(x[0], x[1], c, m.lab.n2, m.winding_b.fork()),
+    Branch.COMPLEX_K, **_shifted(0.5),
+    residual=lambda m, x, c: eq.family0_residual_beta(x[0], x[1], c, m.lab.n2, m.arg_b),
     jacobian=lambda x, c: eq.family0_jacobian_beta(x[0], x[1], c),
     guard=lambda m, x, c: x[0] > 0.0,
     sheet=_trimer_sheet,
-    accept=lambda m, x, c: m.winding_b.arg("B", complex(-3.0 * x[1], c / 2.0 + x[0])),
+    accept=lambda m, x, c: _continue_b(m, complex(-3.0 * x[1], c / 2.0 + x[0])),
 )
 
 
@@ -313,10 +295,9 @@ class _Marcher:
         self.lab = label.canonical()
         self.p = TWO_PI * self.lab.np
         self.tol = tol
-        self.cls = critical_class(self.lab)
-        self.critical = find_critical(self.lab) if self.cls is CriticalClass.WINDOW else None
-        self.winding = eq.WindingState()      # real-branch tracked-log cross-check
-        self.winding_b = eq.WindingState()    # family-0 gamma-argument tracker
+        self.critical = critical_point(self.lab)
+        self.args_z = (None, None)   # continued (arg z1, arg z2) of the real-branch cross-check
+        self.arg_b = None            # continued arg(-3g + i(alpha + c)) of family 0
 
     def _solve(self, chart: Chart, c: float, guess) -> tuple:
         return eq.newton_solve(
@@ -338,16 +319,17 @@ class _Marcher:
             from .asymptotics import delta_small_c
 
             return chart.to_x(RealCoords(*delta_small_c(lab, cn), self.p), cn)
-        elif crit is not None and cn < 0 and (x[0] < FOLD_ALPHA_SMALL or cn - crit.C < 0.1):
+        elif lab.n1 == 1 and cn < 0 and (x[0] < FOLD_ALPHA_SMALL or cn - crit.C < 0.1):
             return chart.to_x(RealCoords(*delta1_fold_model(lab, cn, crit), self.p), cn)
         if xprev is None or cprev == c:
             return x
         frac = (cn - c) / (c - cprev)
         guess = [a + (a - b) * frac for a, b in zip(x, xprev)]
         # the leading complex unknown (beta or eta) decays exponentially deep
-        # in the attractive regime; predict it multiplicatively there
-        if (chart.branch is Branch.COMPLEX_K and abs(x[0]) < 1e-2 and xprev[0] != 0.0
-                and x[0] * xprev[0] > 0.0):
+        # in the attractive regime; predict it multiplicatively while its sign
+        # holds (signs compared directly: x[0]*xprev[0] underflows below 1e-154)
+        if (chart.branch is Branch.COMPLEX_K and abs(x[0]) < 1e-2 and x[0] != 0.0
+                and xprev[0] != 0.0 and (x[0] > 0.0) == (xprev[0] > 0.0)):
             guess[0] = x[0] * (x[0] / xprev[0]) ** frac
         return guess
 
@@ -376,12 +358,10 @@ class _Marcher:
                 guess = self._predict(chart, c, x, cprev, xprev, cn)
                 try:
                     xn = self._solve(chart, cn, guess)
-                except eq.NoConvergenceError as exc:
-                    raise eq.NoConvergenceError(
-                        f"{chart.branch.value}-branch corrector failed at c={cn} "
-                        f"(last good c={c}): {exc}",
-                        exc.root, exc.residual, exc.iterations,
-                    ) from exc
+                except (eq.NoConvergenceError, eq.ConstraintViolationError) as exc:
+                    exc.args = (f"{chart.branch.value}-branch corrector failed for label "
+                                f"{self.lab} at c={cn} (last good c={c}): {exc}",)
+                    raise
                 xprev, cprev, x, c = x, c, xn, cn
                 chart.accept(self, x, c)
             coords = chart.to_coords(x, c, self.p)
@@ -394,10 +374,7 @@ class _Marcher:
         lab = self.lab
         pos = sorted(t for t in targets if t >= 0.0)
         neg = sorted((t for t in targets if t < 0.0), reverse=True)
-        if self.critical:
-            c_crit = self.critical.C
-        else:
-            c_crit = 0.0 if self.cls is CriticalClass.AT_ZERO else -math.inf
+        c_crit = self.critical.C if self.critical else -math.inf
         if any(abs(t - c_crit) < 1e-13 for t in neg):
             raise ValueError(f"cannot solve exactly at the critical point C={c_crit}")
         real = REAL_DIAGONAL if lab.is_diagonal else REAL_COUPLED
@@ -407,14 +384,11 @@ class _Marcher:
             sides.append(([t for t in neg if t > c_crit], c_crit if self.critical else None))
         states = []
         for side, fold_c in sides:
-            self.winding = eq.WindingState()
+            self.args_z = (None, None)
             states += self.march(real, side, 0.0, x0, fold_c)
         neg_complex = [t for t in neg if t < c_crit]
         if neg_complex:
-            if lab.n1 == 1:
-                chart = PAIR if lab.n2 == 1 else FAMILY1
-            else:
-                chart = (TRIMER, FAMILY0_ETA, FAMILY0_BETA)[min(lab.n2, 2)]
+            chart = FAMILY1 if lab.n1 == 1 else FAMILY0_BETA if lab.n2 >= 2 else FAMILY0_ETA
             c = max(c_crit - FOLD_MIN_SPAN, neg_complex[0])
             x = self._solve(chart, c, chart.to_x(branch_switch(lab, c, self.critical), c))
             states += self.march(chart, neg_complex, c, x, c_crit)
@@ -454,7 +428,7 @@ class Trajectory:
         )
 
 
-def _grid(label: QuantumLabel, c_min: float, c_max: float, step: float) -> list[float]:
+def _grid(critical: CriticalPoint | None, c_min: float, c_max: float, step: float) -> list[float]:
     if not (step > 0):
         raise ValueError(f"step must be positive, got {step}")
     if c_min > c_max:
@@ -465,26 +439,17 @@ def _grid(label: QuantumLabel, c_min: float, c_max: float, step: float) -> list[
     pts.update((c_min, c_max))
     if c_min <= 0.0 <= c_max:
         pts.add(0.0)
-    cls = critical_class(label)
-    c_crit = None
-    if cls is CriticalClass.WINDOW:
-        c_crit = find_critical(label).C
-    elif cls is CriticalClass.AT_ZERO:
-        c_crit = 0.0
-    if c_crit is not None:
-        h = step / 2.0
-        while h >= FOLD_MIN_SPAN:
-            for side in (c_crit - h, c_crit + h):
-                if c_min <= side <= c_max:
-                    pts.add(side)
-            h /= 2.0
+    if critical is None:
+        return sorted(pts)
+    h = step / 2.0
+    while h >= FOLD_MIN_SPAN:
+        for side in (critical.C - h, critical.C + h):
+            if c_min <= side <= c_max:
+                pts.add(side)
+        h /= 2.0
     # exclude grid points inside the fold window, but never the exact
     # reference point c = 0 (the free solution is exact there)
-    return sorted(
-        t
-        for t in pts
-        if c_crit is None or t == 0.0 or abs(t - c_crit) >= FOLD_MIN_SPAN
-    )
+    return sorted(t for t in pts if t == 0.0 or abs(t - critical.C) >= FOLD_MIN_SPAN)
 
 
 def trace_root(
@@ -502,26 +467,14 @@ def trace_root(
     """
     tol = residual_tolerance(tol)
     lab = label.canonical()
-    targets = _grid(lab, c_min, c_max, step)
     marcher = _Marcher(lab, tol)
-    samples = marcher.solve_targets(targets)
+    samples = marcher.solve_targets(_grid(marcher.critical, c_min, c_max, step))
     if lab != label:
         samples = [partner_state(s) for s in samples]
-    if marcher.cls is CriticalClass.WINDOW:
-        critical = marcher.critical
-    elif marcher.cls is CriticalClass.AT_ZERO:
-        critical = CriticalPoint(C=0.0, u0=0.0)
-    else:
-        critical = None
-    traj = Trajectory(
-        label=label,
-        samples=samples,
-        critical=critical,
-        windings={
-            **marcher.winding.windings(),
-            **{f"B:{k}": v for k, v in marcher.winding_b.windings().items()},
-        },
-    )
+    # whole turns between each continued argument and its principal value
+    args = zip(("z1", "z2", "B:B"), (*marcher.args_z, marcher.arg_b))
+    windings = {k: round((a - math.remainder(a, TWO_PI)) / TWO_PI) for k, a in args if a is not None}
+    traj = Trajectory(label=label, samples=samples, critical=marcher.critical, windings=windings)
     _validate_trajectory(traj)
     return traj
 

@@ -1,4 +1,4 @@
-"""Transcendental systems: branch-tracked logarithms, residuals, Newton corrector.
+"""Transcendental systems: continued arguments, residuals, Newton corrector.
 
 Residual conventions
 --------------------
@@ -8,10 +8,11 @@ theta(dk, c) = -2*atan2(dk, c) in (-2*pi, 0], the quantization system reads
     r1 = d1 - 2*pi*(n1+1) - 2*theta(d1,c) - theta(d1+d2,c) + theta(d2,c)
     r2 = d2 - 2*pi*(n2+1) - 2*theta(d2,c) - theta(d1+d2,c) + theta(d1,c)
 
-which is globally continuous in c and equals the tracked-log form
-r_j = d_j - i*log(z_j) - 2*pi*n_j when the log is continued from the c = 0
-root (z_j = 1, winding 0).  Both forms are implemented; the theta-sum is the
-default evaluation path and the winding form is the independent cross-check.
+which is globally continuous in c and equals the log form
+r_j = d_j - i*log(z_j) - 2*pi*n_j = d_j + arg(z_j) - 2*pi*n_j when arg z_j
+is continued from the c = 0 root (z_j = 1, winding 0).  Both forms are
+implemented; the theta-sum is the default evaluation path and the log form
+is the independent cross-check.
 
 Complex branch, family n1 = 1 (valid below C(1, n2), 0 < alpha < -c/2):
 
@@ -24,7 +25,10 @@ Family n1 = 0 (valid for c < 0, 2*alpha + c > 0):
     r_gamma = -3*gamma + 3*arg(-3g + i(a-c)) - 3*arg(-3g + i(a+c)) - 2*pi*n2
 
 The factor -3g + i(a-c) stays in the upper half plane, so its argument is
-principal; -3g + i(a+c) may wander and is winding-tracked along a trajectory.
+principal; -3g + i(a+c) may wander, so its argument is continued from the
+last accepted point of a trajectory (continued_arg).  Both families hold
+their gamma = 0 members: (1,1) and (0,0) are the roots with gamma = 0, where
+the r_gamma rows vanish identically.
 
 Internally the solvers work in shifted correction variables
 (beta = alpha + c/2, eta = alpha + c) to avoid the catastrophic cancellation
@@ -33,7 +37,7 @@ functions accept plain (alpha, gamma).
 
 Every residual the corrector solves has its closed-form Jacobian next to it,
 built from d(theta)/d(dk) = -2c/(c^2 + dk^2) and the derivatives of log|z|
-and arg z (a tracked argument has the same derivative as the principal one).
+and arg z (a continued argument has the same derivative as the principal one).
 newton_solve is a damped Newton for these one- and two-unknown systems; the
 test suite checks each Jacobian against central differences.
 """
@@ -41,7 +45,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .model import TWO_PI, QuantumLabel
 from .tolerances import (
@@ -53,7 +57,7 @@ from .tolerances import (
 
 
 class SingularArgumentError(ValueError):
-    """A tracked-log argument hit zero (root collision / invalid region)."""
+    """A continued argument was asked of zero (root collision / invalid region)."""
 
 
 class ConstraintViolationError(ValueError):
@@ -92,57 +96,22 @@ def dtheta(dk: float, c: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Winding-tracked logarithm
+# Continued argument
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class WindingState:
-    """Accumulated branch bookkeeping for a set of tracked log arguments.
+def continued_arg(z: complex, ref: float | None = None) -> float:
+    """Argument of z on the branch nearest ref (principal when ref is None).
 
-    For each key the previous argument value and the winding count are kept;
-    the count steps by +/-1 exactly when the segment between successive
-    arguments crosses the negative real axis.  Single-owner mutable: fork()
-    before speculative evaluations (e.g. Newton trials) and keep the original
-    for accepted points.
+    This is ref + remainder(phase(z) - ref, 2*pi), written as phase(z) plus
+    whole turns so the principal value passes through unrounded.  Fed the
+    previous value at each point of a path, it continues arg z analytically
+    as long as successive arguments move by less than pi.
     """
-
-    prev: dict = field(default_factory=dict)
-    wind: dict = field(default_factory=dict)
-
-    def fork(self) -> "WindingState":
-        return WindingState(prev=dict(self.prev), wind=dict(self.wind))
-
-    def windings(self) -> dict:
-        return dict(self.wind)
-
-    def _update(self, key, z: complex) -> int:
-        if abs(z) == 0.0:
-            raise SingularArgumentError(f"tracked argument {key!r} hit zero")
-        if key not in self.prev:
-            self.prev[key] = complex(z)
-            self.wind[key] = 0
-            return 0
-        a_prev = cmath.phase(self.prev[key])
-        a_new = cmath.phase(z)
-        delta = a_new - a_prev
-        if delta > math.pi:
-            self.wind[key] -= 1
-        elif delta < -math.pi:
-            self.wind[key] += 1
-        self.prev[key] = complex(z)
-        return self.wind[key]
-
-    def arg(self, key, z: complex) -> float:
-        """Continuously tracked argument of z."""
-        w = self._update(key, z)
-        return cmath.phase(z) + TWO_PI * w
-
-
-def tracked_log(z: complex, state: WindingState, key="log") -> complex:
-    """Analytically continued logarithm: principal log plus 2*pi*i*winding."""
-    w = state._update(key, z)
-    return cmath.log(z) + TWO_PI * 1j * w
+    if z == 0:
+        raise SingularArgumentError("continued argument of zero")
+    phase = cmath.phase(z)
+    return phase if ref is None else phase + TWO_PI * round((ref - phase) / TWO_PI)
 
 
 # ---------------------------------------------------------------------------
@@ -152,11 +121,13 @@ def tracked_log(z: complex, state: WindingState, key="log") -> complex:
 
 @dataclass(frozen=True)
 class ResidualPoint:
-    """Residual evaluation at a trial point of a 2-unknown system."""
+    """Residual evaluation at a trial point of a 2-unknown system; args are
+    the continued arguments of the log form (None for the theta-sum)."""
 
     unknowns: tuple[float, float]
     residual: tuple[float, float]
     imag_defect: float = 0.0
+    args: tuple[float, float] | None = None
 
 
 def _real_log_arguments(d1: float, d2: float, c: float) -> tuple[complex, complex]:
@@ -192,27 +163,28 @@ def residual_real(
     d2: float,
     c: float,
     label: QuantumLabel,
-    winding: WindingState | None = None,
+    refs: tuple[float | None, float | None] | None = None,
 ) -> ResidualPoint:
     """Coupled residuals for (delta1, delta2) at coupling c under a label.
 
-    With a WindingState the tracked-log form r_j = d_j - i*log(z_j) - 2*pi*n_j
-    is evaluated (winding initialized at the c = 0 root); without one the
-    equivalent theta-sum form is used.  Imaginary parts must cancel and are
-    asserted below IMAG_TOL.
+    With refs the log form r_j = d_j - i*log(z_j) - 2*pi*n_j = d_j + arg z_j
+    - 2*pi*n_j is evaluated, arg z_j continued from refs[j] (principal where
+    None); feeding the returned args back as refs along a path from the c = 0
+    root continues the log.  Without refs the equivalent theta-sum form is
+    used.  The imaginary parts log|z_j| must cancel and are asserted below
+    IMAG_TOL.
     """
-    if winding is None:
+    if refs is None:
         r1, r2 = residual_real_thetasum(d1, d2, c, label.n1, label.n2)
         return ResidualPoint(unknowns=(d1, d2), residual=(r1, r2))
     z1, z2 = _real_log_arguments(d1, d2, c)
-    l1 = tracked_log(z1, winding, key="z1")
-    l2 = tracked_log(z2, winding, key="z2")
-    r1 = d1 - (1j * l1).real - TWO_PI * label.n1
-    r2 = d2 - (1j * l2).real - TWO_PI * label.n2
-    defect = max(abs((1j * l1).imag), abs((1j * l2).imag))
+    args = (continued_arg(z1, refs[0]), continued_arg(z2, refs[1]))
+    r1 = d1 + args[0] - TWO_PI * label.n1
+    r2 = d2 + args[1] - TWO_PI * label.n2
+    defect = max(abs(math.log(abs(z1))), abs(math.log(abs(z2))))
     if defect > IMAG_TOL:
         raise ValueError(f"residual imaginary defect {defect} exceeds {IMAG_TOL}")
-    return ResidualPoint(unknowns=(d1, d2), residual=(r1, r2), imag_defect=defect)
+    return ResidualPoint(unknowns=(d1, d2), residual=(r1, r2), imag_defect=defect, args=args)
 
 
 def residual_equal_delta(d: float, c: float, n0: int) -> float:
@@ -271,38 +243,41 @@ def family1_jacobian_beta(b: float, g: float, c: float):
     )
 
 
-def _family0_residual(a2, s2, t2, u, v, g, n2, winding):
-    """n1 = 0 family from its pieces a2 = 2a, s2 = 2a+c, t2 = 2a-c, u = a+c, v = a-c."""
+def _family0_residual(a2, s2, t2, u, v, g, n2, ref):
+    """n1 = 0 family from its pieces a2 = 2a, s2 = 2a+c, t2 = 2a-c, u = a+c, v = a-c.
+
+    log(u^2 + 9g^2) is taken as 2*log(hypot(u, 3g)), which stays finite when u
+    and g both fall to ~1e-300 (and at gamma = 0, the (0,0) state); the
+    argument of -3g + iu is continued from ref.
+    """
     if s2 <= 0.0:
         raise ConstraintViolationError(f"2*alpha + c must stay positive, got {s2}")
     ra = a2 + 2.0 * (math.log(s2) - math.log(t2)) \
-        + math.log(u * u + 9.0 * g * g) - math.log(v * v + 9.0 * g * g)
-    if winding is None:
-        arg_u = math.atan2(u, -3.0 * g)
-    else:
-        arg_u = winding.arg("B", complex(-3.0 * g, u))
+        + 2.0 * (math.log(math.hypot(u, 3.0 * g)) - math.log(math.hypot(v, 3.0 * g)))
+    arg_u = continued_arg(complex(-3.0 * g, u), ref)
     rg = -3.0 * g + 3.0 * math.atan2(v, -3.0 * g) - 3.0 * arg_u - TWO_PI * n2
     return ra, rg
 
 
 def _family0_jacobian(s2: float, t2: float, u: float, v: float, g: float):
     """Rows d(r_alpha, r_gamma)/d(alpha, gamma) of _family0_residual; shifting
-    alpha by a constant (beta, eta) leaves them unchanged."""
-    du = u * u + 9.0 * g * g
-    dv = v * v + 9.0 * g * g
-    cross = 9.0 * g / du - 9.0 * g / dv   # not g*(1/du - ...): du may be ~1e-309
+    alpha by a constant (beta, eta) leaves them unchanged.  Each x/(x^2 + 9g^2)
+    is (x/h)/h with h = hypot(x, 3g), so nothing underflows or divides by zero;
+    at gamma = 0 the cross terms are exactly 0."""
+    hu, hv = math.hypot(u, 3.0 * g), math.hypot(v, 3.0 * g)
+    cross = 3.0 * (3.0 * g / hu / hu - 3.0 * g / hv / hv)
     return (
-        (2.0 + 4.0 / s2 - 4.0 / t2 + 2.0 * u / du - 2.0 * v / dv, 2.0 * cross),
-        (cross, -3.0 + 9.0 * v / dv - 9.0 * u / du),
+        (2.0 + 4.0 / s2 - 4.0 / t2 + 2.0 * (u / hu / hu - v / hv / hv), 2.0 * cross),
+        (cross, -3.0 + 9.0 * (v / hv / hv - u / hu / hu)),
     )
 
 
 def family0_residual_beta(
-    b: float, g: float, c: float, n2: int, winding: WindingState | None = None
+    b: float, g: float, c: float, n2: int, ref: float | None = None
 ) -> tuple[float, float]:
     """n1 = 0 family in beta = alpha + c/2 (> 0), gamma."""
     return _family0_residual(
-        -c + 2.0 * b, 2.0 * b, -2.0 * c + 2.0 * b, c / 2.0 + b, -1.5 * c + b, g, n2, winding
+        -c + 2.0 * b, 2.0 * b, -2.0 * c + 2.0 * b, c / 2.0 + b, -1.5 * c + b, g, n2, ref
     )
 
 
@@ -311,11 +286,11 @@ def family0_jacobian_beta(b: float, g: float, c: float):
 
 
 def family0_residual_eta(
-    e: float, g: float, c: float, n2: int, winding: WindingState | None = None
+    e: float, g: float, c: float, n2: int, ref: float | None = None
 ) -> tuple[float, float]:
     """n1 = 0 family in eta = alpha + c, gamma (trimer-side parameterization)."""
     return _family0_residual(
-        -2.0 * c + 2.0 * e, -c + 2.0 * e, -3.0 * c + 2.0 * e, e, -2.0 * c + e, g, n2, winding
+        -2.0 * c + 2.0 * e, -c + 2.0 * e, -3.0 * c + 2.0 * e, e, -2.0 * c + e, g, n2, ref
     )
 
 
@@ -323,44 +298,13 @@ def family0_jacobian_eta(e: float, g: float, c: float):
     return _family0_jacobian(-c + 2.0 * e, -3.0 * c + 2.0 * e, e, -2.0 * c + e, g)
 
 
-def pair_residual_beta(b: float, c: float) -> float:
-    """Scalar gamma = 0 equation for the (1,1) branch in beta = alpha + c/2 < 0.
-
-    alpha = ln[(alpha-c)(2alpha-c) / ((alpha+c)(2alpha+c))] with 2*alpha < -c.
-    """
-    if not (c / 2.0 < b < 0.0):
-        raise ConstraintViolationError(f"beta out of range ({c/2}, 0): {b}")
-    return (-c / 2.0 + b) - math.log(
-        (-1.5 * c + b) * (-2.0 * c + 2.0 * b) / ((-c / 2.0 - b) * (-2.0 * b))
-    )
-
-
-def pair_jacobian_beta(b: float, c: float) -> float:
-    """d/d(beta) of pair_residual_beta."""
-    return 1.0 - 1.0 / (b - 1.5 * c) - 1.0 / (b - c) - 1.0 / (-c / 2.0 - b) + 1.0 / b
-
-
-def trimer_residual_eta(e: float, c: float) -> float:
-    """Scalar gamma = 0 equation for the (0,0) branch in eta = alpha + c > 0."""
-    if e <= 0.0:
-        raise ConstraintViolationError(f"alpha + c must stay positive, eta={e}")
-    return (-c + e) - math.log((-2.0 * c + e) * (-3.0 * c + 2.0 * e)) \
-        + math.log(e) + math.log(-c + 2.0 * e)
-
-
-def trimer_jacobian_eta(e: float, c: float) -> float:
-    """d/d(eta) of trimer_residual_eta."""
-    return 1.0 - 1.0 / (e - 2.0 * c) - 2.0 / (2.0 * e - 3.0 * c) + 1.0 / e + 2.0 / (2.0 * e - c)
-
-
 def residual_complex(
     alpha: float,
     gamma: float,
     c: float,
     label: QuantumLabel,
-    winding: WindingState | None = None,
 ) -> ResidualPoint:
-    """Two real residuals for the complex branch at (alpha, gamma).
+    """Two real residuals for the complex branch at (alpha, gamma) (principal arguments).
 
     Dispatches to the n1 = 0 or n1 = 1 family of equations; raises
     ConstraintViolationError when a log factor would change sign.
@@ -380,9 +324,9 @@ def residual_complex(
         ra, rg = family1_residual_beta(alpha + c / 2.0, gamma, c, lab.n2)
     elif lab.n1 == 0:
         if alpha > -0.75 * c:
-            ra, rg = family0_residual_eta(alpha + c, gamma, c, lab.n2, winding)
+            ra, rg = family0_residual_eta(alpha + c, gamma, c, lab.n2)
         else:
-            ra, rg = family0_residual_beta(alpha + c / 2.0, gamma, c, lab.n2, winding)
+            ra, rg = family0_residual_beta(alpha + c / 2.0, gamma, c, lab.n2)
     else:
         raise ConstraintViolationError(
             f"label {label} has no complex branch (both n_j >= 2)"

@@ -151,6 +151,50 @@ class TestDensity:
         assert json.loads(out.strip().splitlines()[-1])["error"].startswith("ZeroDivisionError")
 
 
+class TestCsvErrors:
+    """In csv mode every failure goes to stderr; stdout stays one clean table."""
+
+    def test_spectrum_label_failure(self, capsys):
+        code, out, err = run_cli(
+            ["spectrum", "--labels", "1,1", "2,2", "--c", "-6", "--format", "csv"], capsys
+        )
+        assert code == EXIT_SOLVER
+        assert "error: label (1,1): ValueError" in err
+        lines = out.strip().splitlines()
+        assert len(lines) == 2 and lines[1].startswith("2,2,")
+
+    def test_trace_label_failure(self, monkeypatch, capsys):
+        real_trace = cli.trace_root
+
+        def failing_trace(label, *args, **kwargs):
+            if label.n1 == 0:
+                raise RuntimeError("march failed")
+            return real_trace(label, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "trace_root", failing_trace)
+        code, out, err = run_cli(
+            ["trace", "--labels", "0,0", "2,2", "--c-range", "0..0.5", "--step", "0.5",
+             "--format", "csv"], capsys
+        )
+        assert code == EXIT_SOLVER
+        assert "error: label (0,0): RuntimeError: march failed" in err
+        rows = out.strip().splitlines()[1:]
+        assert rows and all(row.startswith("2,2,") for row in rows)
+
+    def test_command_error(self, monkeypatch, capsys):
+        def divide_by_zero(*args, **kwargs):
+            raise ZeroDivisionError("float division by zero")
+
+        monkeypatch.setattr(cli, "density_grid", divide_by_zero)
+        code, out, err = run_cli(
+            ["density", "--label", "0,0", "--c", "-5", "--resolution", "4", "--format", "csv"],
+            capsys,
+        )
+        assert code == EXIT_SOLVER
+        assert out == "r12,r23,r31,density\n"
+        assert err.startswith("error: ZeroDivisionError")
+
+
 class TestVerify:
     def test_core_suite_passes(self, capsys):
         code, out, _ = run_cli(["verify", "--suite", "core"], capsys)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,29 +8,30 @@ import bethe3.equations as eq
 from bethe3 import (
     Branch,
     QuantumLabel,
+    CriticalPoint,
     branch_switch,
-    critical_class,
+    critical_point,
     find_critical,
     partner_state,
     solve_state,
     spectrum,
     trace_root,
 )
-from bethe3.continuation import CriticalClass, u0_equation
-from bethe3.asymptotics import small_c_slope
+from bethe3.continuation import u0_equation
+from bethe3.asymptotics import alpha_dimer, alpha_trimer, small_c_slope
 
 TWO_PI = 2 * math.pi
 
 
 class TestCriticalClass:
     def test_classification(self):
-        assert critical_class(QuantumLabel(2, 3)) is CriticalClass.NONE
-        assert critical_class(QuantumLabel(1, 5)) is CriticalClass.WINDOW
-        assert critical_class(QuantumLabel(0, 2)) is CriticalClass.AT_ZERO
+        assert critical_point(QuantumLabel(2, 3)) is None
+        assert critical_point(QuantumLabel(1, 5)) == find_critical(QuantumLabel(1, 5))
+        assert critical_point(QuantumLabel(0, 2)) == CriticalPoint(C=0.0, u0=0.0)
 
     def test_partner_labels_classified_canonically(self):
-        assert critical_class(QuantumLabel(5, 1)) is CriticalClass.WINDOW
-        assert critical_class(QuantumLabel(3, 0)) is CriticalClass.AT_ZERO
+        assert critical_point(QuantumLabel(5, 1)) == find_critical(QuantumLabel(1, 5))
+        assert critical_point(QuantumLabel(3, 0)) == CriticalPoint(C=0.0, u0=0.0)
 
 
 class TestFindCritical:
@@ -350,3 +352,29 @@ class TestSolveState:
                     st.coords.alpha, st.coords.gamma, c, QuantumLabel(*lab)
                 ).residual
             assert max(abs(r[0]), abs(r[1])) < 1e-10
+
+    @pytest.mark.parametrize("lab, c", [
+        ((0, 0), -700.0), ((1, 1), -1000.0), ((1, 2), -1000.0), ((0, 2), -1000.0),
+        ((0, 1), -400.0), ((0, 1), -700.0),
+    ])
+    def test_deep_attractive_states(self, lab, c):
+        # beta/eta (and gamma for (0,1)) fall to 1e-150..1e-300 here: the
+        # predictor compares signs where a product would underflow, and
+        # family 0 forms eta^2 + 9*gamma^2 through hypot
+        label = QuantumLabel(*lab)
+        st = solve_state(label, c)
+        ref = alpha_trimer(label, c)[0] if lab in ((0, 0), (0, 1)) else alpha_dimer(c, *lab)
+        assert st.branch is Branch.COMPLEX_K
+        assert st.coords.alpha == pytest.approx(ref, rel=1e-12)
+        assert abs(st.momenta.total - TWO_PI * label.np) < 1e-10
+
+    @pytest.mark.parametrize("lab, c", [((0, 0), -800.0), ((1, 2), -1500.0)])
+    def test_subnormal_floor_error_names_label_and_c(self, lab, c):
+        # beta/eta reach the subnormal floor (~1e-308) on the way to c; the
+        # contract is a state or a typed error naming label, c and last good c
+        try:
+            st = solve_state(QuantumLabel(*lab), c)
+        except (eq.ConstraintViolationError, eq.NoConvergenceError) as exc:
+            assert re.search(rf"label \({lab[0]},{lab[1]}\) at c=-\d.*last good c=-\d", str(exc))
+        else:
+            assert st.c == c

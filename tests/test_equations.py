@@ -37,37 +37,27 @@ class TestTheta:
 
 
 class TestTrackedLog:
+    """continued_arg: the imaginary part of the log continued along a path."""
+
     def test_fresh_unit(self):
-        w = eq.WindingState()
-        assert eq.tracked_log(1.0 + 0j, w) == 0.0
+        assert eq.continued_arg(1.0 + 0j) == 0.0
 
     def test_full_circle_accumulates(self):
-        w = eq.WindingState()
-        val = None
+        arg = None
         for j in range(9):
-            z = cmath.exp(1j * TWO_PI * j / 8.0)
-            val = eq.tracked_log(z, w, key="loop")
-        assert val == pytest.approx(2j * math.pi, abs=1e-12)
+            arg = eq.continued_arg(cmath.exp(1j * TWO_PI * j / 8.0), arg)
+        assert arg == pytest.approx(TWO_PI, abs=1e-12)
 
     def test_cut_avoiding_path_is_principal(self):
-        w = eq.WindingState()
+        arg = None
         for phi in np.linspace(-0.45 * math.pi, 0.45 * math.pi, 40):
             z = cmath.exp(1j * phi) * (1.0 + 0.3 * phi)
-            assert eq.tracked_log(z, w, key="arc") == pytest.approx(cmath.log(z), abs=1e-14)
+            arg = eq.continued_arg(z, arg)
+            assert arg == pytest.approx(cmath.phase(z), abs=1e-14)
 
     def test_zero_raises(self):
-        w = eq.WindingState()
         with pytest.raises(eq.SingularArgumentError):
-            eq.tracked_log(0j, w)
-
-    def test_fork_isolation(self):
-        w = eq.WindingState()
-        eq.tracked_log(1.0 + 0j, w, key="k")
-        f = w.fork()
-        eq.tracked_log(-1.0 + 1e-3j, f, key="k")
-        eq.tracked_log(-1.0 - 1e-3j, f, key="k")  # crossing in the fork only
-        assert f.windings()["k"] != 0 or f.prev["k"] != w.prev["k"]
-        assert w.windings()["k"] == 0
+            eq.continued_arg(0j)
 
 
 class TestResidualReal:
@@ -86,7 +76,7 @@ class TestResidualReal:
 
     def test_thetasum_equals_tracked_log_along_paths(self):
         # walk from the c=0 reference root to random valid points; the
-        # winding-tracked form must agree with the stateless theta-sum
+        # log form with continued arguments must agree with the theta-sum
         rng = np.random.default_rng(23)
         for _ in range(100):
             n1, n2 = rng.integers(1, 4, 2)
@@ -94,11 +84,12 @@ class TestResidualReal:
             d = np.array([TWO_PI * n1, TWO_PI * n2])
             c_t = rng.uniform(-8.0, 8.0)
             d_t = d + rng.uniform(-0.45 * TWO_PI, 0.45 * TWO_PI, 2)
-            w = eq.WindingState()
+            refs = (None, None)
             for frac in np.linspace(0.0, 1.0, 60):
                 dd = d + (d_t - d) * frac
                 cc = c_t * frac
-                point = eq.residual_real(dd[0], dd[1], cc, label, winding=w)
+                point = eq.residual_real(dd[0], dd[1], cc, label, refs=refs)
+                refs = point.args
             direct = eq.residual_real_thetasum(d_t[0], d_t[1], c_t, label.n1, label.n2)
             assert point.residual[0] == pytest.approx(direct[0], abs=1e-12)
             assert point.residual[1] == pytest.approx(direct[1], abs=1e-12)
@@ -229,7 +220,7 @@ class TestNewton:
 # every corrector chart with a label it serves and the sign of its shifted unknown
 CHARTS = [
     (cont.REAL_DIAGONAL, (2, 2), 1.0), (cont.REAL_COUPLED, (1, 3), 1.0),
-    (cont.PAIR, (1, 1), -1.0), (cont.FAMILY1, (1, 3), -1.0), (cont.TRIMER, (0, 0), 1.0),
+    (cont.FAMILY1, (1, 1), -1.0), (cont.FAMILY1, (1, 3), -1.0), (cont.FAMILY0_ETA, (0, 0), 1.0),
     (cont.FAMILY0_ETA, (0, 1), 1.0), (cont.FAMILY0_BETA, (0, 3), 1.0),
 ]
 
@@ -240,11 +231,13 @@ def test_closed_form_jacobian_matches_fd_oracle(chart, label, sign, c):
     # shifted unknowns are sampled directly (alpha rounds beta to 0 by c = -200)
     # and compared in scaled space, column j times |x_j| relative to the row
     # maximum: a raw FD probe cannot move an O(1) residual at beta ~ 1e-200
-    marcher = SimpleNamespace(lab=QuantumLabel(*label), winding_b=eq.WindingState())
+    every_chart = {v for v in vars(cont).values() if isinstance(v, cont.Chart)}
+    assert every_chart == {row[0] for row in CHARTS}
+    marcher = SimpleNamespace(lab=QuantumLabel(*label), arg_b=None)
     if chart.branch is Branch.REAL_K:
         points = [(0.7, 5.0), (6.5, 13.0)]
     else:
-        points = [(sign * v, g) for v in (1e-200, 1e-30, 1e-3, 0.9) for g in (-1.7, 1e-3)]
+        points = [(sign * v, g) for v in (1e-200, 1e-30, 1e-3, 0.9) for g in (-1.7, 1e-3, 0.0)]
     for x in points:
         x = x[:len(chart.jacobian(x, c))]
         exact = chart.jacobian(x, c)
