@@ -21,6 +21,7 @@ from .model import (
 from .equations import (
     ConstraintViolationError,
     NoConvergenceError,
+    ResidualFloorError,
     ResidualPoint,
     SingularArgumentError,
     continued_arg,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -64,6 +65,8 @@ def _parse_range(text: str) -> tuple[float, float]:
         lo_f, hi_f = float(lo), float(hi)
     except Exception as exc:
         raise UsageError(f"bad range {text!r}, expected 'lo..hi'") from exc
+    if not (math.isfinite(lo_f) and math.isfinite(hi_f)):
+        raise UsageError(f"range {text!r} must be finite")
     if not lo_f < hi_f:
         raise UsageError(f"empty range {text!r}")
     return lo_f, hi_f
@@ -318,8 +321,10 @@ def config_from_args(argv: list[str]) -> RunConfig:
         partners=getattr(ns, "partners", False),
         tol=residual_tolerance() if os.environ.get("BETHE3_TOL") else None,
     )
-    if cfg.command == "trace" and cfg.step <= 0:
-        raise UsageError("--step must be positive")
+    if cfg.c is not None and not math.isfinite(cfg.c):
+        raise UsageError(f"--c must be finite, got {cfg.c}")
+    if cfg.command == "trace" and not 0 < cfg.step < math.inf:
+        raise UsageError(f"--step must be positive and finite, got {cfg.step}")
     return cfg
 
 

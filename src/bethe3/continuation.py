@@ -12,12 +12,22 @@ gamma = 0 members (1,1) and (0,0) need no chart of their own, and a single
 march loop runs them all.  The marcher carries the continued arguments of
 the log forms as plain floats, updated at each accepted point.
 
+The step size is adaptive (Allgower & Georg, Introduction to Numerical
+Continuation Methods, ch. 6): it starts at BASE_STEP and grows or shrinks
+from the Newton contraction and the predictor error of each solve, so the
+roots' flattening at large |c| shows up as steps that grow with |c|.  Steps
+that overshoot or fail are retried smaller down to MIN_STEP; a residual
+floor or the subnormal floor of beta/eta is reported at once (_Marcher.march).
+The returned samples are exactly the requested grid; only the internal
+steps adapt.
+
 Partner labels (n1 > n2) are never re-solved: the canonical trajectory is
 traced and mapped through the conjugation symmetry sample by sample.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -39,6 +49,10 @@ from .tolerances import (
     FOLD_ALPHA_SMALL,
     FOLD_MIN_SPAN,
     IDENTITY_TOL,
+    MIN_STEP,
+    STEP_CONTRACTION,
+    STEP_CORRECTION,
+    STEP_GROWTH,
     residual_tolerance,
 )
 
@@ -170,12 +184,6 @@ class Chart:
     sheet: Callable       # (label, c, coords), raises BoundsViolationError off the sheet
     accept: Callable = lambda m, x, c: None
 
-    @property
-    def divisor(self) -> float:
-        """Far from c = 0 the march step grows like BASE_STEP*|c|/divisor, since
-        the roots flatten there; the complex roots flatten more slowly."""
-        return 10.0 if self.branch is Branch.REAL_K else 25.0
-
 
 def _real_guard(m, x, c) -> bool:
     """Loose sheet guard for the real-branch Newton; _real_sheet enforces the
@@ -299,14 +307,14 @@ class _Marcher:
         self.args_z = (None, None)   # continued (arg z1, arg z2) of the real-branch cross-check
         self.arg_b = None            # continued arg(-3g + i(alpha + c)) of family 0
 
-    def _solve(self, chart: Chart, c: float, guess) -> tuple:
+    def _solve(self, chart: Chart, c: float, guess) -> eq.NewtonResult:
         return eq.newton_solve(
             lambda x: chart.residual(self, x, c),
             lambda x: chart.jacobian(x, c),
             guess,
             tol=self.tol,
             guard=lambda x: chart.guard(self, x, c),
-        ).root
+        )
 
     def _predict(self, chart: Chart, c, x, cprev, xprev, cn):
         """Small-c series or square-root fold model where they apply, else secant."""
@@ -324,29 +332,45 @@ class _Marcher:
         if xprev is None or cprev == c:
             return x
         frac = (cn - c) / (c - cprev)
-        guess = [a + (a - b) * frac for a, b in zip(x, xprev)]
-        # the leading complex unknown (beta or eta) decays exponentially deep
-        # in the attractive regime; predict it multiplicatively while its sign
-        # holds (signs compared directly: x[0]*xprev[0] underflows below 1e-154)
-        if (chart.branch is Branch.COMPLEX_K and abs(x[0]) < 1e-2 and x[0] != 0.0
-                and xprev[0] != 0.0 and (x[0] > 0.0) == (xprev[0] > 0.0)):
-            guess[0] = x[0] * (x[0] / xprev[0]) ** frac
-        return guess
+        if chart.branch is Branch.REAL_K:
+            return [a + (a - b) * frac for a, b in zip(x, xprev)]
+        # the complex unknowns that decay exponentially deep in the attractive
+        # regime (beta or eta, and gamma of (0,1)) are predicted multiplicatively
+        # while their sign holds (signs compared directly: a*b underflows below 1e-154)
+        return [a * (a / b) ** frac if 0.0 < abs(a) < 1e-2 and b != 0.0 and (a > 0.0) == (b > 0.0)
+                else a + (a - b) * frac for a, b in zip(x, xprev)]
 
     def march(self, chart: Chart, targets: list[float], c: float, x, fold_c) -> list[StateSolution]:
         """March the accepted point x at c through targets (ascending |c - c0|).
 
-        While heading for the fold at fold_c (None: no fold ahead) the step is
-        at most half the remaining distance: always on the real branch, while
-        alpha is small on the complex one.
+        The step h starts at BASE_STEP and is carried from step to step.  A
+        corrector solve reports its Newton contraction kappa = |r1|/|r0| and
+        the predictor error delta = max|root - guess|; both scale like h^2, so
+        f = max(sqrt(kappa / STEP_CONTRACTION), sqrt(delta / STEP_CORRECTION))
+        is the factor by which the step overshot its nominal size.
+        - f <= STEP_GROWTH: the step is accepted and the next h is
+          step / max(f, 1/STEP_GROWTH), but not below min(h, BASE_STEP): the
+          old fixed BASE_STEP converges wherever the folds leave it room, so
+          only a rejection takes h below it.
+        - f > STEP_GROWTH: the step is rejected and retried at step / f.
+        - The corrector raises NoConvergenceError or ConstraintViolationError:
+          the step is retried at step / STEP_GROWTH**2, and the error is raised
+          once that falls below MIN_STEP.  A residual floor (ResidualFloorError)
+          or a predicted beta/eta below the smallest normal double is raised at
+          once, since no step size lowers it.
+        Every step is clipped to the next target, and while heading for the
+        fold at fold_c (None: no fold ahead) to at most half the remaining
+        distance: always on the real branch, while alpha is small on the
+        complex one.  Errors name the label, the failing c and the last good c.
         """
         out = []
         chart.accept(self, x, c)
         xprev = cprev = None
+        h = BASE_STEP
         for tgt in targets:
             while c != tgt:
                 sign = 1.0 if tgt > c else -1.0
-                step = min(BASE_STEP * max(1.0, abs(c) / chart.divisor), abs(tgt - c))
+                step = min(h, abs(tgt - c))
                 if fold_c is not None and (
                     chart.branch is Branch.REAL_K
                     or chart.to_coords(x, c, self.p).alpha < FOLD_ALPHA_SMALL
@@ -357,12 +381,29 @@ class _Marcher:
                     cn = tgt
                 guess = self._predict(chart, c, x, cprev, xprev, cn)
                 try:
-                    xn = self._solve(chart, cn, guess)
+                    res = self._solve(chart, cn, guess)
                 except (eq.NoConvergenceError, eq.ConstraintViolationError) as exc:
-                    exc.args = (f"{chart.branch.value}-branch corrector failed for label "
-                                f"{self.lab} at c={cn} (last good c={c}): {exc}",)
-                    raise
-                xprev, cprev, x, c = x, c, xn, cn
+                    h = step / STEP_GROWTH ** 2
+                    floor = isinstance(exc, eq.ResidualFloorError)
+                    if chart.branch is Branch.COMPLEX_K and abs(guess[0]) < sys.float_info.min:
+                        floor, exc.args = True, (
+                            f"predicted beta/eta {guess[0]:.3e} is below the smallest normal "
+                            f"double {sys.float_info.min:.3e}: {exc}",)
+                    if floor or h < MIN_STEP:
+                        exc.args = (f"{chart.branch.value}-branch corrector failed for label "
+                                    f"{self.lab} at c={cn} (last good c={c}): {exc}",)
+                        raise
+                    continue
+                root = res.root  # one or two unknowns: [0] and [-1] cover them all
+                f = math.sqrt(max(res.contraction / STEP_CONTRACTION,
+                                  abs(root[0] - guess[0]) / STEP_CORRECTION,
+                                  abs(root[-1] - guess[-1]) / STEP_CORRECTION))
+                if f > STEP_GROWTH and step / f >= MIN_STEP:
+                    h = step / f
+                    continue
+                h = max(step / f if f > 1.0 / STEP_GROWTH else step * STEP_GROWTH,
+                        h if h < BASE_STEP else BASE_STEP)
+                xprev, cprev, x, c = x, c, root, cn
                 chart.accept(self, x, c)
             coords = chart.to_coords(x, c, self.p)
             chart.sheet(self.lab, c, coords)
@@ -390,7 +431,7 @@ class _Marcher:
         if neg_complex:
             chart = FAMILY1 if lab.n1 == 1 else FAMILY0_BETA if lab.n2 >= 2 else FAMILY0_ETA
             c = max(c_crit - FOLD_MIN_SPAN, neg_complex[0])
-            x = self._solve(chart, c, chart.to_x(branch_switch(lab, c, self.critical), c))
+            x = self._solve(chart, c, chart.to_x(branch_switch(lab, c, self.critical), c)).root
             states += self.march(chart, neg_complex, c, x, c_crit)
         by_c = {st.c: st for st in states}
         return [by_c[float(t)] for t in targets]
@@ -426,6 +467,13 @@ class Trajectory:
         return sum(
             1 for a, b in zip(self.samples, self.samples[1:]) if a.branch is not b.branch
         )
+
+
+def _require_finite(**values: float) -> None:
+    """Reject nan and +-inf couplings and steps: the march would never end."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 def _grid(critical: CriticalPoint | None, c_min: float, c_max: float, step: float) -> list[float]:
@@ -465,6 +513,7 @@ def trace_root(
     square-root fold is resolved down to FOLD_MIN_SPAN.  Non-canonical labels
     are traced through their canonical partner and mapped by symmetry.
     """
+    _require_finite(c_min=c_min, c_max=c_max, step=step)
     tol = residual_tolerance(tol)
     lab = label.canonical()
     marcher = _Marcher(lab, tol)
@@ -493,6 +542,7 @@ def _validate_trajectory(traj: Trajectory) -> None:
 
 def solve_state(label: QuantumLabel, c: float, tol: float | None = None) -> StateSolution:
     """Solve a single labeled state at coupling c (continuation from c = 0)."""
+    _require_finite(c=c)
     tol = residual_tolerance(tol)
     lab = label.canonical()
     marcher = _Marcher(lab, tol)
@@ -514,7 +564,9 @@ def spectrum(
     include_partners: bool = False,
     tol: float | None = None,
 ) -> SpectrumResult:
-    """Solve every label at fixed c; states sorted by energy, errors collected."""
+    """Solve every label at fixed c; states sorted by energy, errors collected
+    (a non-finite c raises ValueError up front)."""
+    _require_finite(c=c)
     states: list[StateSolution] = []
     failures: dict[QuantumLabel, str] = {}
     for label in labels:

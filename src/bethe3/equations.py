@@ -39,7 +39,9 @@ Every residual the corrector solves has its closed-form Jacobian next to it,
 built from d(theta)/d(dk) = -2c/(c^2 + dk^2) and the derivatives of log|z|
 and arg z (a continued argument has the same derivative as the principal one).
 newton_solve is a damped Newton for these one- and two-unknown systems; the
-test suite checks each Jacobian against central differences.
+test suite checks each Jacobian against central differences.  It reports the
+contraction of its first iteration (the march sizes its steps from it) and
+raises ResidualFloorError when the residual stalls above the tolerance.
 """
 from __future__ import annotations
 
@@ -52,6 +54,8 @@ from .tolerances import (
     IMAG_TOL,
     NEWTON_MAX_HALVINGS,
     NEWTON_MAX_ITER,
+    NEWTON_FLOOR_STEP,
+    NEWTON_STALL_ITER,
     residual_tolerance,
 )
 
@@ -72,6 +76,11 @@ class NoConvergenceError(RuntimeError):
         self.root = root
         self.residual = residual
         self.iterations = iterations
+
+
+class ResidualFloorError(NoConvergenceError):
+    """Newton stopped lowering the residual above the requested tolerance: the
+    attained floor, set by the rounding error of the residual evaluation."""
 
 
 class FoldPointError(ValueError):
@@ -374,9 +383,14 @@ def gamma_squared_from_alpha(alpha: float, c: float) -> float:
 
 @dataclass
 class NewtonResult:
+    """contraction is |r1|/|r0| over the first iteration (max-norms), the
+    observed Newton contraction; 0 when the first iterate (or the guess)
+    already meets the tolerance."""
+
     root: tuple[float, ...]
     residual: tuple[float, ...]
     iterations: int
+    contraction: float = 0.0
 
 
 def _newton_step(jac, r) -> tuple[float, ...]:
@@ -409,36 +423,56 @@ def newton_solve(
     jacobian maps it to the rows of d(residual)/d(unknown); guard(x) -> bool
     marks the valid sheet (steps never cross it).  Each step is halved until
     it stays on the sheet with a finite residual whose max-norm does not grow.
-    Raises NoConvergenceError / ConstraintViolationError.
+    Raises NoConvergenceError / ConstraintViolationError.  When that max-norm
+    has not decreased for NEWTON_STALL_ITER iterations in a row, the error is
+    ResidualFloorError if the full Newton step is rounding noise (below
+    NEWTON_FLOOR_STEP relative to x), else NoConvergenceError.
     """
     tol = residual_tolerance(tol)
     x = tuple(float(v) for v in guess)
     if guard is not None and not guard(x):
         raise ConstraintViolationError(f"initial guess {x} violates constraints")
     r = residual(x)
+    best, stalled, contraction = math.inf, 0, 0.0
     for it in range(1, max_iter + 1):
-        rmax = max(abs(v) for v in r)
+        rmax = max(map(abs, r))
         if rmax < tol:
-            return NewtonResult(root=x, residual=tuple(r), iterations=it - 1)
+            return NewtonResult(x, tuple(r), it - 1, contraction)
+        if it == 2:
+            contraction = rmax / best
         try:
             step = _newton_step(jacobian(x), r)
         except ZeroDivisionError as exc:
             raise NoConvergenceError(f"singular Jacobian at {x}: {exc}", x, r, it) from exc
+        if rmax < best:
+            best, stalled = rmax, 0
+        else:
+            stalled += 1
+            if stalled == NEWTON_STALL_ITER:
+                # a full step of rounding size marks the floor of the residual
+                # evaluation; a larger one, a minimum of |r| away from any root
+                if all(abs(s) <= NEWTON_FLOOR_STEP * abs(v) for s, v in zip(step, x)):
+                    raise ResidualFloorError(
+                        f"residual floor |r|={best:.3e} reached above tol={tol:.1e}", x, r, it
+                    )
+                raise NoConvergenceError(
+                    f"residual stalled at |r|={best:.3e} above tol={tol:.1e}", x, r, it
+                )
         lam = 1.0
         for _ in range(NEWTON_MAX_HALVINGS):
-            x_new = tuple(xi + lam * si for xi, si in zip(x, step))
+            x_new = tuple([xi + lam * si for xi, si in zip(x, step)])
             if guard is None or guard(x_new):
                 try:
                     r_new = residual(x_new)
                 except (SingularArgumentError, ConstraintViolationError):
                     lam *= 0.5
                     continue
-                if all(math.isfinite(v) for v in r_new) and max(abs(v) for v in r_new) <= rmax:
+                if all(map(math.isfinite, r_new)) and max(map(abs, r_new)) <= rmax:
                     break
             lam *= 0.5
         else:
             # keep the last guarded candidate if any; otherwise the step is blocked
-            x_new = tuple(xi + lam * si for xi, si in zip(x, step))
+            x_new = tuple([xi + lam * si for xi, si in zip(x, step)])
             if guard is not None and not guard(x_new):
                 raise ConstraintViolationError(
                     f"Newton step blocked by sign constraints near x={x}"

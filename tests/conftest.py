@@ -1,13 +1,16 @@
-"""Shared oracles and solved-state cache for the test suite.
+"""Shared oracles, solved-state cache and solve counter for the test suite.
 
 The quadrature oracles are independent evaluation routes: tensor
 Gauss-Legendre on smooth mapped domains (the integrands are analytic inside
 the ordered simplex, so convergence is spectral).  The simplex-exponential
 oracle lives in bethe3.oracles, shared with `bethe3 verify`.
 """
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
+import bethe3.equations as eq
 from bethe3 import QuantumLabel, solve_state
 from bethe3.oracles import gl_nodes, quad_simplex_exp, simplex_rule  # noqa: F401  (re-exported)
 from bethe3.wavefunction import PERMUTATIONS, amplitudes
@@ -55,3 +58,31 @@ def solved(n1, n2, c):
 @pytest.fixture(scope="session")
 def solve_cached():
     return solved
+
+
+@dataclass
+class NewtonCount:
+    calls: int = 0
+    iterations: int = 0
+    failures: int = 0
+
+
+@pytest.fixture
+def newton_counter(monkeypatch):
+    """Counts the corrector solves (bethe3.equations.newton_solve calls), their
+    Newton iterations and the solves that raised."""
+    count = NewtonCount()
+    solve = eq.newton_solve
+
+    def counting(*args, **kwargs):
+        count.calls += 1
+        try:
+            res = solve(*args, **kwargs)
+        except Exception:
+            count.failures += 1
+            raise
+        count.iterations += res.iterations
+        return res
+
+    monkeypatch.setattr(eq, "newton_solve", counting)
+    return count

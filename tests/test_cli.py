@@ -220,6 +220,19 @@ class TestUsage:
         code, _, _ = run_cli([], capsys)
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("args", [
+        ["density", "--label", "2,3", "--c", "nan"],
+        ["spectrum", "--label", "0,0", "--c", "inf"],
+        ["trace", "--label", "0,0", "--c-range", "-inf..1"],
+        ["trace", "--label", "0,0", "--c-range", "0..nan"],
+        ["trace", "--label", "0,0", "--c-range", "0..1", "--step", "inf"],
+        ["trace", "--label", "0,0", "--c-range", "0..1", "--step", "nan"],
+    ])
+    def test_non_finite_values(self, args, capsys):
+        code, out, err = run_cli(args, capsys)
+        assert code == EXIT_USAGE
+        assert out == "" and "finite" in err
+
     def test_negative_range_spelled_plainly(self, capsys):
         code, _, _ = run_cli(
             ["trace", "--label", "1,1", "--c-range", "-0.5..0", "--step", "0.5"], capsys

@@ -378,3 +378,64 @@ class TestSolveState:
             assert re.search(rf"label \({lab[0]},{lab[1]}\) at c=-\d.*last good c=-\d", str(exc))
         else:
             assert st.c == c
+
+
+def _values(st):
+    co = st.coords
+    pair = (co.delta1, co.delta2) if st.branch is Branch.REAL_K else (co.alpha, co.gamma)
+    return (*pair, st.energy)
+
+
+class TestStepControl:
+    """The adaptive march against a fine-grid trace, its solve counts, and the
+    floors it reports at once instead of retrying smaller steps."""
+
+    @pytest.mark.parametrize("lab", [(0, 0), (0, 1), (1, 1), (1, 2), (0, 5), (2, 3), (3, 5)])
+    def test_matches_fine_grid_trace(self, lab):
+        # the 0.05 output grid bounds every step of the trace, so its samples
+        # are reached by small steps all the way out from c = 0
+        label = QuantumLabel(*lab)
+        traj = trace_root(label, -40.0, 1000.0, step=0.05)
+        for c in (-40.0, -12.0, 40.0, 1000.0):
+            st, ref = solve_state(label, c), traj.sample_at(c)
+            assert st.branch is ref.branch
+            for a, b in zip(_values(st), _values(ref)):
+                assert abs(a - b) <= 1e-10 * max(1.0, abs(b)), (lab, c)
+
+    def test_solve_counts(self, newton_counter):
+        # the fixed schedule BASE_STEP*max(1, |c|/divisor) took 1586, 679 and
+        # 2196 solves for these
+        for lab, c, fixed, cut in [((2, 3), 1e4, 1586, 5), ((1, 2), -40.0, 679, 3),
+                                   ((0, 1), -700.0, 2196, 5)]:
+            newton_counter.calls = 0
+            solve_state(QuantumLabel(*lab), c)
+            assert newton_counter.calls <= fixed / cut, (lab, c, newton_counter.calls)
+
+    @pytest.mark.parametrize("lab, c", [((1, 2), -9.0), ((2, 3), 40.0)])
+    def test_residual_floor_raised_at_once(self, lab, c, newton_counter):
+        # below the attainable residual the first stalled solve ends the march
+        with pytest.raises(eq.ResidualFloorError) as err:
+            solve_state(QuantumLabel(*lab), c, tol=1e-15)
+        assert re.search(rf"label \({lab[0]},{lab[1]}\) at c=.*last good c=.*"
+                         r"floor \|r\|=\d\.\d+e-1\d reached above tol=1\.0e-15", str(err.value))
+        assert newton_counter.failures == 1
+
+    @pytest.mark.parametrize("lab, c", [((0, 0), -800.0), ((1, 2), -1500.0)])
+    def test_subnormal_floor_raised_at_once(self, lab, c, newton_counter):
+        with pytest.raises(eq.ConstraintViolationError, match="below the smallest normal double"):
+            solve_state(QuantumLabel(*lab), c)
+        assert newton_counter.failures == 1
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_rejected(self, bad):
+        label = QuantumLabel(1, 2)
+        with pytest.raises(ValueError, match=f"^c must be finite, got {bad}$"):
+            solve_state(label, bad)
+        with pytest.raises(ValueError, match=f"^c must be finite, got {bad}$"):
+            spectrum([label, QuantumLabel(2, 2)], bad)
+        with pytest.raises(ValueError, match=f"^c_min must be finite, got {bad}$"):
+            trace_root(label, bad, 1.0)
+        with pytest.raises(ValueError, match=f"^c_max must be finite, got {bad}$"):
+            trace_root(label, -1.0, bad)
+        with pytest.raises(ValueError, match=f"^step must be finite, got {bad}$"):
+            trace_root(label, -1.0, 1.0, step=bad)

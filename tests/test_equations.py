@@ -210,6 +210,21 @@ class TestNewton:
                 guard=lambda x: x[0] > 0.0, max_iter=25,
             )
 
+    def test_contraction_of_first_iteration(self):
+        # x^2 = 2 from 1.5: |r0| = 0.25, one Newton step lands at 1.5 - 0.25/3
+        res = eq.newton_solve(lambda x: (x[0] ** 2 - 2.0,), lambda x: ((2.0 * x[0],),), [1.5])
+        x1 = 1.5 - 0.25 / 3.0
+        assert res.contraction == pytest.approx((x1 * x1 - 2.0) / 0.25, rel=1e-12)
+        assert eq.newton_solve(lambda x: (x[0] - 2.5,), lambda x: ((1.0,),), [2.8]).contraction == 0.0
+
+    def test_residual_floor_named(self):
+        # |r| >= 3e-13 everywhere: the stall is reported with the floor and tol,
+        # long before max_iter
+        fun = lambda x: (x[0] - 1.0 + 3e-13 * math.copysign(1.0, x[0] - 1.0),)
+        with pytest.raises(eq.ResidualFloorError, match=r"floor \|r\|=6\.000e-13 .*tol=1\.0e-13") as err:
+            eq.newton_solve(fun, lambda x: ((1.0,),), [1.5], tol=1e-13)
+        assert err.value.iterations < 10
+
     def test_scaled_tiny_unknown(self):
         # root at 1e-9 with a log-singular residual: steps must not cross zero
         fun = lambda x: (math.log(x[0] / 1e-9),)
