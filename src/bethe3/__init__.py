@@ -10,13 +10,10 @@ from .model import (
     StateSolution,
     build_state,
     deltas_from_k,
-    energy,
     k_from_alpha_gamma,
     k_from_deltas,
     np_from_label,
     partner_state,
-    reference_state,
-    strip_shift,
 )
 from .equations import (
     ConstraintViolationError,
@@ -25,8 +22,6 @@ from .equations import (
     ResidualPoint,
     SingularArgumentError,
     continued_arg,
-    ddelta_dc,
-    gamma_squared_from_alpha,
     newton_solve,
     residual_complex,
     residual_equal_delta,
@@ -46,26 +41,20 @@ from .continuation import (
     trace_root,
 )
 from .wavefunction import (
-    BetheAmplitudes,
     ClassificationError,
     DegenerateMomentaError,
     amplitudes,
     dimer_prefactor,
-    dimer_trimer_weights,
     jump_residual,
     periodicity_residual,
     psi,
     psi_ordered,
 )
 from .observables import (
-    SimplexCase,
-    SimplexIntegralKey,
     TernaryGrid,
-    classify_exponents,
     density_grid,
     norm_squared,
     potential_expectation,
-    simplex_integral,
     simplex_integral_exponents,
 )
 

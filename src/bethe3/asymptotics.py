@@ -2,45 +2,20 @@
 
 Only the orders printed in the source analysis are implemented, so a
 disagreement with the solver indicates a solver bug rather than a truncation
-surprise.  Regime admissibility:
+surprise.  Where each expansion applies:
 
-* LargePositiveC: any label, c >= LARGE_C_MIN.
-* LargeNegativeC_Real: labels with n_j >= 2, c <= -LARGE_C_MIN.
-* SmallC: |c| <= SMALL_C_MAX (n1 = 0 labels: 0 <= c only).
-* Dimer: (0, n2 >= 2) and (1, n2 >= 2), c <= DIMER_C_MAX.
-* EqualDeltaDimer: (1, 1), c <= DIMER_C_MAX.
-* Trimer: (0, 0) and (0, 1), c <= TRIMER_C_MAX.
+* delta_large_c, c > 0: any label, c >= LARGE_C_MIN.
+* delta_large_c, c < 0: labels with n_j >= 2, c <= -LARGE_C_MIN.
+* delta_small_c: |c| <= SMALL_C_MAX (n1 = 0 labels: 0 <= c only).
+* alpha/beta/gamma_dimer: (0, n2 >= 2) and (1, n2 >= 1), c <= DIMER_C_MAX.
+* alpha/eta_trimer: (0, 0) and (0, 1), c <= TRIMER_C_MAX.
 """
 from __future__ import annotations
 
 import math
-from enum import Enum
 
 from .model import TWO_PI, QuantumLabel
 from .tolerances import DIMER_C_MAX, LARGE_C_MIN, SMALL_C_MAX, TRIMER_C_MAX
-
-
-class Regime(Enum):
-    LARGE_POSITIVE_C = "large_positive_c"
-    LARGE_NEGATIVE_C_REAL = "large_negative_c_real"
-    SMALL_C = "small_c"
-    DIMER = "dimer"
-    TRIMER = "trimer"
-    EQUAL_DELTA_DIMER = "equal_delta_dimer"
-
-
-def admissible_regimes(label: QuantumLabel) -> set[Regime]:
-    lab = label.canonical()
-    regimes = {Regime.LARGE_POSITIVE_C, Regime.SMALL_C}
-    if lab.n1 >= 2:
-        regimes.add(Regime.LARGE_NEGATIVE_C_REAL)
-    if lab.n1 in (0, 1) and lab.n2 >= 2:
-        regimes.add(Regime.DIMER)
-    if (lab.n1, lab.n2) == (1, 1):
-        regimes.add(Regime.EQUAL_DELTA_DIMER)
-    if lab.n1 == 0 and lab.n2 <= 1:
-        regimes.add(Regime.TRIMER)
-    return regimes
 
 
 def delta_large_c(n: int, c: float) -> float:

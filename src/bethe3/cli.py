@@ -2,7 +2,8 @@
 
 Machine-readable output only (json-lines or csv), deterministic for a given
 config.  Numeric fields are serialized with 17 significant digits.  Exit
-codes: 0 success, 2 solver failure, 3 verification failure, 64 usage error.
+codes: 0 success (also when the reader closes the output pipe early), 2 solver
+failure, 3 verification failure, 64 usage error.
 """
 from __future__ import annotations
 
@@ -325,6 +326,11 @@ def config_from_args(argv: list[str]) -> RunConfig:
         raise UsageError(f"--c must be finite, got {cfg.c}")
     if cfg.command == "trace" and not 0 < cfg.step < math.inf:
         raise UsageError(f"--step must be positive and finite, got {cfg.step}")
+    if cfg.command == "density":
+        if len(cfg.labels) != 1:
+            raise UsageError(f"density takes one label, got {len(cfg.labels)}")
+        if cfg.resolution < 8:
+            raise UsageError(f"--resolution must be >= 8, got {cfg.resolution}")
     return cfg
 
 
@@ -340,6 +346,9 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:  # the reader closed the pipe early, as `| head` does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
 
 
 if __name__ == "__main__":

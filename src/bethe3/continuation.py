@@ -336,9 +336,17 @@ class _Marcher:
             return [a + (a - b) * frac for a, b in zip(x, xprev)]
         # the complex unknowns that decay exponentially deep in the attractive
         # regime (beta or eta, and gamma of (0,1)) are predicted multiplicatively
-        # while their sign holds (signs compared directly: a*b underflows below 1e-154)
-        return [a * (a / b) ** frac if 0.0 < abs(a) < 1e-2 and b != 0.0 and (a > 0.0) == (b > 0.0)
-                else a + (a - b) * frac for a, b in zip(x, xprev)]
+        # while their sign holds, and so is any whose secant would flip its sign
+        # (signs compared directly: a*b underflows below 1e-154)
+        guess = []
+        for a, b in zip(x, xprev):
+            secant = a + (a - b) * frac
+            same_sign = a != 0.0 and b != 0.0 and (a > 0.0) == (b > 0.0)
+            if same_sign and (abs(a) < 1e-2 or (secant > 0.0) != (a > 0.0)):
+                guess.append(a * (a / b) ** frac)
+            else:
+                guess.append(secant)
+        return guess
 
     def march(self, chart: Chart, targets: list[float], c: float, x, fold_c) -> list[StateSolution]:
         """March the accepted point x at c through targets (ascending |c - c0|).

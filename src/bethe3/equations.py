@@ -83,10 +83,6 @@ class ResidualFloorError(NoConvergenceError):
     attained floor, set by the rounding error of the residual evaluation."""
 
 
-class FoldPointError(ValueError):
-    """Implicit-derivative denominator vanished (fold point)."""
-
-
 def theta(dk: float, c: float) -> float:
     """Two-body phase shift branch in (-2*pi, 0] for ordered momenta (dk >= 0).
 
@@ -206,16 +202,6 @@ def residual_equal_delta(d: float, c: float, n0: int) -> float:
 def jacobian_equal_delta(d: float, c: float) -> float:
     """d/dd of residual_equal_delta."""
     return 1.0 - dtheta(d, c) - 2.0 * dtheta(2.0 * d, c)
-
-
-def ddelta_dc(delta: float, c: float) -> float:
-    """Implicit derivative d(delta)/dc on the equal-delta root curve."""
-    d2 = delta * delta
-    num = 6.0 * delta * (c * c + 2.0 * d2)
-    den = c * c * (c * c + 5.0 * d2) + 4.0 * d2 * d2 + 6.0 * c * (2.0 * d2 + c * c)
-    if abs(den) < 1e-14 * max(1.0, abs(num)):
-        raise FoldPointError(f"implicit-derivative denominator vanished at delta={delta}, c={c}")
-    return num / den
 
 
 # ---------------------------------------------------------------------------
@@ -341,39 +327,6 @@ def residual_complex(
             f"label {label} has no complex branch (both n_j >= 2)"
         )
     return ResidualPoint(unknowns=(alpha, gamma), residual=(ra, rg))
-
-
-def gamma_squared_from_alpha(alpha: float, c: float) -> float:
-    """Closed-form gamma^2(alpha, c) from the n1 = 1 family alpha equation.
-
-    At alpha = 0 this reduces to c^2*(6+c)/(-9*(4+c)), the critical-point
-    relation.  Uses an odd-part series below |alpha| = 1e-3 to avoid the 0/0
-    cancellation at alpha -> 0.
-    """
-    if c >= 0:
-        raise ValueError(f"requires c < 0, got {c}")
-    if alpha < 0:
-        raise ValueError(f"requires alpha >= 0, got {alpha}")
-    if alpha < 1e-3:
-        # num ~ -(f'(0) + f'''(0) a^2/6), den ~ 9(h'(0) + h'''(0) a^2/6)
-        a2 = alpha * alpha
-        fp = c ** 3 * (c + 6.0)
-        fppp = c ** 4 + 18.0 * c ** 3 + 78.0 * c * c + 72.0 * c
-        hp = c * (c + 4.0)
-        hppp = c * c + 12.0 * c + 24.0
-        den = hp + hppp * a2 / 6.0
-        if abs(den) < 1e-13 * max(1.0, abs(hp)):
-            raise ZeroDivisionError(f"gamma^2 pole at alpha={alpha}, c={c}")
-        return -(fp + fppp * a2 / 6.0) / (9.0 * den)
-    ea = math.exp(alpha)
-    f_m = (c - 2 * alpha) ** 2 * (c - alpha) ** 2 / ea
-    f_p = (c + 2 * alpha) ** 2 * (c + alpha) ** 2 * ea
-    h_m = (c - 2 * alpha) ** 2 / ea
-    h_p = (c + 2 * alpha) ** 2 * ea
-    den = 9.0 * (h_p - h_m)
-    if abs(den) < 1e-13 * max(1.0, abs(h_p) + abs(h_m)):
-        raise ZeroDivisionError(f"gamma^2 pole at alpha={alpha}, c={c}")
-    return (f_m - f_p) / den
 
 
 # ---------------------------------------------------------------------------

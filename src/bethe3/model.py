@@ -132,12 +132,6 @@ def k_from_alpha_gamma(p: float, alpha: float, gamma: float) -> Momenta:
     return Momenta(k1, k2, k3)
 
 
-def strip_shift(m: Momenta, n0: int) -> Momenta:
-    """Shift every momentum by 2*pi*n0 (moves total momentum by 6*pi*n0)."""
-    s = TWO_PI * n0
-    return Momenta(m.k1 + s, m.k2 + s, m.k3 + s)
-
-
 @dataclass(frozen=True)
 class RealCoords:
     """Real-branch coordinates (delta1, delta2, p)."""
@@ -223,16 +217,6 @@ def build_state(label: QuantumLabel, c: float, coords: BranchCoords) -> StateSol
     return StateSolution(label=label, c=c, coords=coords, momenta=m, energy=e_coord)
 
 
-def energy(state: StateSolution) -> float:
-    """Energy with the triple-agreement check (sum k^2 vs coordinate formula)."""
-    e_sum = state.momenta.energy()
-    e_coord = state.coords.energy()
-    scale = max(1.0, abs(e_coord))
-    if abs(e_coord - e_sum) > ENERGY_AGREEMENT_RTOL * scale * 10.0:
-        raise ValueError(f"inconsistent state energy: {e_coord} vs {e_sum}")
-    return e_coord
-
-
 def partner_state(state: StateSolution) -> StateSolution:
     """Degenerate partner: label swapped, momenta negated and re-canonicalized.
 
@@ -248,10 +232,3 @@ def partner_state(state: StateSolution) -> StateSolution:
             alpha=state.coords.alpha, gamma=-state.coords.gamma, p=-state.coords.p
         )
     return build_state(lab, state.c, coords)
-
-
-def reference_state(label: QuantumLabel) -> StateSolution:
-    """The exact c = 0 solution: delta_j = 2*pi*n_j."""
-    coords = RealCoords(TWO_PI * label.n1, TWO_PI * label.n2, label.p)
-    return build_state(label, 0.0, coords)
-

@@ -22,59 +22,23 @@ case are
     a2 = 0 (a3 = -a1):   (e_1(w) - 2 e_2(w))/w,  w = i a3
     none zero:           [e_2(z3) - (e_1(-z1) - e_1(z3))/z2]/z1,  z_m = i a_m
 
-each validated against a tensor Gauss-Legendre quadrature oracle.  The
-coincidence-plane integral for <V> reduces to the single-variable
-D(b) = (e^{ib} - 1 - ib)/(ib)^2 per pair, with b = k_{P3} - conj(k_{Q3}).
+each validated against a tensor Gauss-Legendre quadrature oracle.  One
+function, simplex_integral_exponents, picks the form: an exponent below
+NEAR_DEGENERATE_EXPONENT (1e-6) in magnitude counts as zero, so a
+near-degenerate triple takes the nearer limiting form instead of cancelling.
+The coincidence-plane integral for <V> reduces to the single-variable
+D(b) = e_2(ib) = (e^{ib} - 1 - ib)/(ib)^2 per pair, with b = k_{P3} - conj(k_{Q3}).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .model import StateSolution
-from .tolerances import (
-    NEAR_DEGENERATE_EXPONENT,
-    NORM_IMAG_RTOL,
-    ZERO_EXPONENT_TOL,
-)
+from .tolerances import NEAR_DEGENERATE_EXPONENT, NORM_IMAG_RTOL
 from .wavefunction import PERMUTATIONS, amplitudes, psi_ordered
-
-
-class SimplexCase(Enum):
-    ALL_ZERO = "all_zero"
-    ONE_PAIR_ZERO = "one_pair_zero"
-    ALL_NONZERO = "all_nonzero"
-
-
-@dataclass(frozen=True)
-class SimplexIntegralKey:
-    """Exponent triple with its degeneracy tag; exponents must sum to ~0."""
-
-    a1: complex
-    a2: complex
-    a3: complex
-    case: SimplexCase
-
-
-def classify_exponents(a1: complex, a2: complex, a3: complex) -> SimplexIntegralKey:
-    """Tag an exponent triple, routing near-degenerate entries (< 1e-6) to the
-    nearer limiting case to avoid catastrophic cancellation."""
-    total = abs(a1 + a2 + a3)
-    scale = max(1.0, abs(a1), abs(a2), abs(a3))
-    if total > 1e-9 * scale:
-        raise ValueError(f"exponents must sum to zero, got sum {a1 + a2 + a3}")
-    mags = [abs(a1), abs(a2), abs(a3)]
-    zeroish = [m < NEAR_DEGENERATE_EXPONENT for m in mags]
-    if all(zeroish):
-        case = SimplexCase.ALL_ZERO
-    elif any(zeroish):
-        case = SimplexCase.ONE_PAIR_ZERO
-    else:
-        case = SimplexCase.ALL_NONZERO
-    return SimplexIntegralKey(a1=a1, a2=a2, a3=a3, case=case)
 
 
 def _cexpm1(z: complex) -> complex:
@@ -116,14 +80,20 @@ def _middle_zero(w: complex) -> complex:
     return (_e1(w) - 2.0 * _e2(w)) / w
 
 
-def simplex_integral(key: SimplexIntegralKey) -> complex:
-    """Closed-form ordered-simplex integral of exp(i sum a_m x_m)."""
-    a1, a2, a3 = key.a1, key.a2, key.a3
-    if key.case is SimplexCase.ALL_ZERO:
+def simplex_integral_exponents(a1: complex, a2: complex, a3: complex) -> complex:
+    """Closed-form ordered-simplex integral T(a1, a2, a3) of exp(i sum a_m x_m).
+
+    The exponents must sum to ~0.  An exponent below NEAR_DEGENERATE_EXPONENT
+    routes the triple to the nearer limiting form, which avoids catastrophic
+    cancellation.
+    """
+    mags = [abs(a1), abs(a2), abs(a3)]
+    if abs(a1 + a2 + a3) > 1e-9 * max(1.0, *mags):
+        raise ValueError(f"exponents must sum to zero, got sum {a1 + a2 + a3}")
+    if max(mags) < NEAR_DEGENERATE_EXPONENT:
         return complex(1.0 / 6.0)
-    if key.case is SimplexCase.ONE_PAIR_ZERO:
-        mags = [abs(a1), abs(a2), abs(a3)]
-        j = mags.index(min(mags))
+    j = mags.index(min(mags))
+    if mags[j] < NEAR_DEGENERATE_EXPONENT:
         if j == 0:
             return _e3(1j * a3)
         if j == 2:
@@ -133,35 +103,23 @@ def simplex_integral(key: SimplexIntegralKey) -> complex:
     return (_e2(z3) - (_e1(-z1) - _e1(z3)) / z2) / z1
 
 
-def simplex_integral_exponents(a1: complex, a2: complex, a3: complex) -> complex:
-    """Classify-and-integrate convenience wrapper."""
-    return simplex_integral(classify_exponents(a1, a2, a3))
-
-
 def _pair_sum(state: StateSolution, term) -> complex:
-    """sum over 36 permutation pairs of a(P) conj(a(Q)) * term(kP, kQbar)."""
-    k = np.array(state.momenta.as_tuple())
+    """sum over 36 permutation pairs (P, Q) of a(P) conj(a(Q)) times
+    term(k_{P1} - conj(k_{Q1}), k_{P2} - conj(k_{Q2}), k_{P3} - conj(k_{Q3}))."""
+    k = state.momenta.as_tuple()
+    kc = [kj.conjugate() for kj in k]
     a = amplitudes(state.momenta, state.c)
-    kc = np.conj(k)
-    total = 0.0 + 0.0j
-    for perm_p in PERMUTATIONS:
-        ap = a[perm_p]
-        kp = (k[perm_p[0]], k[perm_p[1]], k[perm_p[2]])
-        for perm_q in PERMUTATIONS:
-            aq = np.conj(a[perm_q])
-            kq = (kc[perm_q[0]], kc[perm_q[1]], kc[perm_q[2]])
-            total += ap * aq * term(kp, kq)
+    total = 0j
+    for p in PERMUTATIONS:
+        for q in PERMUTATIONS:
+            total += a[p] * a[q].conjugate() * term(
+                k[p[0]] - kc[q[0]], k[p[1]] - kc[q[1]], k[p[2]] - kc[q[2]])
     return total
 
 
 def norm_squared(state: StateSolution) -> float:
     """<psi|psi> of the unnormalized six-term eigenfunction (6 regions)."""
-    def term(kp, kq):
-        return simplex_integral_exponents(
-            kp[0] - kq[0], kp[1] - kq[1], kp[2] - kq[2]
-        )
-
-    total = 6.0 * _pair_sum(state, term)
+    total = 6.0 * _pair_sum(state, simplex_integral_exponents)
     if not (math.isfinite(total.real) and math.isfinite(total.imag)):
         raise OverflowError(
             f"norm overflow for {state.label} at c={state.c}: the bound-state "
@@ -174,13 +132,6 @@ def norm_squared(state: StateSolution) -> float:
     return total.real
 
 
-def _coincidence(b: complex) -> complex:
-    """D(b) = int_0^1 dx3 int_0^{x3} dx1 e^{i(-b x1 + b x3)} = e_2(i b)."""
-    if abs(b) < ZERO_EXPONENT_TOL:
-        return complex(0.5)
-    return _e2(1j * b)
-
-
 def potential_expectation(state: StateSolution, norm: float | None = None) -> float:
     """<V> = (6c/<psi|psi>) * integral of |psi|^2 over the coincidence plane.
 
@@ -190,10 +141,8 @@ def potential_expectation(state: StateSolution, norm: float | None = None) -> fl
         return 0.0
     n = norm_squared(state) if norm is None else norm
 
-    def term(kp, kq):
-        return _coincidence(kp[2] - kq[2])
-
-    total = _pair_sum(state, term)
+    # coincidence-plane integral D(b) = e_2(i b), b = k_{P3} - conj(k_{Q3})
+    total = _pair_sum(state, lambda b1, b2, b3: _e2(1j * b3))
     if abs(total.imag) > NORM_IMAG_RTOL * max(1.0, abs(total.real)):
         raise ValueError(f"coincidence integral imaginary defect: {total}")
     return 6.0 * state.c * total.real / n
@@ -223,14 +172,6 @@ class TernaryGrid:
     def interior_mask(self) -> np.ndarray:
         return ~self.edge_mask()
 
-    def reflected_r12_r23(self) -> "TernaryGrid":
-        """The grid of the mirror configuration (r12 and r23 swapped)."""
-        order = np.lexsort((self.r23, self.r12))
-        mirror = np.lexsort((self.r12, self.r23))
-        out = np.empty_like(self.density)
-        out[order] = self.density[mirror]
-        return TernaryGrid(self.resolution, self.r12, self.r23, self.r31, out)
-
 
 def density_grid(state: StateSolution, resolution: int) -> TernaryGrid:
     """Normalized |psi|^2 on the ternary lattice.
@@ -242,13 +183,7 @@ def density_grid(state: StateSolution, resolution: int) -> TernaryGrid:
     if resolution < 8:
         raise ValueError(f"resolution must be >= 8, got {resolution}")
     n = resolution
-    ii, jj = [], []
-    for i in range(n):
-        for j in range(n - i):
-            ii.append(i)
-            jj.append(j)
-    ii = np.array(ii, dtype=float)
-    jj = np.array(jj, dtype=float)
+    ii, jj = np.nonzero(np.add.outer(np.arange(n), np.arange(n)) < n)
     r12 = ii / (n - 1)
     r23 = jj / (n - 1)
     r31 = 1.0 - r12 - r23

@@ -23,7 +23,6 @@ ENERGY_AGREEMENT_RTOL = 1e-12  # sum(k^2) vs coordinate energy formulas
 
 # Wavefunction / observables
 DEGENERATE_MOMENTA_TOL = 1e-12  # pairwise |k_j - k_l| below this: raw ansatz vanishes
-ZERO_EXPONENT_TOL = 1e-10       # simplex-exponent treated as exactly zero
 NEAR_DEGENERATE_EXPONENT = 1e-6  # window routed to the nearest limiting case
 NORM_IMAG_RTOL = 1e-9           # relative imaginary defect allowed in <psi|psi>
 

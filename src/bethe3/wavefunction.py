@@ -17,16 +17,12 @@ the primary region, which is what the periodicity and jump residuals need.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .model import Branch, Momenta, StateSolution
 from .tolerances import DEGENERATE_MOMENTA_TOL
 
 PERMUTATIONS = ((0, 1, 2), (1, 0, 2), (0, 2, 1), (2, 1, 0), (2, 0, 1), (1, 2, 0))
-TRIMER_GROUP = ((0, 1, 2), (1, 2, 0), (2, 0, 1))   # growing exponentials
-DIMER_GROUP = ((1, 0, 2), (0, 2, 1), (2, 1, 0))    # decaying exponentials
 
 
 class DegenerateMomentaError(ValueError):
@@ -34,23 +30,7 @@ class DegenerateMomentaError(ValueError):
 
 
 class ClassificationError(ValueError):
-    """Dimer/trimer grouping asked for a real-branch state."""
-
-
-@dataclass(frozen=True)
-class BetheAmplitudes:
-    """The six permutation coefficients, keyed by the momentum permutation."""
-
-    coeffs: dict
-
-    def __getitem__(self, perm) -> complex:
-        return self.coeffs[perm]
-
-    def items(self):
-        return self.coeffs.items()
-
-    def magnitudes(self) -> dict:
-        return {perm: abs(a) for perm, a in self.coeffs.items()}
+    """Dimer prefactor asked for a real-branch state."""
 
 
 def _phase_factor(c: float, dk: complex) -> complex:
@@ -68,21 +48,20 @@ def _phase_factor(c: float, dk: complex) -> complex:
     return num / den
 
 
-def amplitudes(m: Momenta, c: float) -> BetheAmplitudes:
-    """Six Bethe coefficients for a momentum triple at coupling c."""
+def amplitudes(m: Momenta, c: float) -> dict:
+    """Six Bethe coefficients for a momentum triple at coupling c, keyed by
+    the momentum permutation."""
     e21 = _phase_factor(c, m.k2 - m.k1)
     e31 = _phase_factor(c, m.k3 - m.k1)
     e32 = _phase_factor(c, m.k3 - m.k2)
-    return BetheAmplitudes(
-        coeffs={
-            (0, 1, 2): 1.0 + 0.0j,
-            (1, 0, 2): -e21,
-            (0, 2, 1): -e32,
-            (2, 1, 0): -e21 * e31 * e32,
-            (2, 0, 1): e31 * e32,
-            (1, 2, 0): e21 * e31,
-        }
-    )
+    return {
+        (0, 1, 2): 1.0 + 0.0j,
+        (1, 0, 2): -e21,
+        (0, 2, 1): -e32,
+        (2, 1, 0): -e21 * e31 * e32,
+        (2, 0, 1): e31 * e32,
+        (1, 2, 0): e21 * e31,
+    }
 
 
 def _k_and_a(state: StateSolution):
@@ -163,17 +142,6 @@ def periodicity_residual(state: StateSolution, x2: float, x3: float) -> float:
     return max(value_defect, deriv_defect)
 
 
-def dimer_trimer_weights(state: StateSolution) -> tuple[float, float]:
-    """Relative amplitude weight of the trimer and dimer permutation groups."""
-    if state.branch is not Branch.COMPLEX_K:
-        raise ClassificationError("dimer/trimer grouping applies to complex-branch states")
-    a = amplitudes(state.momenta, state.c)
-    trimer = sum(abs(a[p]) for p in TRIMER_GROUP)
-    dimer = sum(abs(a[p]) for p in DIMER_GROUP)
-    total = trimer + dimer
-    return trimer / total, dimer / total
-
-
 def dimer_prefactor(state: StateSolution) -> float:
     """(2*alpha - c)/(2*alpha + c) for a complex-branch state.
 
@@ -186,13 +154,3 @@ def dimer_prefactor(state: StateSolution) -> float:
     if den == 0.0:
         raise ZeroDivisionError("dimer prefactor pole: 2*alpha + c = 0")
     return (2.0 * alpha - state.c) / den
-
-
-def real_up_to_phase_defect(state: StateSolution, points) -> float:
-    """max |Im(e^{-i phi} psi)| over probe points after the optimal global phase."""
-    values = np.array([psi(p, state) for p in points])
-    ref = values[np.argmax(np.abs(values))]
-    if abs(ref) == 0.0:
-        return 0.0
-    phase = ref / abs(ref)
-    return float(np.max(np.abs((values / phase).imag)))

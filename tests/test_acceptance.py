@@ -23,7 +23,7 @@ from bethe3 import (
     solve_state,
     trace_root,
 )
-from bethe3.observables import SimplexCase, simplex_integral_exponents
+from bethe3.observables import simplex_integral_exponents
 
 from conftest import quad_norm, quad_potential, quad_simplex_exp, solved
 from test_observables import random_keys
@@ -167,9 +167,9 @@ def test_criterion_6_energy_continuity_at_folds():
 def test_criterion_7_appendix_oracles():
     rng = np.random.default_rng(777)
     keys = (
-        random_keys(rng, 10, SimplexCase.ALL_ZERO)
-        + random_keys(rng, 95, SimplexCase.ONE_PAIR_ZERO)
-        + random_keys(rng, 95, SimplexCase.ALL_NONZERO)
+        random_keys(rng, 10, "all_zero")
+        + random_keys(rng, 95, "one_zero")
+        + random_keys(rng, 95, "none_zero")
     )
     worst_simplex = 0.0
     for a1, a2, a3 in keys:

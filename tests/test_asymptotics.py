@@ -4,21 +4,8 @@ import pytest
 
 import bethe3.asymptotics as asym
 from bethe3 import QuantumLabel, solve_state
-from bethe3.asymptotics import Regime, admissible_regimes
 
 TWO_PI = 2 * math.pi
-
-
-class TestAdmissibility:
-    def test_case_structure(self):
-        assert Regime.TRIMER in admissible_regimes(QuantumLabel(0, 0))
-        assert Regime.TRIMER in admissible_regimes(QuantumLabel(0, 1))
-        assert Regime.TRIMER not in admissible_regimes(QuantumLabel(0, 2))
-        assert Regime.DIMER in admissible_regimes(QuantumLabel(0, 2))
-        assert Regime.DIMER in admissible_regimes(QuantumLabel(1, 4))
-        assert Regime.EQUAL_DELTA_DIMER in admissible_regimes(QuantumLabel(1, 1))
-        assert Regime.LARGE_NEGATIVE_C_REAL in admissible_regimes(QuantumLabel(2, 2))
-        assert Regime.LARGE_NEGATIVE_C_REAL not in admissible_regimes(QuantumLabel(1, 2))
 
 
 class TestDeltaLargeC:

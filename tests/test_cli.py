@@ -136,7 +136,7 @@ class TestDensity:
         assert dens >= 0.0
 
     @pytest.mark.parametrize("args", [
-        ["density", "--label", "0,0", "--c", "-5", "--resolution", "4"],
+        ["density", "--label", "0,0", "--c", "-5", "--resolution", "8"],
         ["spectrum", "--labels", "0,0", "1,2", "--c", "-5", "--observables"],
     ])
     def test_arithmetic_error_exit(self, args, monkeypatch, capsys):
@@ -187,7 +187,7 @@ class TestCsvErrors:
 
         monkeypatch.setattr(cli, "density_grid", divide_by_zero)
         code, out, err = run_cli(
-            ["density", "--label", "0,0", "--c", "-5", "--resolution", "4", "--format", "csv"],
+            ["density", "--label", "0,0", "--c", "-5", "--resolution", "8", "--format", "csv"],
             capsys,
         )
         assert code == EXIT_SOLVER
@@ -233,6 +233,15 @@ class TestUsage:
         assert code == EXIT_USAGE
         assert out == "" and "finite" in err
 
+    @pytest.mark.parametrize("args, message", [
+        (["density", "--label", "0,2", "--c", "-9", "--resolution", "4"], "--resolution must be >= 8"),
+        (["density", "--labels", "0,2", "1,1", "--c", "-9"], "density takes one label, got 2"),
+    ])
+    def test_density_arguments(self, args, message, capsys):
+        code, out, err = run_cli(args, capsys)
+        assert code == EXIT_USAGE
+        assert out == "" and message in err
+
     def test_negative_range_spelled_plainly(self, capsys):
         code, _, _ = run_cli(
             ["trace", "--label", "1,1", "--c-range", "-0.5..0", "--step", "0.5"], capsys
@@ -265,3 +274,22 @@ def test_import_leaves_scipy_out():
         env={**os.environ, "PYTHONPATH": src},
     ).stdout
     assert out.strip() == "False"
+
+
+def test_closed_pipe_exits_quietly():
+    # a resolution-64 grid is larger than the pipe buffer, so the writer is
+    # still writing when the reader closes the pipe after one line
+    import bethe3
+
+    src = os.path.dirname(os.path.dirname(bethe3.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bethe3.cli", "density", "--label", "0,2", "--c", "-9",
+         "--resolution", "64"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.stdout.readline().startswith(b'{"r12":')
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_OK
+    assert "Traceback" not in err

@@ -411,6 +411,14 @@ class TestStepControl:
             solve_state(QuantumLabel(*lab), c)
             assert newton_counter.calls <= fixed / cut, (lab, c, newton_counter.calls)
 
+    @pytest.mark.parametrize("lab", [(0, 2), (0, 5), (5, 0)])
+    @pytest.mark.parametrize("c", [-12.0, -40.0, -1000.0])
+    def test_beta_predicted_without_sign_flip(self, lab, c, newton_counter):
+        # beta falls from ~0.37 to ~0 near c = -2.5 with O(1) slope; a secant
+        # across that drop would predict a negative beta and fail its guard
+        solve_state(QuantumLabel(*lab), c)
+        assert newton_counter.failures == 0
+
     @pytest.mark.parametrize("lab, c", [((1, 2), -9.0), ((2, 3), 40.0)])
     def test_residual_floor_raised_at_once(self, lab, c, newton_counter):
         # below the attainable residual the first stalled solve ends the march

@@ -10,13 +10,11 @@ from bethe3 import (
     RealCoords,
     build_state,
     deltas_from_k,
-    energy,
     k_from_alpha_gamma,
     k_from_deltas,
     np_from_label,
     partner_state,
-    reference_state,
-    strip_shift,
+    solve_state,
 )
 
 TWO_PI = 2 * math.pi
@@ -116,11 +114,11 @@ class TestAlphaGamma:
 
 class TestEnergy:
     def test_free_ground_state(self):
-        st = reference_state(QuantumLabel(0, 0))
+        st = solve_state(QuantumLabel(0, 0), 0.0)
         assert st.energy == 0.0
 
     def test_reference_11(self):
-        st = reference_state(QuantumLabel(1, 1))
+        st = solve_state(QuantumLabel(1, 1), 0.0)
         assert st.energy == pytest.approx(8 * math.pi ** 2, rel=1e-14)
         assert st.momenta.as_tuple() == (-TWO_PI, 0.0, TWO_PI)
 
@@ -128,7 +126,6 @@ class TestEnergy:
         coords = ComplexCoords(alpha=3.0, gamma=0.0, p=0.0)
         st = build_state(QuantumLabel(0, 0), -7.0, coords)
         assert st.energy == pytest.approx(-18.0, rel=1e-14)
-        assert energy(st) == st.energy
 
     def test_triple_agreement_random(self):
         rng = np.random.default_rng(3)
@@ -148,30 +145,9 @@ class TestEnergy:
             assert e_delta.real == pytest.approx(cc.energy(), rel=1e-12)
 
 
-class TestStripShift:
-    def test_examples(self):
-        m = strip_shift(Momenta(-TWO_PI, 0, TWO_PI), 1)
-        assert m.as_tuple() == (0, TWO_PI, 2 * TWO_PI)
-        m = strip_shift(Momenta(0, 0, 0), -1)
-        assert m.as_tuple() == (-TWO_PI, -TWO_PI, -TWO_PI)
-
-    def test_composition(self):
-        m0 = Momenta(0.3, 1.1, 2.9)
-        once_twice = strip_shift(strip_shift(m0, 1), 1)
-        double = strip_shift(m0, 2)
-        assert once_twice.as_tuple() == pytest.approx(double.as_tuple(), abs=1e-14)
-
-    def test_energy_shift(self):
-        m0 = Momenta(-TWO_PI, 0, TWO_PI)
-        m1 = strip_shift(m0, 1)
-        assert m1.energy() - m0.energy() == pytest.approx(
-            sum(abs(k + TWO_PI) ** 2 - abs(k) ** 2 for k in m0.as_tuple()).real
-        )
-
-
 class TestPartner:
     def test_swap_and_momentum_flip(self):
-        st = reference_state(QuantumLabel(0, 1))
+        st = solve_state(QuantumLabel(0, 1), 0.0)
         pt = partner_state(st)
         assert pt.label == QuantumLabel(1, 0)
         assert st.coords.p == pytest.approx(TWO_PI)
@@ -179,7 +155,7 @@ class TestPartner:
         assert pt.energy == pytest.approx(st.energy, abs=1e-12)
 
     def test_diagonal_self_partner(self):
-        st = reference_state(QuantumLabel(1, 1))
+        st = solve_state(QuantumLabel(1, 1), 0.0)
         pt = partner_state(st)
         assert pt.label == st.label
         assert pt.momenta.as_tuple() == st.momenta.as_tuple()
@@ -197,6 +173,6 @@ class TestPartner:
 
     def test_momentum_sum_invariant(self):
         for (n1, n2) in [(0, 0), (0, 2), (1, 1), (2, 3)]:
-            st = reference_state(QuantumLabel(n1, n2))
+            st = solve_state(QuantumLabel(n1, n2), 0.0)
             p = TWO_PI * st.label.np
             assert abs(st.momenta.total - p) < 1e-10

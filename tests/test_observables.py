@@ -5,19 +5,14 @@ import pytest
 
 from bethe3 import (
     QuantumLabel,
-    classify_exponents,
     density_grid,
     norm_squared,
     partner_state,
     potential_expectation,
-    reference_state,
-    simplex_integral,
     simplex_integral_exponents,
     solve_state,
-    strip_shift,
 )
-from bethe3.observables import SimplexCase, _pair_sum
-from bethe3.wavefunction import amplitudes
+from bethe3.observables import _pair_sum
 
 from conftest import quad_norm, quad_potential, quad_simplex_exp, solved
 
@@ -25,11 +20,12 @@ TWO_PI = 2 * math.pi
 
 
 def random_keys(rng, n, case):
+    """n exponent triples summing to zero: all zero, one zero or none zero."""
     keys = []
     while len(keys) < n:
-        if case is SimplexCase.ALL_ZERO:
+        if case == "all_zero":
             keys.append((0.0, 0.0, 0.0))
-        elif case is SimplexCase.ONE_PAIR_ZERO:
+        elif case == "one_zero":
             a = rng.uniform(-15, 15) + 1j * rng.uniform(-2, 2)
             slot = rng.integers(0, 3)
             trio = [0.0 + 0j] * 3
@@ -51,9 +47,7 @@ def random_keys(rng, n, case):
 
 class TestSimplexIntegral:
     def test_volume(self):
-        key = classify_exponents(0.0, 0.0, 0.0)
-        assert key.case is SimplexCase.ALL_ZERO
-        assert simplex_integral(key) == pytest.approx(1.0 / 6.0, rel=1e-15)
+        assert simplex_integral_exponents(0.0, 0.0, 0.0) == pytest.approx(1.0 / 6.0, rel=1e-15)
 
     def test_pair_case_example(self):
         got = simplex_integral_exponents(TWO_PI, -TWO_PI, 0.0)
@@ -64,9 +58,9 @@ class TestSimplexIntegral:
         # 200 random keys spanning the three degeneracy cases
         rng = np.random.default_rng(101)
         keys = (
-            random_keys(rng, 10, SimplexCase.ALL_ZERO)
-            + random_keys(rng, 95, SimplexCase.ONE_PAIR_ZERO)
-            + random_keys(rng, 95, SimplexCase.ALL_NONZERO)
+            random_keys(rng, 10, "all_zero")
+            + random_keys(rng, 95, "one_zero")
+            + random_keys(rng, 95, "none_zero")
         )
         worst = 0.0
         for a1, a2, a3 in keys:
@@ -82,17 +76,18 @@ class TestSimplexIntegral:
             got = simplex_integral_exponents(eps, 3.0, -3.0 - eps)
             ref = quad_simplex_exp(eps, 3.0, -3.0 - eps)
             assert abs(got - ref) < 1e-6
-        key = classify_exponents(1e-7, 3.0, -3.0 - 1e-7)
-        assert key.case is SimplexCase.ONE_PAIR_ZERO
+        # the routed triple takes the exact a1 = 0 form
+        assert simplex_integral_exponents(1e-7, 3.0, -3.0 - 1e-7) == \
+            simplex_integral_exponents(0.0, 3.0 + 1e-7, -3.0 - 1e-7)
 
     def test_sum_validation(self):
         with pytest.raises(ValueError):
-            classify_exponents(1.0, 2.0, 3.0)
+            simplex_integral_exponents(1.0, 2.0, 3.0)
 
 
 class TestNorm:
     def test_free_ground_state(self):
-        st = reference_state(QuantumLabel(0, 0))
+        st = solve_state(QuantumLabel(0, 0), 0.0)
         assert norm_squared(st) == pytest.approx(36.0, rel=1e-13)
 
     def test_quadrature_oracle_on_solved_states(self):
@@ -103,24 +98,6 @@ class TestNorm:
             ref = quad_norm(st)
             assert closed == pytest.approx(ref, rel=1e-4), (n1, n2, c)
 
-    def test_strip_shift_invariance(self):
-        # shifting all momenta by 2*pi*n0 leaves every exponent difference and
-        # amplitude unchanged, hence the same 36-term sum
-        st = solved(1, 2, -2.0)
-        shifted = strip_shift(st.momenta, 1)
-        a0 = amplitudes(st.momenta, st.c)
-        a1 = amplitudes(shifted, st.c)
-        total0 = total1 = 0j
-        from bethe3.wavefunction import PERMUTATIONS
-
-        for P in PERMUTATIONS:
-            for Q in PERMUTATIONS:
-                e0 = [st.momenta.as_tuple()[P[m]] - np.conj(st.momenta.as_tuple()[Q[m]]) for m in range(3)]
-                e1 = [shifted.as_tuple()[P[m]] - np.conj(shifted.as_tuple()[Q[m]]) for m in range(3)]
-                total0 += a0[P] * np.conj(a0[Q]) * simplex_integral_exponents(*e0)
-                total1 += a1[P] * np.conj(a1[Q]) * simplex_integral_exponents(*e1)
-        assert abs(total0 - total1) < 1e-10 * abs(total0)
-
     def test_partner_equal_norm(self):
         st = solved(0, 1, -5.0)
         pt = partner_state(st)
@@ -129,7 +106,7 @@ class TestNorm:
 
 class TestPotential:
     def test_zero_coupling_exact(self):
-        st = reference_state(QuantumLabel(2, 3))
+        st = solve_state(QuantumLabel(2, 3), 0.0)
         assert potential_expectation(st) == 0.0
 
     def test_sign_matches_coupling(self):
@@ -236,12 +213,17 @@ class TestDensityGrid:
         pt = partner_state(st)
         g = density_grid(st, 16)
         gp = density_grid(pt, 16)
-        assert np.max(np.abs(gp.reflected_r12_r23().density - g.density)) < 1e-9
+        # the partner's density at (r12, r23) is the state's at (r23, r12)
+        mirrored = np.empty_like(gp.density)
+        mirrored[np.lexsort((gp.r23, gp.r12))] = gp.density[np.lexsort((gp.r12, gp.r23))]
+        assert np.max(np.abs(mirrored - g.density)) < 1e-9
 
     def test_geometry(self):
         st = solved(2, 2, -3.0)
         grid = density_grid(st, 12)
         assert len(grid) == 12 * 13 // 2
+        ii, jj = zip(*[(i, j) for i in range(12) for j in range(12 - i)])  # row-major lattice
+        assert list(grid.r12) == [i / 11 for i in ii] and list(grid.r23) == [j / 11 for j in jj]
         np.testing.assert_allclose(grid.r12 + grid.r23 + grid.r31, 1.0, atol=1e-12)
         assert np.all(grid.density >= 0)
         with pytest.raises(ValueError):
@@ -251,6 +233,5 @@ class TestDensityGrid:
 class TestPairSumInternals:
     def test_norm_imag_defect_guard(self):
         st = solved(1, 2, -2.0)
-        total = _pair_sum(st, lambda kp, kq: simplex_integral_exponents(
-            kp[0] - kq[0], kp[1] - kq[1], kp[2] - kq[2]))
+        total = _pair_sum(st, simplex_integral_exponents)
         assert abs(total.imag) < 1e-9 * abs(total.real)

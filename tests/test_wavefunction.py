@@ -13,20 +13,14 @@ from bethe3 import (
     amplitudes,
     build_state,
     dimer_prefactor,
-    dimer_trimer_weights,
     jump_residual,
     partner_state,
     periodicity_residual,
     psi,
     psi_ordered,
-    reference_state,
     solve_state,
 )
-from bethe3.wavefunction import (
-    ClassificationError,
-    DegenerateMomentaError,
-    real_up_to_phase_defect,
-)
+from bethe3.wavefunction import ClassificationError, DegenerateMomentaError
 
 TWO_PI = 2 * math.pi
 
@@ -48,7 +42,7 @@ def representative_states():
 
 class TestAmplitudes:
     def test_free_case_all_ones(self):
-        st = reference_state(QuantumLabel(1, 2))
+        st = solve_state(QuantumLabel(1, 2), 0.0)
         a = amplitudes(st.momenta, 0.0)
         for _, val in a.items():
             assert val == pytest.approx(1.0 + 0j, abs=1e-14)
@@ -75,7 +69,7 @@ class TestAmplitudes:
 
 class TestPsi:
     def test_free_ground_state_constant(self):
-        st = reference_state(QuantumLabel(0, 0))
+        st = solve_state(QuantumLabel(0, 0), 0.0)
         for pt in [(0.1, 0.7, 0.3), (0.0, 0.0, 0.0), (0.9, 0.2, 0.5)]:
             assert psi(pt, st) == pytest.approx(6.0 + 0j, abs=1e-13)
 
@@ -134,7 +128,7 @@ class TestBoundaryConditions:
             assert worst < 1e-9, f"{st.label} at c={st.c}: {worst}"
 
     def test_free_case_trivial(self):
-        st = reference_state(QuantumLabel(0, 0))
+        st = solve_state(QuantumLabel(0, 0), 0.0)
         assert jump_residual(st, 0.3, 0.8) == pytest.approx(0.0, abs=1e-14)
         assert periodicity_residual(st, 0.3, 0.8) == pytest.approx(0.0, abs=1e-12)
 
@@ -155,8 +149,10 @@ class TestRealityAndFiniteness:
         rng = np.random.default_rng(21)
         for (n, c) in [(1, 2.0), (2, -3.0), (3, 1.0)]:
             st = solve_state(QuantumLabel(n, n), c)
-            pts = rng.uniform(0, 1, (50, 3))
-            assert real_up_to_phase_defect(st, pts) < 1e-9
+            values = np.array([psi(p, st) for p in rng.uniform(0, 1, (50, 3))])
+            # rotate by the phase of the largest value; the imaginary parts left must vanish
+            ref = values[np.argmax(np.abs(values))]
+            assert np.max(np.abs((values / (ref / abs(ref))).imag)) < 1e-9
 
     def test_complex_branch_values_bounded(self):
         st = solve_state(QuantumLabel(0, 2), -9.0)
@@ -174,8 +170,6 @@ class TestDimerTrimer:
     def test_real_branch_rejected(self):
         st = solve_state(QuantumLabel(2, 2), -3.0)
         with pytest.raises(ClassificationError):
-            dimer_trimer_weights(st)
-        with pytest.raises(ClassificationError):
             dimer_prefactor(st)
 
     def test_prefactor_limits(self):
@@ -189,14 +183,6 @@ class TestDimerTrimer:
         grid_x = (0.0, 1.0, 1.0)  # vertex: all three together
         mid = (0.0, 1.0 / 3.0, 2.0 / 3.0)
         assert abs(psi_ordered(st, *grid_x)) > 50 * abs(psi_ordered(st, *mid))
-
-    def test_weights_partition(self):
-        st = solve_state(QuantumLabel(0, 2), -9.0)
-        t, d = dimer_trimer_weights(st)
-        assert t + d == pytest.approx(1.0, abs=1e-12)
-        assert 0 < t < 1 and 0 < d < 1
-        # dimer-dominated amplitude weight for the (0,2) state at c=-9
-        assert d > t
 
 
 class TestPartnerWavefunction:
