@@ -14,7 +14,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-from .continuation import find_critical, spectrum, trace_root
+from .continuation import find_critical, solve_state, spectrum, trace_root
 from .model import QuantumLabel
 from .observables import density_grid, norm_squared, potential_expectation
 from .tolerances import BASE_STEP, residual_tolerance
@@ -160,7 +160,10 @@ _STATE_COLUMNS = [
 
 def run(config: RunConfig) -> int:
     """Execute a parsed config; returns the process exit status."""
-    stream = open(config.out, "w") if config.out else sys.stdout
+    try:
+        stream = open(config.out, "w") if config.out else sys.stdout
+    except OSError as exc:
+        raise UsageError(f"cannot open --out {config.out!r}: {exc.strerror}") from exc
     try:
         return _dispatch(config, stream)
     except (ValueError, RuntimeError, ArithmeticError) as exc:  # exit 2, never a traceback
@@ -213,8 +216,6 @@ def _dispatch(config: RunConfig, stream) -> int:
 
     if config.command == "density":
         writer = _Writer(stream, config.fmt, ["r12", "r23", "r31", "density"])
-        from .continuation import solve_state
-
         label = config.labels[0]
         state = solve_state(label, config.c, tol=config.tol)
         grid = density_grid(state, config.resolution)
@@ -234,7 +235,7 @@ def _dispatch(config: RunConfig, stream) -> int:
         try:
             results = run_suite(config.suite)
         except KeyError as exc:
-            raise UsageError(str(exc)) from exc
+            raise UsageError(exc.args[0]) from exc
         failed = 0
         for res in results:
             writer.write({"check": res.name, "passed": res.passed, "detail": res.detail})

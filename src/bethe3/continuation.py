@@ -31,8 +31,6 @@ import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
-import numpy as np
-
 from . import equations as eq
 from .model import (
     TWO_PI,
@@ -459,11 +457,8 @@ class Trajectory:
     critical: CriticalPoint | None = None
     windings: dict = field(default_factory=dict)
 
-    def energies(self) -> np.ndarray:
-        return np.array([s.energy for s in self.samples])
-
-    def couplings(self) -> np.ndarray:
-        return np.array([s.c for s in self.samples])
+    def couplings(self) -> list[float]:
+        return [s.c for s in self.samples]
 
     def sample_at(self, c: float, atol: float = 1e-12) -> StateSolution:
         for s in self.samples:
@@ -538,7 +533,7 @@ def trace_root(
 
 def _validate_trajectory(traj: Trajectory) -> None:
     cs = traj.couplings()
-    if np.any(np.diff(cs) <= 0):
+    if any(b <= a for a, b in zip(cs, cs[1:])):
         raise BoundsViolationError("trajectory samples are not strictly monotone in c")
     if traj.branch_changes() > 1:
         raise BoundsViolationError("branch tag changed more than once")

@@ -34,8 +34,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .model import StateSolution
 from .tolerances import NEAR_DEGENERATE_EXPONENT, NORM_IMAG_RTOL
 from .wavefunction import PERMUTATIONS, amplitudes, psi_ordered
@@ -180,6 +178,8 @@ def density_grid(state: StateSolution, resolution: int) -> TernaryGrid:
     x = (0, r12, r12 + r23); the density depends only on the relative
     coordinates at fixed state.
     """
+    import numpy as np
+
     if resolution < 8:
         raise ValueError(f"resolution must be >= 8, got {resolution}")
     n = resolution

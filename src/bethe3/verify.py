@@ -7,8 +7,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import asymptotics as asym
 from . import equations as eq
 from .continuation import find_critical, solve_state, trace_root
@@ -25,7 +23,6 @@ from .observables import (
     potential_expectation,
     simplex_integral_exponents,
 )
-from .oracles import quad_simplex_exp
 from .wavefunction import dimer_prefactor, jump_residual, periodicity_residual
 
 SEED = 20260809
@@ -43,6 +40,8 @@ def _check(name: str, passed: bool, detail: str) -> CheckResult:
 
 
 def suite_core() -> list[CheckResult]:
+    import numpy as np
+
     rng = np.random.default_rng(SEED)
     out = []
     cases = {(0, 0): 0, (0, 1): 1, (1, 0): -1, (1, 1): 0, (2, 7): -1, (5, 1): -1, (3, 1): 1}
@@ -125,6 +124,8 @@ def suite_asymptotics() -> list[CheckResult]:
 
 
 def suite_wavefunction() -> list[CheckResult]:
+    import numpy as np
+
     rng = np.random.default_rng(SEED + 1)
     out = []
     states = [
@@ -150,6 +151,9 @@ def suite_wavefunction() -> list[CheckResult]:
 
 
 def suite_observables() -> list[CheckResult]:
+    import numpy as np
+    from .oracles import quad_simplex_exp
+
     rng = np.random.default_rng(SEED + 2)
     out = []
     worst = 0.0

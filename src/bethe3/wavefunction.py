@@ -17,8 +17,6 @@ the primary region, which is what the periodicity and jump residuals need.
 """
 from __future__ import annotations
 
-import numpy as np
-
 from .model import Branch, Momenta, StateSolution
 from .tolerances import DEGENERATE_MOMENTA_TOL
 
@@ -64,10 +62,21 @@ def amplitudes(m: Momenta, c: float) -> dict:
     }
 
 
-def _k_and_a(state: StateSolution):
-    k = np.array(state.momenta.as_tuple())
+def _six_term_sum(state: StateSolution, x1, x2, x3, axis: int | None):
+    """sum_P a(P) w(P) exp(i k_P . x) with w = 1, or i k_{P[axis]} for d/dx_axis."""
+    import numpy as np
+
+    k = state.momenta.as_tuple()
     a = amplitudes(state.momenta, state.c)
-    return k, a
+    x1, x2, x3 = np.asarray(x1), np.asarray(x2), np.asarray(x3)
+    total = np.zeros(np.broadcast(x1, x2, x3).shape, dtype=complex)
+    for perm in PERMUTATIONS:
+        phase = k[perm[0]] * x1 + k[perm[1]] * x2 + k[perm[2]] * x3
+        weight = a[perm] if axis is None else a[perm] * (1j * k[perm[axis]])
+        total = total + weight * np.exp(1j * phase)
+    if total.shape == ():
+        return complex(total)
+    return total
 
 
 def psi_ordered(state: StateSolution, x1, x2, x3) -> complex | np.ndarray:
@@ -75,36 +84,18 @@ def psi_ordered(state: StateSolution, x1, x2, x3) -> complex | np.ndarray:
 
     Accepts scalars or broadcastable arrays; no wrapping or sorting.
     """
-    k, a = _k_and_a(state)
-    x1 = np.asarray(x1)
-    x2 = np.asarray(x2)
-    x3 = np.asarray(x3)
-    total = np.zeros(np.broadcast(x1, x2, x3).shape, dtype=complex)
-    for perm in PERMUTATIONS:
-        phase = k[perm[0]] * x1 + k[perm[1]] * x2 + k[perm[2]] * x3
-        total = total + a[perm] * np.exp(1j * phase)
-    if total.shape == ():
-        return complex(total)
-    return total
+    return _six_term_sum(state, x1, x2, x3, None)
 
 
 def grad_psi_ordered(state: StateSolution, x1, x2, x3, axis: int) -> complex | np.ndarray:
     """d psi / d x_axis of the raw six-term sum (axis in {0,1,2})."""
-    k, a = _k_and_a(state)
-    x1 = np.asarray(x1)
-    x2 = np.asarray(x2)
-    x3 = np.asarray(x3)
-    total = np.zeros(np.broadcast(x1, x2, x3).shape, dtype=complex)
-    for perm in PERMUTATIONS:
-        phase = k[perm[0]] * x1 + k[perm[1]] * x2 + k[perm[2]] * x3
-        total = total + a[perm] * (1j * k[perm[axis]]) * np.exp(1j * phase)
-    if total.shape == ():
-        return complex(total)
-    return total
+    return _six_term_sum(state, x1, x2, x3, axis)
 
 
 def psi(point, state: StateSolution) -> complex:
     """Eigenfunction at any point of the 3-torus (wraps mod 1, then sorts)."""
+    import numpy as np
+
     x = np.sort(np.mod(np.asarray(point, dtype=float), 1.0))
     return psi_ordered(state, x[0], x[1], x[2])
 

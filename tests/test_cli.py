@@ -203,8 +203,9 @@ class TestVerify:
         assert rows and all(r["passed"] for r in rows)
 
     def test_unknown_suite_fails_usage(self, capsys):
-        code, _, _ = run_cli(["verify", "--suite", "nope"], capsys)
-        assert code == EXIT_SOLVER or code == EXIT_USAGE
+        code, _, err = run_cli(["verify", "--suite", "nope"], capsys)
+        assert code == EXIT_USAGE
+        assert err.startswith("usage error: unknown suite 'nope'")
 
 
 class TestUsage:
@@ -242,6 +243,16 @@ class TestUsage:
         assert code == EXIT_USAGE
         assert out == "" and message in err
 
+    @pytest.mark.parametrize("out", ["missing/x.csv", "."])
+    def test_unwritable_out(self, out, tmp_path, capsys):
+        # a missing directory, and a directory in place of the file
+        code, stdout, err = run_cli(
+            ["critical", "--n2", "1", "--out", str(tmp_path / out)], capsys
+        )
+        assert code == EXIT_USAGE
+        assert stdout == ""
+        assert err.startswith("usage error: cannot open --out") and err.count("\n") == 1
+
     def test_negative_range_spelled_plainly(self, capsys):
         code, _, _ = run_cli(
             ["trace", "--label", "1,1", "--c-range", "-0.5..0", "--step", "0.5"], capsys
@@ -264,16 +275,49 @@ class TestTolEnv:
             residual_tolerance()
 
 
-def test_import_leaves_scipy_out():
+def fresh_python(probe: str) -> str:
+    """stdout of `probe` run by a fresh interpreter that imports this bethe3."""
     import bethe3
 
     src = os.path.dirname(os.path.dirname(bethe3.__file__))
-    probe = "import sys, bethe3.cli; print('scipy' in sys.modules)"
-    out = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": src},
-    ).stdout
-    assert out.strip() == "False"
+    ).stdout.strip()
+
+
+def run_in_fresh_python(argvs) -> str:
+    """Exit codes of `main` for each argv in one fresh interpreter, and
+    whether numpy was loaded afterwards."""
+    return fresh_python(
+        "import contextlib, io, sys, bethe3, bethe3.cli\n"
+        "codes = []\n"
+        f"for argv in {argvs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes.append(bethe3.cli.main(argv))\n"
+        "print(*codes, 'numpy' in sys.modules)"
+    )
+
+
+def test_import_leaves_scipy_out():
+    assert fresh_python("import sys, bethe3.cli; print('scipy' in sys.modules)") == "False"
+
+
+def test_solver_commands_leave_numpy_out():
+    argvs = [
+        ["critical", "--n2", "1..3"],
+        ["spectrum", "--labels", "0,0", "1,1", "--c", "-5", "--partners", "--observables"],
+        ["trace", "--label", "0,0", "--c-range", "-2..1", "--step", "0.5", "--observables"],
+    ]
+    assert run_in_fresh_python(argvs) == "0 0 0 False"
+
+
+@pytest.mark.parametrize("argv", [
+    ["density", "--label", "0,2", "--c", "-9", "--resolution", "8"],
+    ["verify", "--suite", "core"],
+])
+def test_array_commands_load_numpy_on_demand(argv):
+    assert run_in_fresh_python([argv]) == "0 True"
 
 
 def test_closed_pipe_exits_quietly():
