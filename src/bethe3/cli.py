@@ -1,23 +1,25 @@
 """Command-line front end: trace, spectrum, critical, density, verify.
 
-Machine-readable output only (json-lines or csv), deterministic for a given
-config.  Numeric fields are serialized with 17 significant digits.  Exit
+Machine-readable output only (json-lines or csv), deterministic for given
+arguments.  Numeric fields are serialized with 17 significant digits.  Exit
 codes: 0 success (also when the reader closes the output pipe early), 2 solver
 failure, 3 verification failure, 64 usage error.
+
+Roots are solved to the fixed residual tolerance 1e-12.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 
 from .continuation import find_critical, solve_state, spectrum, trace_root
 from .model import QuantumLabel
 from .observables import density_grid, norm_squared, potential_expectation
-from .tolerances import BASE_STEP, residual_tolerance
+from .tolerances import BASE_STEP
 from .verify import run_suite
 
 EXIT_OK = 0
@@ -33,23 +35,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits with 2; the CLI contract is 64
         raise UsageError(message)
-
-
-@dataclass
-class RunConfig:
-    command: str
-    labels: list[QuantumLabel] = field(default_factory=list)
-    c: float | None = None
-    c_range: tuple[float, float] | None = None
-    step: float = BASE_STEP
-    n2_range: tuple[int, int] | None = None
-    resolution: int = 64
-    fmt: str = "json-lines"
-    out: str | None = None
-    suite: str = "all"
-    observables: bool = False
-    partners: bool = False
-    tol: float | None = None
 
 
 def _parse_label(text: str) -> QuantumLabel:
@@ -85,6 +70,19 @@ def _parse_int_range(text: str) -> tuple[int, int]:
     if lo_i > hi_i or lo_i < 1:
         raise UsageError(f"bad n2 range {text!r}")
     return lo_i, hi_i
+
+
+def _checked(convert, test, message: str):
+    """An argparse type: convert the text, then raise UsageError(message)
+    unless test(value) holds."""
+    def parse(text: str):
+        value = convert(text)
+        if not test(value):
+            raise UsageError(message.format(value))
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid float value"
+    return parse
 
 
 def _fmt_num(x) -> str:
@@ -158,192 +156,159 @@ _STATE_COLUMNS = [
 ]
 
 
-def run(config: RunConfig) -> int:
-    """Execute a parsed config; returns the process exit status."""
-    try:
-        stream = open(config.out, "w") if config.out else sys.stdout
-    except OSError as exc:
-        raise UsageError(f"cannot open --out {config.out!r}: {exc.strerror}") from exc
-    try:
-        return _dispatch(config, stream)
-    except (ValueError, RuntimeError, ArithmeticError) as exc:  # exit 2, never a traceback
-        _report_error(stream, config.fmt, f"{type(exc).__name__}: {exc}")
-        return EXIT_SOLVER
-    finally:
-        if config.out:
-            stream.close()
+def _state_writer(ns, stream) -> _Writer:
+    return _Writer(stream, ns.format, _STATE_COLUMNS + (["norm", "V"] if ns.observables else []))
 
 
-def _dispatch(config: RunConfig, stream) -> int:
-    cols = list(_STATE_COLUMNS)
-    if config.observables:
-        cols += ["norm", "V"]
-    if config.command == "trace":
-        writer = _Writer(stream, config.fmt, cols)
-        status = EXIT_OK
-        for label in config.labels:
-            try:
-                traj = trace_root(
-                    label, config.c_range[0], config.c_range[1],
-                    step=config.step, tol=config.tol,
-                )
-            except Exception as exc:
-                _report_error(stream, config.fmt, f"{type(exc).__name__}: {exc}", label)
-                status = EXIT_SOLVER
-                continue
-            for st in traj.samples:
-                writer.write(_state_record(st, config.observables))
-        return status
-
-    if config.command == "spectrum":
-        writer = _Writer(stream, config.fmt, cols)
-        result = spectrum(
-            config.labels, config.c, include_partners=config.partners, tol=config.tol
-        )
-        for st in result.states:
-            writer.write(_state_record(st, config.observables))
-        for label, msg in result.failures.items():
-            _report_error(stream, config.fmt, msg, label)
-        return EXIT_SOLVER if result.failures else EXIT_OK
-
-    if config.command == "critical":
-        writer = _Writer(stream, config.fmt, ["n2", "C", "u0"])
-        lo, hi = config.n2_range
-        for n2 in range(lo, hi + 1):
-            crit = find_critical(QuantumLabel(1, n2))
-            writer.write({"n2": n2, "C": crit.C, "u0": crit.u0})
-        return EXIT_OK
-
-    if config.command == "density":
-        writer = _Writer(stream, config.fmt, ["r12", "r23", "r31", "density"])
-        label = config.labels[0]
-        state = solve_state(label, config.c, tol=config.tol)
-        grid = density_grid(state, config.resolution)
-        for i in range(len(grid)):
-            writer.write(
-                {
-                    "r12": float(grid.r12[i]),
-                    "r23": float(grid.r23[i]),
-                    "r31": float(grid.r31[i]),
-                    "density": float(grid.density[i]),
-                }
-            )
-        return EXIT_OK
-
-    if config.command == "verify":
-        writer = _Writer(stream, config.fmt, ["check", "passed", "detail"])
+def _trace(ns, stream) -> int:
+    writer = _state_writer(ns, stream)
+    status = EXIT_OK
+    for label in ns.labels:
         try:
-            results = run_suite(config.suite)
-        except KeyError as exc:
-            raise UsageError(exc.args[0]) from exc
-        failed = 0
-        for res in results:
-            writer.write({"check": res.name, "passed": res.passed, "detail": res.detail})
-            failed += 0 if res.passed else 1
-        return EXIT_VERIFY if failed else EXIT_OK
+            traj = trace_root(label, ns.c_range[0], ns.c_range[1], step=ns.step)
+        except Exception as exc:
+            _report_error(stream, ns.format, f"{type(exc).__name__}: {exc}", label)
+            status = EXIT_SOLVER
+            continue
+        for st in traj.samples:
+            writer.write(_state_record(st, ns.observables))
+    return status
 
-    raise UsageError(f"unknown command {config.command!r}")
+
+def _spectrum(ns, stream) -> int:
+    writer = _state_writer(ns, stream)
+    result = spectrum(ns.labels, ns.c, include_partners=ns.partners)
+    for st in result.states:
+        writer.write(_state_record(st, ns.observables))
+    for label, msg in result.failures.items():
+        _report_error(stream, ns.format, msg, label)
+    return EXIT_SOLVER if result.failures else EXIT_OK
+
+
+def _critical(ns, stream) -> int:
+    writer = _Writer(stream, ns.format, ["n2", "C", "u0"])
+    lo, hi = ns.n2
+    for n2 in range(lo, hi + 1):
+        crit = find_critical(QuantumLabel(1, n2))
+        writer.write({"n2": n2, "C": crit.C, "u0": crit.u0})
+    return EXIT_OK
+
+
+def _density(ns, stream) -> int:
+    writer = _Writer(stream, ns.format, ["r12", "r23", "r31", "density"])
+    state = solve_state(ns.labels[0], ns.c)
+    grid = density_grid(state, ns.resolution)
+    for i in range(len(grid)):
+        writer.write(
+            {
+                "r12": float(grid.r12[i]),
+                "r23": float(grid.r23[i]),
+                "r31": float(grid.r31[i]),
+                "density": float(grid.density[i]),
+            }
+        )
+    return EXIT_OK
+
+
+def _verify(ns, stream) -> int:
+    try:
+        results = run_suite(ns.suite)
+    except KeyError as exc:  # before the csv header: a usage error writes no output
+        raise UsageError(exc.args[0]) from exc
+    writer = _Writer(stream, ns.format, ["check", "passed", "detail"])
+    failed = 0
+    for res in results:
+        writer.write({"check": res.name, "passed": res.passed, "detail": res.detail})
+        failed += 0 if res.passed else 1
+    return EXIT_VERIFY if failed else EXIT_OK
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="bethe3", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, labels=False, single_c=False):
+    def command(name, run, summary, labels=False, single_c=False):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
         p.add_argument("--format", choices=["json-lines", "csv"], default="json-lines")
         p.add_argument("--out", default=None, help="output file (default stdout)")
         if labels:
             group = p.add_mutually_exclusive_group(required=True)
-            group.add_argument("--label", type=str, help="one label 'n1,n2'")
-            group.add_argument("--labels", type=str, nargs="+", help="labels 'n1,n2' ...")
+            group.add_argument("--label", type=_parse_label, nargs=1, dest="labels",
+                               metavar="N1,N2", help="one label 'n1,n2'")
+            group.add_argument("--labels", type=_parse_label, nargs="+", metavar="N1,N2",
+                               help="labels 'n1,n2' ...")
         if single_c:
-            p.add_argument("--c", type=float, required=True)
+            p.add_argument("--c", required=True,
+                           type=_checked(float, math.isfinite, "--c must be finite, got {}"))
+        return p
 
-    p = sub.add_parser("trace", help="follow labels over a coupling range")
-    common(p, labels=True)
-    p.add_argument("--c-range", type=str, required=True, help="'lo..hi'")
-    p.add_argument("--step", type=float, default=BASE_STEP)
+    p = command("trace", _trace, "follow labels over a coupling range", labels=True)
+    p.add_argument("--c-range", type=_parse_range, required=True, help="'lo..hi'")
+    p.add_argument("--step", default=BASE_STEP, type=_checked(
+        float, lambda h: 0 < h < math.inf, "--step must be positive and finite, got {}"))
     p.add_argument("--observables", action="store_true", help="include norm and <V>")
 
-    p = sub.add_parser("spectrum", help="sorted level table at fixed c")
-    common(p, labels=True, single_c=True)
+    p = command("spectrum", _spectrum, "sorted level table at fixed c", labels=True, single_c=True)
     p.add_argument("--observables", action="store_true")
     p.add_argument("--partners", action="store_true", help="include degenerate partners")
 
-    p = sub.add_parser("critical", help="critical couplings C(1,n2)")
-    common(p)
-    p.add_argument("--n2", type=str, required=True, help="'lo..hi' or single n")
+    p = command("critical", _critical, "critical couplings C(1,n2)")
+    p.add_argument("--n2", type=_parse_int_range, required=True, help="'lo..hi' or single n")
 
-    p = sub.add_parser("density", help="ternary density grid for one state")
-    common(p, labels=True, single_c=True)
-    p.add_argument("--resolution", type=int, default=64)
+    p = command("density", _density, "ternary density grid for one state", labels=True,
+                single_c=True)
+    p.add_argument("--resolution", default=64,
+                   type=_checked(int, lambda n: n >= 8, "--resolution must be >= 8, got {}"))
 
-    p = sub.add_parser("verify", help="run invariant suites")
-    common(p)
+    p = command("verify", _verify, "run invariant suites")
     p.add_argument("--suite", type=str, default="all")
     return parser
 
 
 def _normalize_argv(argv: list[str]) -> list[str]:
-    """Join '--c-range -10..2' into '--c-range=-10..2' so argparse does not
-    mistake the leading-dash value for an option."""
-    out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok == "--c-range" and i + 1 < len(argv):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
-            continue
-        out.append(tok)
-        i += 1
+    """Join '--c -1e3' into '--c=-1e3' (and so every '--option -value' but
+    '-h') so argparse does not mistake a value with a leading dash for an
+    option; it only takes the forms '-5' and '-.5' as numbers."""
+    out: list[str] = []
+    for tok in argv:
+        after_option = out and out[-1].startswith("--") and "=" not in out[-1]
+        if after_option and tok.startswith("-") and not tok.startswith("--") and tok != "-h":
+            out[-1] += f"={tok}"
+        else:
+            out.append(tok)
     return out
 
 
-def config_from_args(argv: list[str]) -> RunConfig:
-    parser = build_parser()
-    ns = parser.parse_args(_normalize_argv(argv))
-    labels = []
-    if getattr(ns, "label", None):
-        labels = [_parse_label(ns.label)]
-    elif getattr(ns, "labels", None):
-        labels = [_parse_label(t) for t in ns.labels]
-    cfg = RunConfig(
-        command=ns.command,
-        labels=labels,
-        c=getattr(ns, "c", None),
-        c_range=_parse_range(ns.c_range) if getattr(ns, "c_range", None) else None,
-        step=getattr(ns, "step", BASE_STEP),
-        n2_range=_parse_int_range(ns.n2) if getattr(ns, "n2", None) else None,
-        resolution=getattr(ns, "resolution", 64),
-        fmt=ns.format,
-        out=ns.out,
-        suite=getattr(ns, "suite", "all"),
-        observables=getattr(ns, "observables", False),
-        partners=getattr(ns, "partners", False),
-        tol=residual_tolerance() if os.environ.get("BETHE3_TOL") else None,
-    )
-    if cfg.c is not None and not math.isfinite(cfg.c):
-        raise UsageError(f"--c must be finite, got {cfg.c}")
-    if cfg.command == "trace" and not 0 < cfg.step < math.inf:
-        raise UsageError(f"--step must be positive and finite, got {cfg.step}")
-    if cfg.command == "density":
-        if len(cfg.labels) != 1:
-            raise UsageError(f"density takes one label, got {len(cfg.labels)}")
-        if cfg.resolution < 8:
-            raise UsageError(f"--resolution must be >= 8, got {cfg.resolution}")
-    return cfg
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """The namespace of argv, every value checked as it is parsed (the type=
+    functions raise UsageError); `run` is the subcommand's command function."""
+    ns = build_parser().parse_args(_normalize_argv(argv))
+    if ns.command == "density" and len(ns.labels) != 1:
+        raise UsageError(f"density takes one label, got {len(ns.labels)}")
+    return ns
+
+
+def _open_out(path: str | None):
+    if not path:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise UsageError(f"cannot open --out {path!r}: {exc.strerror}") from exc
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
+    """Parse argv and call its command function with the output stream;
+    returns the process exit status."""
     try:
-        config = config_from_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        return run(config)
+        ns = parse_args(sys.argv[1:] if argv is None else argv)
+        with _open_out(ns.out) as stream:
+            try:
+                return ns.run(ns, stream)
+            except (ValueError, RuntimeError, ArithmeticError) as exc:  # exit 2, never a traceback
+                _report_error(stream, ns.format, f"{type(exc).__name__}: {exc}")
+                return EXIT_SOLVER
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -47,11 +47,12 @@ from .tolerances import (
     FOLD_ALPHA_SMALL,
     FOLD_MIN_SPAN,
     IDENTITY_TOL,
+    MAX_GRID_POINTS,
     MIN_STEP,
+    RESIDUAL_TOL,
     STEP_CONTRACTION,
     STEP_CORRECTION,
     STEP_GROWTH,
-    residual_tolerance,
 )
 
 
@@ -297,10 +298,9 @@ FAMILY0_BETA = Chart(  # (0, n2 >= 2) in (beta, gamma)
 class _Marcher:
     """Marches one canonical label outward on both sides of c = 0."""
 
-    def __init__(self, label: QuantumLabel, tol: float):
+    def __init__(self, label: QuantumLabel):
         self.lab = label.canonical()
         self.p = TWO_PI * self.lab.np
-        self.tol = tol
         self.critical = critical_point(self.lab)
         self.args_z = (None, None)   # continued (arg z1, arg z2) of the real-branch cross-check
         self.arg_b = None            # continued arg(-3g + i(alpha + c)) of family 0
@@ -310,7 +310,7 @@ class _Marcher:
             lambda x: chart.residual(self, x, c),
             lambda x: chart.jacobian(x, c),
             guess,
-            tol=self.tol,
+            tol=RESIDUAL_TOL,
             guard=lambda x: chart.guard(self, x, c),
         )
 
@@ -484,6 +484,9 @@ def _grid(critical: CriticalPoint | None, c_min: float, c_max: float, step: floa
         raise ValueError(f"step must be positive, got {step}")
     if c_min > c_max:
         raise ValueError(f"empty range [{c_min}, {c_max}]")
+    if (c_max - c_min) / step > MAX_GRID_POINTS:
+        raise ValueError(f"step {step} puts more than {MAX_GRID_POINTS} samples "
+                         f"on [{c_min}, {c_max}]")
     k_lo = math.ceil(c_min / step - 1e-9)
     k_hi = math.floor(c_max / step + 1e-9)
     pts = {round(k * step, 12) for k in range(k_lo, k_hi + 1)}
@@ -508,18 +511,18 @@ def trace_root(
     c_min: float,
     c_max: float,
     step: float = BASE_STEP,
-    tol: float | None = None,
 ) -> Trajectory:
     """Trace a labeled root over [c_min, c_max] on a step grid.
 
     The grid is refined geometrically near the critical coupling so the
     square-root fold is resolved down to FOLD_MIN_SPAN.  Non-canonical labels
-    are traced through their canonical partner and mapped by symmetry.
+    are traced through their canonical partner and mapped by symmetry.  A step
+    that puts more than MAX_GRID_POINTS samples on the range raises
+    ValueError before any solve.
     """
     _require_finite(c_min=c_min, c_max=c_max, step=step)
-    tol = residual_tolerance(tol)
     lab = label.canonical()
-    marcher = _Marcher(lab, tol)
+    marcher = _Marcher(lab)
     samples = marcher.solve_targets(_grid(marcher.critical, c_min, c_max, step))
     if lab != label:
         samples = [partner_state(s) for s in samples]
@@ -543,12 +546,11 @@ def _validate_trajectory(traj: Trajectory) -> None:
             raise BoundsViolationError(f"momentum drift at c={s.c}")
 
 
-def solve_state(label: QuantumLabel, c: float, tol: float | None = None) -> StateSolution:
+def solve_state(label: QuantumLabel, c: float) -> StateSolution:
     """Solve a single labeled state at coupling c (continuation from c = 0)."""
     _require_finite(c=c)
-    tol = residual_tolerance(tol)
     lab = label.canonical()
-    marcher = _Marcher(lab, tol)
+    marcher = _Marcher(lab)
     state = marcher.solve_targets([float(c)])[0]
     if lab != label:
         state = partner_state(state)
@@ -562,19 +564,19 @@ class SpectrumResult:
 
 
 def spectrum(
-    labels: list[QuantumLabel],
-    c: float,
-    include_partners: bool = False,
-    tol: float | None = None,
+    labels: list[QuantumLabel], c: float, include_partners: bool = False
 ) -> SpectrumResult:
     """Solve every label at fixed c; states sorted by energy, errors collected
-    (a non-finite c raises ValueError up front)."""
+    (a non-finite c raises ValueError up front).  A label whose state is
+    already in the result, solved or added as a partner, is skipped."""
     _require_finite(c=c)
     states: list[StateSolution] = []
     failures: dict[QuantumLabel, str] = {}
     for label in labels:
+        if label in failures or any(st.label == label for st in states):
+            continue
         try:
-            st = solve_state(label, c, tol=tol)
+            st = solve_state(label, c)
         except Exception as exc:  # propagate per label without aborting the batch
             failures[label] = f"{type(exc).__name__}: {exc}"
             continue

@@ -56,7 +56,7 @@ from .tolerances import (
     NEWTON_MAX_ITER,
     NEWTON_FLOOR_STEP,
     NEWTON_STALL_ITER,
-    residual_tolerance,
+    RESIDUAL_TOL,
 )
 
 
@@ -366,7 +366,7 @@ def newton_solve(
     residual,
     jacobian,
     guess,
-    tol: float | None = None,
+    tol: float = RESIDUAL_TOL,
     max_iter: int = NEWTON_MAX_ITER,
     guard=None,
 ) -> NewtonResult:
@@ -381,7 +381,6 @@ def newton_solve(
     ResidualFloorError if the full Newton step is rounding noise (below
     NEWTON_FLOOR_STEP relative to x), else NoConvergenceError.
     """
-    tol = residual_tolerance(tol)
     x = tuple(float(v) for v in guess)
     if guard is not None and not guard(x):
         raise ConstraintViolationError(f"initial guess {x} violates constraints")

@@ -1,16 +1,14 @@
 """Central tolerance and regime constants.
 
 Every numeric acceptance knob lives here so the whole suite can be tightened
-or relaxed in one place.  The residual tolerance may be overridden at runtime
-through the BETHE3_TOL environment variable (used by the CLI and by any solver
-entry point called with tol=None).
+or relaxed in one place.  They are constants: trace_root, solve_state,
+spectrum and the CLI solve to RESIDUAL_TOL, and nothing overrides it at run
+time.
 """
 from __future__ import annotations
 
-import os
-
 # Root-solving
-RESIDUAL_TOL = 1e-12        # default inf-norm residual at accepted roots
+RESIDUAL_TOL = 1e-12        # inf-norm residual at accepted roots
 NEWTON_MAX_ITER = 100
 NEWTON_MAX_HALVINGS = 40
 NEWTON_STALL_ITER = 4       # iterations without a residual decrease: Newton has stalled
@@ -35,22 +33,10 @@ STEP_CONTRACTION = 0.1      # nominal Newton contraction |r1|/|r0| of a march st
 STEP_CORRECTION = 0.1       # nominal predictor error max|root - guess| of a march step
 STEP_GROWTH = 2.0           # most an accepted march step grows or shrinks the next by
 MIN_STEP = 1e-8             # a march step that still fails below this raises
+MAX_GRID_POINTS = 10**6     # most (c_max - c_min) / step a trace accepts
 
 # Asymptotic regime admissibility (artifact choices, see module docs)
 LARGE_C_MIN = 20.0          # |c| for the first-order real-branch asymptotes
 DIMER_C_MAX = -15.0         # c below this: dimer expansions apply
 TRIMER_C_MAX = -15.0        # c below this: trimer expansions apply
 SMALL_C_MAX = 0.05          # |c| for the small-coupling series
-
-
-def residual_tolerance(tol: float | None = None) -> float:
-    """Resolve the residual tolerance: explicit value, else BETHE3_TOL, else default."""
-    if tol is not None:
-        return float(tol)
-    env = os.environ.get("BETHE3_TOL")
-    if env is not None:
-        value = float(env)
-        if not value > 0.0:
-            raise ValueError(f"BETHE3_TOL must be positive, got {env!r}")
-        return value
-    return RESIDUAL_TOL

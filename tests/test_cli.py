@@ -2,8 +2,10 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -207,6 +209,10 @@ class TestVerify:
         assert code == EXIT_USAGE
         assert err.startswith("usage error: unknown suite 'nope'")
 
+    def test_unknown_suite_writes_no_csv_header(self, capsys):
+        code, out, _ = run_cli(["verify", "--suite", "nope", "--format", "csv"], capsys)
+        assert code == EXIT_USAGE and out == ""
+
 
 class TestUsage:
     def test_bad_label(self, capsys):
@@ -228,6 +234,7 @@ class TestUsage:
         ["trace", "--label", "0,0", "--c-range", "0..nan"],
         ["trace", "--label", "0,0", "--c-range", "0..1", "--step", "inf"],
         ["trace", "--label", "0,0", "--c-range", "0..1", "--step", "nan"],
+        ["spectrum", "--label", "0,0", "--c", "-inf"],
     ])
     def test_non_finite_values(self, args, capsys):
         code, out, err = run_cli(args, capsys)
@@ -259,20 +266,25 @@ class TestUsage:
         )
         assert code == EXIT_OK
 
-
-class TestTolEnv:
-    def test_env_override(self, capsys, monkeypatch):
-        from bethe3.tolerances import residual_tolerance
-
-        monkeypatch.setenv("BETHE3_TOL", "1e-9")
-        assert residual_tolerance() == 1e-9
-        code, _, _ = run_cli(
-            ["trace", "--label", "1,1", "--c-range", "0..0.1", "--step", "0.1"], capsys
-        )
+    def test_negative_coupling_in_exponent_form(self, capsys):
+        code, out, _ = run_cli(["spectrum", "--label", "2,3", "--c", "-1e1"], capsys)
         assert code == EXIT_OK
-        monkeypatch.setenv("BETHE3_TOL", "-1")
-        with pytest.raises(ValueError):
-            residual_tolerance()
+        assert float(json.loads(out)["c"]) == -10.0
+
+    def test_tiny_step_refused_at_once(self, capsys):
+        code, out, _ = run_cli(
+            ["trace", "--label", "0,0", "--c-range", "0..1", "--step", "1e-300"], capsys
+        )
+        assert code == EXIT_SOLVER
+        assert "more than 1000000 samples" in json.loads(out)["error"]
+
+    def test_readme_commands_parse(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+        lines = [ln for ln in section.splitlines() if ln.startswith("bethe3 ")]
+        assert len(lines) >= 6
+        for line in lines:
+            assert callable(cli.parse_args(shlex.split(line)[1:]).run), line
 
 
 def fresh_python(probe: str) -> str:
@@ -297,6 +309,18 @@ def run_in_fresh_python(argvs) -> str:
         "        codes.append(bethe3.cli.main(argv))\n"
         "print(*codes, 'numpy' in sys.modules)"
     )
+
+
+@pytest.mark.parametrize("value", ["inf", "abc"])
+def test_tolerance_environment_variable_ignored(value, monkeypatch):
+    # the residual tolerance is a constant: BETHE3_TOL=inf once accepted an
+    # unconverged E = -1815.16, and a non-number ended in a traceback
+    monkeypatch.setenv("BETHE3_TOL", value)
+    out = fresh_python(
+        "import sys, bethe3.cli\n"
+        "sys.exit(bethe3.cli.main(['spectrum', '--labels', '0,0', '--c', '-5']))"
+    )
+    assert json.loads(out)["E"] == "-5.3389640504005406e+01"
 
 
 def test_import_leaves_scipy_out():

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+import bethe3.continuation
 import bethe3.equations as eq
 from bethe3 import (
     Branch,
@@ -275,6 +276,12 @@ class TestSpectrum:
         assert len(result.states) == 2
         assert {s.label for s in result.states} == {QuantumLabel(1, 2), QuantumLabel(2, 1)}
 
+    def test_repeated_labels_solved_once(self):
+        a, b = QuantumLabel(1, 2), QuantumLabel(2, 1)
+        result = spectrum([a, b, a], -5.0, include_partners=True)
+        assert sorted((s.label.n1, s.label.n2) for s in result.states) == [(1, 2), (2, 1)]
+        assert len(spectrum([a, a], -5.0).states) == 1
+
     def test_per_label_failure_collection(self):
         # asking for a state exactly at its critical point fails but the
         # batch still returns the others
@@ -420,10 +427,11 @@ class TestStepControl:
         assert newton_counter.failures == 0
 
     @pytest.mark.parametrize("lab, c", [((1, 2), -9.0), ((2, 3), 40.0)])
-    def test_residual_floor_raised_at_once(self, lab, c, newton_counter):
+    def test_residual_floor_raised_at_once(self, lab, c, newton_counter, monkeypatch):
         # below the attainable residual the first stalled solve ends the march
+        monkeypatch.setattr(bethe3.continuation, "RESIDUAL_TOL", 1e-15)
         with pytest.raises(eq.ResidualFloorError) as err:
-            solve_state(QuantumLabel(*lab), c, tol=1e-15)
+            solve_state(QuantumLabel(*lab), c)
         assert re.search(rf"label \({lab[0]},{lab[1]}\) at c=.*last good c=.*"
                          r"floor \|r\|=\d\.\d+e-1\d reached above tol=1\.0e-15", str(err.value))
         assert newton_counter.failures == 1
@@ -447,3 +455,8 @@ class TestStepControl:
             trace_root(label, -1.0, bad)
         with pytest.raises(ValueError, match=f"^step must be finite, got {bad}$"):
             trace_root(label, -1.0, 1.0, step=bad)
+
+    def test_grid_cap_raised_before_any_solve(self, newton_counter):
+        with pytest.raises(ValueError, match="more than 1000000 samples"):
+            trace_root(QuantumLabel(0, 0), 0.0, 1.0, step=1e-300)
+        assert newton_counter.calls == 0
