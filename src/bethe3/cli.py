@@ -136,7 +136,7 @@ def _state_record(state, with_observables: bool) -> dict:
         rec.update(delta1=coords.delta1, delta2=coords.delta2, alpha="", gamma="")
     else:
         rec.update(delta1="", delta2="", alpha=coords.alpha, gamma=coords.gamma)
-    k = state.momenta.as_tuple()
+    k = state.momenta
     rec.update(
         p=coords.p,
         k1_re=k[0].real, k1_im=k[0].imag,
@@ -198,15 +198,9 @@ def _density(ns, stream) -> int:
     writer = _Writer(stream, ns.format, ["r12", "r23", "r31", "density"])
     state = solve_state(ns.labels[0], ns.c)
     grid = density_grid(state, ns.resolution)
-    for i in range(len(grid)):
-        writer.write(
-            {
-                "r12": float(grid.r12[i]),
-                "r23": float(grid.r23[i]),
-                "r31": float(grid.r31[i]),
-                "density": float(grid.density[i]),
-            }
-        )
+    points = zip(grid.r12.tolist(), grid.r23.tolist(), grid.r31.tolist(), grid.density.tolist())
+    for r12, r23, r31, density in points:
+        writer.write({"r12": r12, "r23": r23, "r31": r31, "density": density})
     return EXIT_OK
 
 

@@ -28,8 +28,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import equations as eq
 from .model import (
@@ -60,8 +59,7 @@ class BoundsViolationError(RuntimeError):
     """A trajectory sample broke a branch-sheet bound."""
 
 
-@dataclass(frozen=True)
-class CriticalPoint:
+class CriticalPoint(NamedTuple):
     """Critical coupling record; u0 is the critical delta2/c ratio (0.0 for
     the n1 = 0 family, whose common critical point sits at C = 0)."""
 
@@ -165,8 +163,7 @@ def branch_switch(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Chart:
+class Chart(NamedTuple):
     """Unknowns x of one branch or complex family and their corrector pieces.
 
     residual, guard and accept take the marcher first (label, continued
@@ -448,14 +445,14 @@ class _Marcher:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Trajectory:
-    """A labeled root followed over a c grid (samples ascending in c)."""
+class Trajectory(NamedTuple):
+    """A labeled root followed over a c grid (samples ascending in c); windings
+    counts the whole turns of each continued argument."""
 
     label: QuantumLabel
     samples: list[StateSolution]
-    critical: CriticalPoint | None = None
-    windings: dict = field(default_factory=dict)
+    critical: CriticalPoint | None
+    windings: dict[str, int]
 
     def couplings(self) -> list[float]:
         return [s.c for s in self.samples]
@@ -557,8 +554,7 @@ def solve_state(label: QuantumLabel, c: float) -> StateSolution:
     return state
 
 
-@dataclass
-class SpectrumResult:
+class SpectrumResult(NamedTuple):
     states: list[StateSolution]
     failures: dict[QuantumLabel, str]
 

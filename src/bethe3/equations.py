@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import TWO_PI, QuantumLabel
 from .tolerances import (
@@ -124,8 +124,7 @@ def continued_arg(z: complex, ref: float | None = None) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ResidualPoint:
+class ResidualPoint(NamedTuple):
     """Residual evaluation at a trial point of a 2-unknown system; args are
     the continued arguments of the log form (None for the theta-sum)."""
 
@@ -334,8 +333,7 @@ def residual_complex(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class NewtonResult:
+class NewtonResult(NamedTuple):
     """contraction is |r1|/|r0| over the first iteration (max-norms), the
     observed Newton contraction; 0 when the first iterate (or the guess)
     already meets the tolerance."""

@@ -13,12 +13,17 @@ Conventions (dimensionless throughout, box length 1):
 * The energy is E = sum k_j^2 and has the closed forms
   E = (p^2 + 2*(d1^2 + d2^2 + d1*d2))/3 on the real branch and
   E = -2*alpha^2 + 6*gamma^2 + p^2/3 on the complex branch.
+
+Labels, momenta, coordinates and states are immutable named tuples: fields
+are read by name, and equality and hashing are those of the plain tuple of
+field values.  Labels reject negative components and coordinates coerce
+their fields to float in __new__.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .tolerances import ENERGY_AGREEMENT_RTOL, IDENTITY_TOL
 
@@ -32,20 +37,19 @@ def np_from_label(n1: int, n2: int) -> int:
     return _NP_FROM_MOD3[(n1 - n2) % 3]
 
 
-@dataclass(frozen=True)
-class QuantumLabel:
+class QuantumLabel(NamedTuple("_Label", [("n1", int), ("n2", int)])):
     """Non-interacting classification (n1, n2) of a root, stored as given.
 
     (n1, n2) and (-n2, -n1) denote the same state; (n2, n1) is the degenerate
     conjugate partner when n1 != n2.  The canonical cell has n2 >= n1 >= 0.
     """
 
-    n1: int
-    n2: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n1 < 0 or self.n2 < 0:
-            raise ValueError(f"label components must be >= 0, got ({self.n1}, {self.n2})")
+    def __new__(cls, n1: int, n2: int) -> "QuantumLabel":
+        if n1 < 0 or n2 < 0:
+            raise ValueError(f"label components must be >= 0, got ({n1}, {n2})")
+        return super().__new__(cls, n1, n2)
 
     @property
     def np(self) -> int:
@@ -76,16 +80,12 @@ class Branch(Enum):
     COMPLEX_K = "complex"
 
 
-@dataclass(frozen=True)
-class Momenta:
+class Momenta(NamedTuple):
     """Ordered wavenumber triple; real ascending, or conjugate pair (Im>0 first)."""
 
     k1: complex
     k2: complex
     k3: complex
-
-    def as_tuple(self) -> tuple[complex, complex, complex]:
-        return (self.k1, self.k2, self.k3)
 
     @property
     def total(self) -> complex:
@@ -132,20 +132,14 @@ def k_from_alpha_gamma(p: float, alpha: float, gamma: float) -> Momenta:
     return Momenta(k1, k2, k3)
 
 
-@dataclass(frozen=True)
-class RealCoords:
+class RealCoords(NamedTuple("_Real", [("delta1", float), ("delta2", float), ("p", float)])):
     """Real-branch coordinates (delta1, delta2, p)."""
 
-    delta1: float
-    delta2: float
-    p: float
-
+    __slots__ = ()
     branch = Branch.REAL_K
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "delta1", float(self.delta1))
-        object.__setattr__(self, "delta2", float(self.delta2))
-        object.__setattr__(self, "p", float(self.p))
+    def __new__(cls, delta1: float, delta2: float, p: float) -> "RealCoords":
+        return super().__new__(cls, float(delta1), float(delta2), float(p))
 
     def momenta(self) -> Momenta:
         return k_from_deltas(self.p, self.delta1, self.delta2)
@@ -155,20 +149,14 @@ class RealCoords:
         return (self.p ** 2 + 2.0 * (d1 * d1 + d2 * d2 + d1 * d2)) / 3.0
 
 
-@dataclass(frozen=True)
-class ComplexCoords:
+class ComplexCoords(NamedTuple("_Complex", [("alpha", float), ("gamma", float), ("p", float)])):
     """Complex-branch coordinates (alpha, gamma, p), alpha > 0."""
 
-    alpha: float
-    gamma: float
-    p: float
-
+    __slots__ = ()
     branch = Branch.COMPLEX_K
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "gamma", float(self.gamma))
-        object.__setattr__(self, "p", float(self.p))
+    def __new__(cls, alpha: float, gamma: float, p: float) -> "ComplexCoords":
+        return super().__new__(cls, float(alpha), float(gamma), float(p))
 
     def momenta(self) -> Momenta:
         return k_from_alpha_gamma(self.p, self.alpha, self.gamma)
@@ -180,8 +168,7 @@ class ComplexCoords:
 BranchCoords = RealCoords | ComplexCoords
 
 
-@dataclass(frozen=True)
-class StateSolution:
+class StateSolution(NamedTuple):
     """A solved eigenstate at one coupling value."""
 
     label: QuantumLabel

@@ -32,7 +32,6 @@ D(b) = e_2(ib) = (e^{ib} - 1 - ib)/(ib)^2 per pair, with b = k_{P3} - conj(k_{Q3
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .model import StateSolution
 from .tolerances import NEAR_DEGENERATE_EXPONENT, NORM_IMAG_RTOL
@@ -104,7 +103,7 @@ def simplex_integral_exponents(a1: complex, a2: complex, a3: complex) -> complex
 def _pair_sum(state: StateSolution, term) -> complex:
     """sum over 36 permutation pairs (P, Q) of a(P) conj(a(Q)) times
     term(k_{P1} - conj(k_{Q1}), k_{P2} - conj(k_{Q2}), k_{P3} - conj(k_{Q3}))."""
-    k = state.momenta.as_tuple()
+    k = tuple(state.momenta)  # indexing a plain tuple takes the interpreter's fast path
     kc = [kj.conjugate() for kj in k]
     a = amplitudes(state.momenta, state.c)
     total = 0j
@@ -146,16 +145,17 @@ def potential_expectation(state: StateSolution, norm: float | None = None) -> fl
     return 6.0 * state.c * total.real / n
 
 
-@dataclass
 class TernaryGrid:
     """Probability density sampled on the barycentric lattice of the ternary
-    diagram (r12 + r23 + r31 = 1), `resolution` levels per side, row-major."""
+    diagram (r12 + r23 + r31 = 1), `resolution` levels per side, row-major;
+    len() is the number of points."""
 
-    resolution: int
-    r12: np.ndarray
-    r23: np.ndarray
-    r31: np.ndarray
-    density: np.ndarray
+    __slots__ = ("resolution", "r12", "r23", "r31", "density")
+
+    def __init__(self, resolution: int, r12: np.ndarray, r23: np.ndarray, r31: np.ndarray,
+                 density: np.ndarray) -> None:
+        self.resolution, self.density = resolution, density
+        self.r12, self.r23, self.r31 = r12, r23, r31
 
     def __len__(self) -> int:
         return self.density.size

@@ -5,7 +5,7 @@ suite's core identities so a deployed build can self-check without pytest.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import asymptotics as asym
 from . import equations as eq
@@ -28,8 +28,7 @@ from .wavefunction import dimer_prefactor, jump_residual, periodicity_residual
 SEED = 20260809
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str

@@ -66,7 +66,7 @@ def _six_term_sum(state: StateSolution, x1, x2, x3, axis: int | None):
     """sum_P a(P) w(P) exp(i k_P . x) with w = 1, or i k_{P[axis]} for d/dx_axis."""
     import numpy as np
 
-    k = state.momenta.as_tuple()
+    k = state.momenta
     a = amplitudes(state.momenta, state.c)
     x1, x2, x3 = np.asarray(x1), np.asarray(x2), np.asarray(x3)
     total = np.zeros(np.broadcast(x1, x2, x3).shape, dtype=complex)

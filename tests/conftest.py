@@ -17,7 +17,7 @@ from bethe3.wavefunction import PERMUTATIONS, amplitudes
 
 
 def psi_on_grid(state, x1, x2, x3):
-    k = np.array(state.momenta.as_tuple())
+    k = np.array(state.momenta)
     a = amplitudes(state.momenta, state.c)
     val = np.zeros_like(np.asarray(x1, dtype=complex))
     for perm in PERMUTATIONS:

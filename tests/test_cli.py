@@ -298,16 +298,16 @@ def fresh_python(probe: str) -> str:
     ).stdout.strip()
 
 
-def run_in_fresh_python(argvs) -> str:
+def run_in_fresh_python(argvs, modules=("numpy",)) -> str:
     """Exit codes of `main` for each argv in one fresh interpreter, and
-    whether numpy was loaded afterwards."""
+    whether each of `modules` was loaded afterwards."""
     return fresh_python(
         "import contextlib, io, sys, bethe3, bethe3.cli\n"
         "codes = []\n"
         f"for argv in {argvs!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        codes.append(bethe3.cli.main(argv))\n"
-        "print(*codes, 'numpy' in sys.modules)"
+        f"print(*codes, *(m in sys.modules for m in {modules!r}))"
     )
 
 
@@ -325,6 +325,18 @@ def test_tolerance_environment_variable_ignored(value, monkeypatch):
 
 def test_import_leaves_scipy_out():
     assert fresh_python("import sys, bethe3.cli; print('scipy' in sys.modules)") == "False"
+
+
+def test_value_types_leave_dataclasses_out():
+    # the value types are named tuples: neither import nor the solver
+    # commands pay for loading dataclasses and inspect
+    argvs = [
+        ["critical", "--n2", "1..3"],
+        ["spectrum", "--labels", "0,0", "1,2", "--c", "-5", "--observables"],
+        ["trace", "--label", "1,2", "--c-range", "-2..1", "--step", "0.5", "--observables"],
+    ]
+    assert run_in_fresh_python([], ("dataclasses", "inspect")) == "False False"
+    assert run_in_fresh_python(argvs, ("dataclasses", "inspect")) == "0 0 0 False False"
 
 
 def test_solver_commands_leave_numpy_out():

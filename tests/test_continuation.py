@@ -194,6 +194,15 @@ class TestTraceRoot:
         traj = trace_root(QuantumLabel(1, 2), -6.0, 0.5, step=0.25)
         assert "z1" in traj.windings and "z2" in traj.windings
 
+    def test_windings_never_shared(self):
+        a = trace_root(QuantumLabel(1, 2), -1.0, 0.5, step=0.25)
+        b = trace_root(QuantumLabel(1, 2), -1.0, 0.5, step=0.25)
+        assert a.windings == b.windings and a.windings is not b.windings
+        a.windings["z1"] += 1
+        assert a.windings != b.windings
+        with pytest.raises(TypeError):  # required: no shared default dict
+            bethe3.continuation.Trajectory(a.label, a.samples, a.critical)
+
 
 class TestGammaBounds:
     def test_family1_wide_bound_everywhere(self):

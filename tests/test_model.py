@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bethe3 import (
+    Branch,
     ComplexCoords,
     Momenta,
     QuantumLabel,
@@ -37,18 +38,48 @@ class TestNpRule:
                 assert a == -b != 0
 
     def test_negative_labels_rejected(self):
-        with pytest.raises(ValueError):
-            QuantumLabel(-1, 2)
+        for n1, n2 in ((-1, 2), (-1, 0), (0, -1)):
+            with pytest.raises(ValueError):
+                QuantumLabel(n1, n2)
+
+
+class TestValueTypes:
+    """Labels, coordinates and states are immutable, hashable named tuples."""
+
+    def test_labels_as_keys_and_members(self):
+        # spectrum's de-duplication and its failures dict rely on this
+        labels = [QuantumLabel(1, 2), QuantumLabel(1, 2), QuantumLabel(2, 1)]
+        assert len(set(labels)) == 2
+        table = {QuantumLabel(1, 2): "a", QuantumLabel(2, 1): "b"}
+        assert table[QuantumLabel(1, 2)] == "a" and QuantumLabel(2, 1) in table
+        assert str(QuantumLabel(1, 2)) == "(1,2)"
+
+    def test_coordinates_coerced_to_float(self):
+        rc = RealCoords(np.float64(1.0), 2, 0)
+        assert all(type(v) is float for v in (rc.delta1, rc.delta2, rc.p))
+        cc = ComplexCoords(alpha=np.float64(3.0), gamma=0, p=np.int64(0))
+        assert all(type(v) is float for v in (cc.alpha, cc.gamma, cc.p))
+        assert rc.branch is RealCoords.branch is Branch.REAL_K
+        assert cc.branch is ComplexCoords.branch is Branch.COMPLEX_K
+
+    def test_states_immutable(self):
+        st = solve_state(QuantumLabel(1, 2), -1.0)
+        for obj, field in ((st, "c"), (st.coords, "delta1"), (st.label, "n1"),
+                           (st.momenta, "k1")):
+            with pytest.raises(AttributeError):
+                setattr(obj, field, 0.0)
+        with pytest.raises(AttributeError):
+            st.coords.extra = 0.0
 
 
 class TestDeltaConversions:
     def test_symmetric_case(self):
         m = k_from_deltas(0.0, TWO_PI, TWO_PI)
-        assert m.as_tuple() == (-TWO_PI, 0.0, TWO_PI)
+        assert m == (-TWO_PI, 0.0, TWO_PI)
 
     def test_equal_momenta(self):
         m = k_from_deltas(TWO_PI, 0.0, 0.0)
-        for k in m.as_tuple():
+        for k in m:
             assert k == pytest.approx(TWO_PI / 3, abs=1e-15)
 
     def test_direct_arithmetic(self):
@@ -90,7 +121,7 @@ class TestDeltaConversions:
 class TestAlphaGamma:
     def test_origin(self):
         m = k_from_alpha_gamma(0.0, 0.0, 0.0)
-        assert m.as_tuple() == (0, 0, 0)
+        assert m == (0, 0, 0)
 
     def test_bound_pair_at_rest(self):
         m = k_from_alpha_gamma(0.0, 1.0, 0.0)
@@ -120,7 +151,7 @@ class TestEnergy:
     def test_reference_11(self):
         st = solve_state(QuantumLabel(1, 1), 0.0)
         assert st.energy == pytest.approx(8 * math.pi ** 2, rel=1e-14)
-        assert st.momenta.as_tuple() == (-TWO_PI, 0.0, TWO_PI)
+        assert st.momenta == (-TWO_PI, 0.0, TWO_PI)
 
     def test_complex_branch(self):
         coords = ComplexCoords(alpha=3.0, gamma=0.0, p=0.0)
@@ -158,7 +189,7 @@ class TestPartner:
         st = solve_state(QuantumLabel(1, 1), 0.0)
         pt = partner_state(st)
         assert pt.label == st.label
-        assert pt.momenta.as_tuple() == st.momenta.as_tuple()
+        assert pt.momenta == st.momenta
 
     def test_complex_branch_partner(self):
         coords = ComplexCoords(alpha=1.5, gamma=-0.8, p=TWO_PI)
