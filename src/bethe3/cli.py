@@ -19,7 +19,7 @@ import sys
 from .continuation import find_critical, solve_state, spectrum, trace_root
 from .model import QuantumLabel
 from .observables import density_grid, norm_squared, potential_expectation
-from .tolerances import BASE_STEP
+from .tolerances import BASE_STEP, MAX_GRID_POINTS
 from .verify import run_suite
 
 EXIT_OK = 0
@@ -112,14 +112,17 @@ class _Writer:
             self.stream.write(json.dumps(encoded, separators=(",", ":")) + "\n")
 
 
-def _report_error(stream, fmt: str, message: str, label: QuantumLabel | None = None) -> None:
+def _report_error(stream, fmt: str, message: str, label: QuantumLabel | None = None,
+                  c: float | None = None) -> None:
     """An error record in json-lines; a csv table has no column for it, so
     there it goes to stderr."""
     if fmt == "csv":
-        where = "" if label is None else f"label {label}: "
+        where = "" if label is None else f"label {label}{'' if c is None else f' at c={c}'}: "
         print(f"error: {where}{message}", file=sys.stderr)
     else:
         rec = {} if label is None else {"n1": label.n1, "n2": label.n2}
+        if c is not None:
+            rec["c"] = c
         _Writer(stream, fmt, []).write({**rec, "error": message})
 
 
@@ -160,6 +163,20 @@ def _state_writer(ns, stream) -> _Writer:
     return _Writer(stream, ns.format, _STATE_COLUMNS + (["norm", "V"] if ns.observables else []))
 
 
+def _write_states(writer, ns, stream, states) -> bool:
+    """Write one record per state; a state whose observables fail gets an
+    error record naming its label and c instead, and the rest still print.
+    Returns whether every state was written."""
+    failed = 0
+    for st in states:
+        try:
+            writer.write(_state_record(st, ns.observables))
+        except (ValueError, ArithmeticError) as exc:  # what norm_squared and <V> raise
+            _report_error(stream, ns.format, f"{type(exc).__name__}: {exc}", st.label, st.c)
+            failed += 1
+    return failed == 0
+
+
 def _trace(ns, stream) -> int:
     writer = _state_writer(ns, stream)
     status = EXIT_OK
@@ -170,19 +187,18 @@ def _trace(ns, stream) -> int:
             _report_error(stream, ns.format, f"{type(exc).__name__}: {exc}", label)
             status = EXIT_SOLVER
             continue
-        for st in traj.samples:
-            writer.write(_state_record(st, ns.observables))
+        if not _write_states(writer, ns, stream, traj.samples):
+            status = EXIT_SOLVER
     return status
 
 
 def _spectrum(ns, stream) -> int:
     writer = _state_writer(ns, stream)
     result = spectrum(ns.labels, ns.c, include_partners=ns.partners)
-    for st in result.states:
-        writer.write(_state_record(st, ns.observables))
+    ok = _write_states(writer, ns, stream, result.states)
     for label, msg in result.failures.items():
         _report_error(stream, ns.format, msg, label)
-    return EXIT_SOLVER if result.failures else EXIT_OK
+    return EXIT_SOLVER if result.failures or not ok else EXIT_OK
 
 
 def _critical(ns, stream) -> int:
@@ -252,8 +268,10 @@ def build_parser() -> _Parser:
 
     p = command("density", _density, "ternary density grid for one state", labels=True,
                 single_c=True)
-    p.add_argument("--resolution", default=64,
-                   type=_checked(int, lambda n: n >= 8, "--resolution must be >= 8, got {}"))
+    top = (math.isqrt(8 * MAX_GRID_POINTS + 1) - 1) // 2   # largest n with n(n+1)/2 points allowed
+    p.add_argument("--resolution", default=64, type=_checked(
+        int, lambda n: 8 <= n <= top,
+        f"--resolution must be >= 8 and at most {top} ({MAX_GRID_POINTS} grid points), got {{}}"))
 
     p = command("verify", _verify, "run invariant suites")
     p.add_argument("--suite", type=str, default="all")

@@ -9,8 +9,10 @@ a critical point the square-root local models seed the corrector and the
 step is refined geometrically.  Five Charts (unknowns, residual, closed-form
 Jacobian, guard) cover the two real branches and the complex families, whose
 gamma = 0 members (1,1) and (0,0) need no chart of their own, and a single
-march loop runs them all.  The marcher carries the continued arguments of
-the log forms as plain floats, updated at each accepted point.
+march loop runs them all.  Every residual is single-valued on its sheet
+(the real branch in its theta-sum form, family 0 with principal arguments
+while gamma <= 0), so a root fixes its own branch: the march is a function
+of the label and the targets, with no continued argument carried along.
 
 The step size is adaptive (Allgower & Georg, Introduction to Numerical
 Continuation Methods, ch. 6): it starts at BASE_STEP and grows or shrinks
@@ -166,44 +168,24 @@ def branch_switch(
 class Chart(NamedTuple):
     """Unknowns x of one branch or complex family and their corrector pieces.
 
-    residual, guard and accept take the marcher first (label, continued
-    arguments); accept runs at every accepted point, sheet at every returned
-    sample.
+    residual and guard take the canonical label first; they are pure
+    functions of (label, x, c).  sheet runs at every returned sample.
     """
 
     branch: Branch
     to_x: Callable        # (coords, c) -> x
     to_coords: Callable   # (x, c, p) -> RealCoords | ComplexCoords
-    residual: Callable    # (marcher, x, c) -> residuals
+    residual: Callable    # (label, x, c) -> residuals
     jacobian: Callable    # (x, c) -> rows of d(residual)/dx
-    guard: Callable       # (marcher, x, c) -> x on the valid sheet
+    guard: Callable       # (label, x, c) -> x on the valid sheet
     sheet: Callable       # (label, c, coords), raises BoundsViolationError off the sheet
-    accept: Callable = lambda m, x, c: None
 
 
-def _real_guard(m, x, c) -> bool:
+def _real_guard(lab, x, c) -> bool:
     """Loose sheet guard for the real-branch Newton; _real_sheet enforces the
     published delta windows exactly on returned samples."""
-    return (0.0 <= x[0] < TWO_PI * (m.lab.n1 + 1) + math.pi
-            and 0.0 <= x[1] < TWO_PI * (m.lab.n2 + 1) + math.pi)
-
-
-def _winding_crosscheck(m, x, c) -> None:
-    """Log-form residual must agree with the theta-sum at every accept."""
-    d1, d2 = x[0], x[-1]
-    if d1 <= 0.0 or d2 <= 0.0:
-        return  # z_j degenerates to 0/0 at the reference / critical ends
-    point = eq.residual_real(d1, d2, c, m.lab, refs=m.args_z)
-    m.args_z = point.args
-    if max(abs(point.residual[0]), abs(point.residual[1])) > 1e-9:
-        raise BoundsViolationError(
-            f"log-form residual diverged from theta-sum at c={c}: {point.residual}"
-        )
-
-
-def _continue_b(m, z: complex) -> None:
-    """Family 0: continue arg(-3g + i(alpha + c)) to the accepted point."""
-    m.arg_b = eq.continued_arg(z, m.arg_b)
+    return (0.0 <= x[0] < TWO_PI * (lab.n1 + 1) + math.pi
+            and 0.0 <= x[1] < TWO_PI * (lab.n2 + 1) + math.pi)
 
 
 def _real_sheet(lab: QuantumLabel, c: float, coords: RealCoords) -> None:
@@ -230,8 +212,11 @@ def _dimer_sheet(lab: QuantumLabel, c: float, coords: ComplexCoords) -> None:
 
 
 def _trimer_sheet(lab: QuantumLabel, c: float, coords: ComplexCoords) -> None:
-    if not 2.0 * coords.alpha + c >= 0.0:
-        raise BoundsViolationError(f"(0,n2) sheet broken at c={c}: alpha={coords.alpha}")
+    """2*alpha + c >= 0, and gamma <= 0, which keeps -3*gamma + i(alpha + c)
+    off the cut of the principal argument that family 0's residual takes."""
+    if not (2.0 * coords.alpha + c >= 0.0 and coords.gamma <= 0.0):
+        raise BoundsViolationError(
+            f"(0,n2) sheet broken at c={c}: alpha={coords.alpha}, gamma={coords.gamma}")
 
 
 def _shifted(frac: float) -> dict:
@@ -246,44 +231,40 @@ REAL_DIAGONAL = Chart(  # n1 = n2: one common delta
     Branch.REAL_K,
     to_x=lambda co, c: (co.delta1,),
     to_coords=lambda x, c, p: RealCoords(x[0], x[0], p),
-    residual=lambda m, x, c: (eq.residual_equal_delta(x[0], c, m.lab.n1),),
+    residual=lambda lab, x, c: (eq.residual_equal_delta(x[0], c, lab.n1),),
     jacobian=lambda x, c: ((eq.jacobian_equal_delta(x[0], c),),),
-    guard=lambda m, x, c: x[0] >= 0.0,
+    guard=lambda lab, x, c: x[0] >= 0.0,
     sheet=_real_sheet,
-    accept=_winding_crosscheck,
 )
 REAL_COUPLED = Chart(
     Branch.REAL_K,
     to_x=lambda co, c: (co.delta1, co.delta2),
     to_coords=lambda x, c, p: RealCoords(x[0], x[1], p),
-    residual=lambda m, x, c: eq.residual_real_thetasum(x[0], x[1], c, m.lab.n1, m.lab.n2),
+    residual=lambda lab, x, c: eq.residual_real_thetasum(x[0], x[1], c, lab.n1, lab.n2),
     jacobian=lambda x, c: eq.jacobian_real_thetasum(x[0], x[1], c),
     guard=_real_guard,
     sheet=_real_sheet,
-    accept=_winding_crosscheck,
 )
 FAMILY1 = Chart(  # (1, n2) in (beta, gamma); (1,1) keeps gamma = 0
     Branch.COMPLEX_K, **_shifted(0.5),
-    residual=lambda m, x, c: eq.family1_residual_beta(x[0], x[1], c, m.lab.n2),
+    residual=lambda lab, x, c: eq.family1_residual_beta(x[0], x[1], c, lab.n2),
     jacobian=lambda x, c: eq.family1_jacobian_beta(x[0], x[1], c),
-    guard=lambda m, x, c: c / 2.0 < x[0] < 0.0,
+    guard=lambda lab, x, c: c / 2.0 < x[0] < 0.0,
     sheet=_dimer_sheet,
 )
-FAMILY0_ETA = Chart(  # (0,0), (0,1) in (eta, gamma); arg_b follows arg(-3g + i*eta)
+FAMILY0_ETA = Chart(  # (0,0), (0,1) in (eta, gamma)
     Branch.COMPLEX_K, **_shifted(1.0),
-    residual=lambda m, x, c: eq.family0_residual_eta(x[0], x[1], c, m.lab.n2, m.arg_b),
+    residual=lambda lab, x, c: eq.family0_residual_eta(x[0], x[1], c, lab.n2),
     jacobian=lambda x, c: eq.family0_jacobian_eta(x[0], x[1], c),
-    guard=lambda m, x, c: -c + 2.0 * x[0] > 0.0 and (x[0] != 0.0 or x[1] != 0.0),
+    guard=lambda lab, x, c: -c + 2.0 * x[0] > 0.0 and (x[0] != 0.0 or x[1] != 0.0),
     sheet=_trimer_sheet,
-    accept=lambda m, x, c: _continue_b(m, complex(-3.0 * x[1], x[0])),
 )
 FAMILY0_BETA = Chart(  # (0, n2 >= 2) in (beta, gamma)
     Branch.COMPLEX_K, **_shifted(0.5),
-    residual=lambda m, x, c: eq.family0_residual_beta(x[0], x[1], c, m.lab.n2, m.arg_b),
+    residual=lambda lab, x, c: eq.family0_residual_beta(x[0], x[1], c, lab.n2),
     jacobian=lambda x, c: eq.family0_jacobian_beta(x[0], x[1], c),
-    guard=lambda m, x, c: x[0] > 0.0,
+    guard=lambda lab, x, c: x[0] > 0.0,
     sheet=_trimer_sheet,
-    accept=lambda m, x, c: _continue_b(m, complex(-3.0 * x[1], c / 2.0 + x[0])),
 )
 
 
@@ -299,16 +280,14 @@ class _Marcher:
         self.lab = label.canonical()
         self.p = TWO_PI * self.lab.np
         self.critical = critical_point(self.lab)
-        self.args_z = (None, None)   # continued (arg z1, arg z2) of the real-branch cross-check
-        self.arg_b = None            # continued arg(-3g + i(alpha + c)) of family 0
 
     def _solve(self, chart: Chart, c: float, guess) -> eq.NewtonResult:
         return eq.newton_solve(
-            lambda x: chart.residual(self, x, c),
+            lambda x: chart.residual(self.lab, x, c),
             lambda x: chart.jacobian(x, c),
             guess,
             tol=RESIDUAL_TOL,
-            guard=lambda x: chart.guard(self, x, c),
+            guard=lambda x: chart.guard(self.lab, x, c),
         )
 
     def _predict(self, chart: Chart, c, x, cprev, xprev, cn):
@@ -367,7 +346,6 @@ class _Marcher:
         complex one.  Errors name the label, the failing c and the last good c.
         """
         out = []
-        chart.accept(self, x, c)
         xprev = cprev = None
         h = BASE_STEP
         for tgt in targets:
@@ -407,7 +385,6 @@ class _Marcher:
                 h = max(step / f if f > 1.0 / STEP_GROWTH else step * STEP_GROWTH,
                         h if h < BASE_STEP else BASE_STEP)
                 xprev, cprev, x, c = x, c, root, cn
-                chart.accept(self, x, c)
             coords = chart.to_coords(x, c, self.p)
             chart.sheet(self.lab, c, coords)
             out.append(build_state(self.lab, c, coords))
@@ -428,7 +405,6 @@ class _Marcher:
             sides.append(([t for t in neg if t > c_crit], c_crit if self.critical else None))
         states = []
         for side, fold_c in sides:
-            self.args_z = (None, None)
             states += self.march(real, side, 0.0, x0, fold_c)
         neg_complex = [t for t in neg if t < c_crit]
         if neg_complex:
@@ -446,13 +422,11 @@ class _Marcher:
 
 
 class Trajectory(NamedTuple):
-    """A labeled root followed over a c grid (samples ascending in c); windings
-    counts the whole turns of each continued argument."""
+    """A labeled root followed over a c grid (samples ascending in c)."""
 
     label: QuantumLabel
     samples: list[StateSolution]
     critical: CriticalPoint | None
-    windings: dict[str, int]
 
     def couplings(self) -> list[float]:
         return [s.c for s in self.samples]
@@ -523,10 +497,7 @@ def trace_root(
     samples = marcher.solve_targets(_grid(marcher.critical, c_min, c_max, step))
     if lab != label:
         samples = [partner_state(s) for s in samples]
-    # whole turns between each continued argument and its principal value
-    args = zip(("z1", "z2", "B:B"), (*marcher.args_z, marcher.arg_b))
-    windings = {k: round((a - math.remainder(a, TWO_PI)) / TWO_PI) for k, a in args if a is not None}
-    traj = Trajectory(label=label, samples=samples, critical=marcher.critical, windings=windings)
+    traj = Trajectory(label=label, samples=samples, critical=marcher.critical)
     _validate_trajectory(traj)
     return traj
 

@@ -8,11 +8,11 @@ theta(dk, c) = -2*atan2(dk, c) in (-2*pi, 0], the quantization system reads
     r1 = d1 - 2*pi*(n1+1) - 2*theta(d1,c) - theta(d1+d2,c) + theta(d2,c)
     r2 = d2 - 2*pi*(n2+1) - 2*theta(d2,c) - theta(d1+d2,c) + theta(d1,c)
 
-which is globally continuous in c and equals the log form
-r_j = d_j - i*log(z_j) - 2*pi*n_j = d_j + arg(z_j) - 2*pi*n_j when arg z_j
-is continued from the c = 0 root (z_j = 1, winding 0).  Both forms are
-implemented; the theta-sum is the default evaluation path and the log form
-is the independent cross-check.
+which is globally continuous in c, so a root fixes its own branch, and
+equals the log form r_j = d_j - i*log(z_j) - 2*pi*n_j = d_j + arg(z_j) -
+2*pi*n_j when arg z_j is continued from the c = 0 root (z_j = 1, winding 0).
+The corrector solves the theta-sum; the log form (residual_real with refs)
+is the independent oracle that `bethe3 verify` walks along a trajectory.
 
 Complex branch, family n1 = 1 (valid below C(1, n2), 0 < alpha < -c/2):
 
@@ -24,11 +24,12 @@ Family n1 = 0 (valid for c < 0, 2*alpha + c > 0):
     r_alpha = 2*alpha + log[ ((2a+c)/(2a-c))^2 * ((a+c)^2+9g^2)/((a-c)^2+9g^2) ]
     r_gamma = -3*gamma + 3*arg(-3g + i(a-c)) - 3*arg(-3g + i(a+c)) - 2*pi*n2
 
-The factor -3g + i(a-c) stays in the upper half plane, so its argument is
-principal; -3g + i(a+c) may wander, so its argument is continued from the
-last accepted point of a trajectory (continued_arg).  Both families hold
-their gamma = 0 members: (1,1) and (0,0) are the roots with gamma = 0, where
-the r_gamma rows vanish identically.
+Both arguments are principal.  The factor -3g + i(a-c) stays in the upper
+half plane; -3g + i(a+c) stays in the closed right half plane while
+gamma <= 0, which the trimer sheet check enforces on every returned sample,
+so it never meets the cut.  Both families hold their gamma = 0 members:
+(1,1) and (0,0) are the roots with gamma = 0, where the r_gamma rows vanish
+identically.
 
 Internally the solvers work in shifted correction variables
 (beta = alpha + c/2, eta = alpha + c) to avoid the catastrophic cancellation
@@ -37,11 +38,11 @@ functions accept plain (alpha, gamma).
 
 Every residual the corrector solves has its closed-form Jacobian next to it,
 built from d(theta)/d(dk) = -2c/(c^2 + dk^2) and the derivatives of log|z|
-and arg z (a continued argument has the same derivative as the principal one).
-newton_solve is a damped Newton for these one- and two-unknown systems; the
-test suite checks each Jacobian against central differences.  It reports the
-contraction of its first iteration (the march sizes its steps from it) and
-raises ResidualFloorError when the residual stalls above the tolerance.
+and arg z.  newton_solve is a damped Newton for these one- and two-unknown
+systems; the test suite checks each Jacobian against central differences.
+It reports the contraction of its first iteration (the march sizes its steps
+from it) and raises ResidualFloorError when the residual stalls above the
+tolerance.
 """
 from __future__ import annotations
 
@@ -174,9 +175,10 @@ def residual_real(
     With refs the log form r_j = d_j - i*log(z_j) - 2*pi*n_j = d_j + arg z_j
     - 2*pi*n_j is evaluated, arg z_j continued from refs[j] (principal where
     None); feeding the returned args back as refs along a path from the c = 0
-    root continues the log.  Without refs the equivalent theta-sum form is
-    used.  The imaginary parts log|z_j| must cancel and are asserted below
-    IMAG_TOL.
+    root continues the log.  At a root the continued argument is
+    arg z_j = 2*pi*n_j - d_j in closed form, so no solve needs to carry it.
+    Without refs the equivalent theta-sum form is used.  The imaginary parts
+    log|z_j| must cancel and are asserted below IMAG_TOL.
     """
     if refs is None:
         r1, r2 = residual_real_thetasum(d1, d2, c, label.n1, label.n2)
@@ -237,19 +239,18 @@ def family1_jacobian_beta(b: float, g: float, c: float):
     )
 
 
-def _family0_residual(a2, s2, t2, u, v, g, n2, ref):
+def _family0_residual(a2, s2, t2, u, v, g, n2):
     """n1 = 0 family from its pieces a2 = 2a, s2 = 2a+c, t2 = 2a-c, u = a+c, v = a-c.
 
     log(u^2 + 9g^2) is taken as 2*log(hypot(u, 3g)), which stays finite when u
-    and g both fall to ~1e-300 (and at gamma = 0, the (0,0) state); the
-    argument of -3g + iu is continued from ref.
+    and g both fall to ~1e-300 (and at gamma = 0, the (0,0) state); both
+    arguments are principal.
     """
     if s2 <= 0.0:
         raise ConstraintViolationError(f"2*alpha + c must stay positive, got {s2}")
     ra = a2 + 2.0 * (math.log(s2) - math.log(t2)) \
         + 2.0 * (math.log(math.hypot(u, 3.0 * g)) - math.log(math.hypot(v, 3.0 * g)))
-    arg_u = continued_arg(complex(-3.0 * g, u), ref)
-    rg = -3.0 * g + 3.0 * math.atan2(v, -3.0 * g) - 3.0 * arg_u - TWO_PI * n2
+    rg = -3.0 * g + 3.0 * math.atan2(v, -3.0 * g) - 3.0 * math.atan2(u, -3.0 * g) - TWO_PI * n2
     return ra, rg
 
 
@@ -266,12 +267,10 @@ def _family0_jacobian(s2: float, t2: float, u: float, v: float, g: float):
     )
 
 
-def family0_residual_beta(
-    b: float, g: float, c: float, n2: int, ref: float | None = None
-) -> tuple[float, float]:
+def family0_residual_beta(b: float, g: float, c: float, n2: int) -> tuple[float, float]:
     """n1 = 0 family in beta = alpha + c/2 (> 0), gamma."""
     return _family0_residual(
-        -c + 2.0 * b, 2.0 * b, -2.0 * c + 2.0 * b, c / 2.0 + b, -1.5 * c + b, g, n2, ref
+        -c + 2.0 * b, 2.0 * b, -2.0 * c + 2.0 * b, c / 2.0 + b, -1.5 * c + b, g, n2
     )
 
 
@@ -279,12 +278,10 @@ def family0_jacobian_beta(b: float, g: float, c: float):
     return _family0_jacobian(2.0 * b, -2.0 * c + 2.0 * b, c / 2.0 + b, -1.5 * c + b, g)
 
 
-def family0_residual_eta(
-    e: float, g: float, c: float, n2: int, ref: float | None = None
-) -> tuple[float, float]:
+def family0_residual_eta(e: float, g: float, c: float, n2: int) -> tuple[float, float]:
     """n1 = 0 family in eta = alpha + c, gamma (trimer-side parameterization)."""
     return _family0_residual(
-        -2.0 * c + 2.0 * e, -c + 2.0 * e, -3.0 * c + 2.0 * e, e, -2.0 * c + e, g, n2, ref
+        -2.0 * c + 2.0 * e, -c + 2.0 * e, -3.0 * c + 2.0 * e, e, -2.0 * c + e, g, n2
     )
 
 

@@ -195,11 +195,11 @@ def build_state(label: QuantumLabel, c: float, coords: BranchCoords) -> StateSol
     e_coord = coords.energy()
     e_sum = m.energy()
     scale = max(1.0, abs(e_coord))
-    if abs(e_coord - e_sum) > ENERGY_AGREEMENT_RTOL * scale * 10.0:
+    if abs(e_coord - e_sum) > ENERGY_AGREEMENT_RTOL * scale:
         raise ValueError(
             f"energy formulas disagree: coords {e_coord} vs sum(k^2) {e_sum}"
         )
-    if m.energy_imag_defect() > ENERGY_AGREEMENT_RTOL * scale * 10.0:
+    if m.energy_imag_defect() > ENERGY_AGREEMENT_RTOL * scale:
         raise ValueError(f"imaginary energy defect {m.energy_imag_defect()}")
     return StateSolution(label=label, c=c, coords=coords, momenta=m, energy=e_coord)
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 
 from .model import StateSolution
-from .tolerances import NEAR_DEGENERATE_EXPONENT, NORM_IMAG_RTOL
+from .tolerances import MAX_GRID_POINTS, NEAR_DEGENERATE_EXPONENT, NORM_IMAG_RTOL
 from .wavefunction import PERMUTATIONS, amplitudes, psi_ordered
 
 
@@ -176,13 +176,15 @@ def density_grid(state: StateSolution, resolution: int) -> TernaryGrid:
 
     The representative configuration for (r12, r23, r31) is
     x = (0, r12, r12 + r23); the density depends only on the relative
-    coordinates at fixed state.
+    coordinates at fixed state.  A resolution below 8, or above 1413 where the
+    n(n+1)/2 points pass MAX_GRID_POINTS, raises ValueError before any array
+    is built.
     """
     import numpy as np
 
-    if resolution < 8:
-        raise ValueError(f"resolution must be >= 8, got {resolution}")
     n = resolution
+    if not (n >= 8 and n * (n + 1) // 2 <= MAX_GRID_POINTS):
+        raise ValueError(f"resolution must be >= 8 with n(n+1)/2 <= {MAX_GRID_POINTS}, got {n}")
     ii, jj = np.nonzero(np.add.outer(np.arange(n), np.arange(n)) < n)
     r12 = ii / (n - 1)
     r23 = jj / (n - 1)

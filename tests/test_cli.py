@@ -153,6 +153,31 @@ class TestDensity:
         assert json.loads(out.strip().splitlines()[-1])["error"].startswith("ZeroDivisionError")
 
 
+class TestObservablesFailure:
+    """A state whose observables fail gets an error record naming its label
+    and c; the other levels and samples still print, and the exit code is 2."""
+
+    def test_spectrum_keeps_other_levels(self, capsys):
+        code, out, _ = run_cli(
+            ["spectrum", "--labels", "0,0", "2,2", "--c", "-100", "--observables"], capsys
+        )
+        assert code == EXIT_SOLVER
+        failed, level = [json.loads(line) for line in out.strip().splitlines()]
+        assert (failed["n1"], failed["n2"], float(failed["c"])) == (0, 0, -100.0)
+        assert failed["error"].startswith("ZeroDivisionError: two-body pole")
+        assert (level["n1"], level["n2"]) == (2, 2) and float(level["norm"]) > 0.0
+
+    def test_trace_csv_keeps_other_samples(self, capsys):
+        code, out, err = run_cli(
+            ["trace", "--label", "0,0", "--c-range", "-40..-36", "--step", "2",
+             "--observables", "--format", "csv"], capsys
+        )
+        assert code == EXIT_SOLVER
+        assert err.startswith("error: label (0,0) at c=-40.0: ZeroDivisionError")
+        rows = out.strip().splitlines()[1:]
+        assert [float(row.split(",")[3]) for row in rows] == [-38.0, -36.0]
+
+
 class TestCsvErrors:
     """In csv mode every failure goes to stderr; stdout stays one clean table."""
 
@@ -244,6 +269,10 @@ class TestUsage:
     @pytest.mark.parametrize("args, message", [
         (["density", "--label", "0,2", "--c", "-9", "--resolution", "4"], "--resolution must be >= 8"),
         (["density", "--labels", "0,2", "1,1", "--c", "-9"], "density takes one label, got 2"),
+        (["density", "--label", "0,2", "--c", "-9", "--resolution", "10000000"],
+         "--resolution must be >= 8 and at most 1413"),
+        (["density", "--label", "0,2", "--c", "-9", "--resolution", "1414"],
+         "--resolution must be >= 8 and at most 1413"),
     ])
     def test_density_arguments(self, args, message, capsys):
         code, out, err = run_cli(args, capsys)

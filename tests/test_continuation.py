@@ -7,6 +7,7 @@ import pytest
 import bethe3.continuation
 import bethe3.equations as eq
 from bethe3 import (
+    BoundsViolationError,
     Branch,
     QuantumLabel,
     CriticalPoint,
@@ -19,6 +20,7 @@ from bethe3 import (
     trace_root,
 )
 from bethe3.continuation import u0_equation
+from bethe3.verify import log_form_residual
 from bethe3.asymptotics import alpha_dimer, alpha_trimer, small_c_slope
 
 TWO_PI = 2 * math.pi
@@ -190,18 +192,18 @@ class TestTraceRoot:
             assert s.coords.p == -b.coords.p
             assert s.coords.delta1 == b.coords.delta2
 
-    def test_winding_bookkeeping_recorded(self):
-        traj = trace_root(QuantumLabel(1, 2), -6.0, 0.5, step=0.25)
-        assert "z1" in traj.windings and "z2" in traj.windings
+    def test_log_form_agrees_along_real_trajectories(self):
+        # the theta-sum roots meet the independent log form, each argument
+        # continued outward from the c = 0 root, down to the fold and out to |c| = 40
+        for (lab, c_min) in [((1, 2), -4.16), ((1, 3), -4.07), ((2, 3), -40.0), ((3, 5), -40.0)]:
+            traj = trace_root(QuantumLabel(*lab), c_min, 40.0, step=0.25)
+            assert log_form_residual(traj) < 1e-9, lab
 
-    def test_windings_never_shared(self):
-        a = trace_root(QuantumLabel(1, 2), -1.0, 0.5, step=0.25)
-        b = trace_root(QuantumLabel(1, 2), -1.0, 0.5, step=0.25)
-        assert a.windings == b.windings and a.windings is not b.windings
-        a.windings["z1"] += 1
-        assert a.windings != b.windings
-        with pytest.raises(TypeError):  # required: no shared default dict
-            bethe3.continuation.Trajectory(a.label, a.samples, a.critical)
+    def test_log_form_sees_a_root_on_the_wrong_branch(self):
+        traj = trace_root(QuantumLabel(2, 3), -4.0, 4.0, step=0.5)
+        wrong = [s._replace(coords=s.coords._replace(delta1=s.coords.delta1 + TWO_PI))
+                 if s.c == 2.0 else s for s in traj.samples]
+        assert log_form_residual(traj._replace(samples=wrong)) > 1.0
 
 
 class TestGammaBounds:
@@ -244,6 +246,18 @@ class TestGammaBounds:
         assert (-(-25.0) - 2 * a) > 0 and (-(-25.0) + 2 * a) > 0
         st = solve_state(QuantumLabel(0, 2), -25.0)
         assert 2 * st.coords.alpha + (-25.0) >= 0
+
+    def test_trimer_sheet_rejects_positive_gamma(self):
+        # family 0 takes the principal arg(-3*gamma + i(alpha + c)), which is
+        # off its cut only while gamma <= 0
+        sheet = bethe3.continuation._trimer_sheet
+        lab, c = QuantumLabel(0, 2), -5.0
+        st = solve_state(lab, c)
+        assert st.coords.gamma < 0.0
+        sheet(lab, c, st.coords)
+        sheet(lab, c, st.coords._replace(gamma=0.0))
+        with pytest.raises(BoundsViolationError, match="gamma"):
+            sheet(lab, c, st.coords._replace(gamma=1e-12))
 
 
 class TestNegativeOnlyRange:

@@ -1,6 +1,5 @@
 import cmath
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -248,7 +247,7 @@ def test_closed_form_jacobian_matches_fd_oracle(chart, label, sign, c):
     # maximum: a raw FD probe cannot move an O(1) residual at beta ~ 1e-200
     every_chart = {v for v in vars(cont).values() if isinstance(v, cont.Chart)}
     assert every_chart == {row[0] for row in CHARTS}
-    marcher = SimpleNamespace(lab=QuantumLabel(*label), arg_b=None)
+    lab = QuantumLabel(*label)
     if chart.branch is Branch.REAL_K:
         points = [(0.7, 5.0), (6.5, 13.0)]
     else:
@@ -256,7 +255,7 @@ def test_closed_form_jacobian_matches_fd_oracle(chart, label, sign, c):
     for x in points:
         x = x[:len(chart.jacobian(x, c))]
         exact = chart.jacobian(x, c)
-        approx = fd_jacobian(lambda y: chart.residual(marcher, y, c), x)
+        approx = fd_jacobian(lambda y: chart.residual(lab, y, c), x)
         for row, fd_row in zip(exact, approx):
             scaled = [v * abs(xj) for v, xj in zip(row, x)]
             fd_scaled = [v * abs(xj) for v, xj in zip(fd_row, x)]

@@ -229,6 +229,13 @@ class TestDensityGrid:
         with pytest.raises(ValueError):
             density_grid(st, 4)
 
+    @pytest.mark.parametrize("resolution", [1414, 10**7])
+    def test_oversized_grid_refused_before_allocation(self, resolution):
+        # n(n+1)/2 lattice points above MAX_GRID_POINTS (10**6) is a ValueError,
+        # not a MemoryError from building the lattice
+        with pytest.raises(ValueError, match="1000000"):
+            density_grid(solved(2, 2, -3.0), resolution)
+
 
 class TestPairSumInternals:
     def test_norm_imag_defect_guard(self):
