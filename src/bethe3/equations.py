@@ -411,7 +411,7 @@ def newton_solve(
             if guard is None or guard(x_new):
                 try:
                     r_new = residual(x_new)
-                except (SingularArgumentError, ConstraintViolationError):
+                except ConstraintViolationError:
                     lam *= 0.5
                     continue
                 if all(map(math.isfinite, r_new)) and max(map(abs, r_new)) <= rmax:
@@ -426,7 +426,7 @@ def newton_solve(
                 )
             try:
                 r_new = residual(x_new)
-            except (SingularArgumentError, ConstraintViolationError) as exc:
+            except ConstraintViolationError as exc:
                 raise NoConvergenceError(str(exc), x, r, it) from exc
         x, r = x_new, r_new
     raise NoConvergenceError(

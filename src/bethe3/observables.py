@@ -23,11 +23,20 @@ case are
     none zero:           [e_2(z3) - (e_1(-z1) - e_1(z3))/z2]/z1,  z_m = i a_m
 
 each validated against a tensor Gauss-Legendre quadrature oracle.  One
-function, simplex_integral_exponents, picks the form: an exponent below
-NEAR_DEGENERATE_EXPONENT (1e-6) in magnitude counts as zero, so a
+routing, shared by simplex_integral_exponents, picks the form: an exponent
+below NEAR_DEGENERATE_EXPONENT (1e-6) in magnitude counts as zero, so a
 near-degenerate triple takes the nearer limiting form instead of cancelling.
+
+The 108 exponents of the 36 pairs take only 9 values d_ij = k_i - conj(k_j),
+so a state's norm is read from one 3x3 table: entry (i, j) holds d_ij, |d_ij|
+and, at z = i d_ij, e_1(-z), e_1(z), e_2(z), e_3(z) and the middle-zero form,
+from two complex expm1 evaluations.  Each pair only routes and combines
+three entries.
+
 The coincidence-plane integral for <V> reduces to the single-variable
 D(b) = e_2(ib) = (e^{ib} - 1 - ib)/(ib)^2 per pair, with b = k_{P3} - conj(k_{Q3}).
+It depends on (P3, Q3) alone, so the 36-term sum is grouped exactly into 9:
+sum_ij e_2(i d_ij) A_i conj(A_j) with A_i = sum over P3 = i of a(P).
 """
 from __future__ import annotations
 
@@ -46,35 +55,71 @@ def _cexpm1(z: complex) -> complex:
     return complex(re, im)
 
 
-def _e1(z: complex) -> complex:
-    """(e^z - 1)/z."""
+def _e1(z: complex, m: complex) -> complex:
+    """(e^z - 1)/z, given m = e^z - 1."""
     if abs(z) < 1e-8:
         return 1.0 + z / 2.0 + z * z / 6.0
-    return _cexpm1(z) / z
+    return m / z
 
 
-def _e2(z: complex) -> complex:
-    """(e^z - 1 - z)/z^2."""
+def _e2(z: complex, m: complex) -> complex:
+    """(e^z - 1 - z)/z^2, given m = e^z - 1."""
     if abs(z) < 1e-6:
         return 0.5 + z / 6.0 + z * z / 24.0 + z ** 3 / 120.0
-    return (_cexpm1(z) - z) / (z * z)
+    return (m - z) / (z * z)
 
 
-def _e3(z: complex) -> complex:
-    """(e^z - 1 - z - z^2/2)/z^3."""
+def _e3(z: complex, m: complex) -> complex:
+    """(e^z - 1 - z - z^2/2)/z^3, given m = e^z - 1."""
     if abs(z) < 1e-4:
         return 1.0 / 6.0 + z / 24.0 + z * z / 120.0 + z ** 3 / 720.0
-    return (_cexpm1(z) - z - z * z / 2.0) / (z ** 3)
+    return (m - z - z * z / 2.0) / (z ** 3)
 
 
-def _middle_zero(w: complex) -> complex:
+def _middle_zero(w: complex, e1: complex, e2: complex) -> complex:
     """T for (a1, 0, a3) with a3 = -a1, w = i*a3: (e1(w) - 2 e2(w))/w.
 
     Series sum_{k>=1} k w^{k-1}/(k+2)! below the cancellation window.
     """
     if abs(w) < 1e-4:
         return 1.0 / 6.0 + w / 12.0 + w * w / 40.0 + w ** 3 / 180.0
-    return (_e1(w) - 2.0 * _e2(w)) / w
+    return (e1 - 2.0 * e2) / w
+
+
+class _Exponent:
+    """One exponent a with every piece T reads for it, at z = i a: e_1(-z),
+    e_1(z), e_2(z), e_3(z) and the middle-zero form, from two expm1 calls."""
+
+    __slots__ = ("a", "mag", "z", "e1_neg", "e1", "e2", "e3", "mid")
+
+    def __init__(self, a: complex) -> None:
+        z = 1j * a
+        m = _cexpm1(z)
+        self.a, self.mag, self.z = a, abs(a), z
+        self.e1_neg = _e1(-z, _cexpm1(-z))
+        self.e1, self.e2, self.e3 = _e1(z, m), _e2(z, m), _e3(z, m)
+        self.mid = _middle_zero(z, self.e1, self.e2)
+
+
+def _simplex(t1: _Exponent, t2: _Exponent, t3: _Exponent) -> complex:
+    """T(a1, a2, a3) from the three exponents' pieces; the routing of
+    simplex_integral_exponents.  A triple with an exponent below
+    NEAR_DEGENERATE_EXPONENT takes the limiting form of its first smallest."""
+    m1, m2, m3 = t1.mag, t2.mag, t3.mag
+    s = abs(t1.a + t2.a + t3.a)
+    # s > 1e-9 * max(1, m1, m2, m3), without building the max on the common path
+    if s > 1e-9 and s > 1e-9 * m1 and s > 1e-9 * m2 and s > 1e-9 * m3:
+        raise ValueError(f"exponents must sum to zero, got sum {t1.a + t2.a + t3.a}")
+    eps = NEAR_DEGENERATE_EXPONENT
+    if m1 < eps or m2 < eps or m3 < eps:
+        if m1 < eps and m2 < eps and m3 < eps:
+            return complex(1.0 / 6.0)
+        if m1 <= m2 and m1 <= m3:
+            return t3.e3
+        if m2 <= m3:
+            return t3.mid
+        return t2.e3
+    return (t3.e2 - (t1.e1_neg - t3.e1) / t2.z) / t1.z
 
 
 def simplex_integral_exponents(a1: complex, a2: complex, a3: complex) -> complex:
@@ -84,39 +129,48 @@ def simplex_integral_exponents(a1: complex, a2: complex, a3: complex) -> complex
     routes the triple to the nearer limiting form, which avoids catastrophic
     cancellation.
     """
-    mags = [abs(a1), abs(a2), abs(a3)]
-    if abs(a1 + a2 + a3) > 1e-9 * max(1.0, *mags):
-        raise ValueError(f"exponents must sum to zero, got sum {a1 + a2 + a3}")
-    if max(mags) < NEAR_DEGENERATE_EXPONENT:
-        return complex(1.0 / 6.0)
-    j = mags.index(min(mags))
-    if mags[j] < NEAR_DEGENERATE_EXPONENT:
-        if j == 0:
-            return _e3(1j * a3)
-        if j == 2:
-            return _e3(1j * a2)
-        return _middle_zero(1j * a3)
-    z1, z2, z3 = 1j * a1, 1j * a2, 1j * a3
-    return (_e2(z3) - (_e1(-z1) - _e1(z3)) / z2) / z1
+    return _simplex(_Exponent(a1), _Exponent(a2), _Exponent(a3))
 
 
-def _pair_sum(state: StateSolution, term) -> complex:
-    """sum over 36 permutation pairs (P, Q) of a(P) conj(a(Q)) times
-    term(k_{P1} - conj(k_{Q1}), k_{P2} - conj(k_{Q2}), k_{P3} - conj(k_{Q3}))."""
-    k = tuple(state.momenta)  # indexing a plain tuple takes the interpreter's fast path
-    kc = [kj.conjugate() for kj in k]
+def _norm_sum(state: StateSolution) -> complex:
+    """sum over 36 permutation pairs (P, Q) of a(P) conj(a(Q)) T_PQ, with T_PQ
+    read from the 3x3 table of d_ij = k_i - conj(k_j)."""
     a = amplitudes(state.momenta, state.c)
+    k = state.momenta
+    table = [[_Exponent(ki - kj.conjugate()) for kj in k] for ki in k]
     total = 0j
     for p in PERMUTATIONS:
+        ap, row1, row2, row3 = a[p], table[p[0]], table[p[1]], table[p[2]]
         for q in PERMUTATIONS:
-            total += a[p] * a[q].conjugate() * term(
-                k[p[0]] - kc[q[0]], k[p[1]] - kc[q[1]], k[p[2]] - kc[q[2]])
+            total += ap * a[q].conjugate() * _simplex(row1[q[0]], row2[q[1]], row3[q[2]])
+    return total
+
+
+def _coincidence_sum(state: StateSolution) -> complex:
+    """sum over (P, Q) of a(P) conj(a(Q)) e_2(i d_{P3 Q3}), grouped by (P3, Q3):
+    sum_ij e_2(i d_ij) A_i conj(A_j) with A_i = sum_{P3 = i} a(P)."""
+    a = amplitudes(state.momenta, state.c)
+    k = state.momenta
+    A = [0j, 0j, 0j]
+    for p in PERMUTATIONS:
+        A[p[2]] += a[p]
+    total = 0j
+    for ki, Ai in zip(k, A):
+        for kj, Aj in zip(k, A):
+            z = 1j * (ki - kj.conjugate())
+            total += _e2(z, _cexpm1(z)) * Ai * Aj.conjugate()
     return total
 
 
 def norm_squared(state: StateSolution) -> float:
-    """<psi|psi> of the unnormalized six-term eigenfunction (6 regions)."""
-    total = 6.0 * _pair_sum(state, simplex_integral_exponents)
+    """<psi|psi> of the unnormalized six-term eigenfunction (6 regions).
+
+    Near a fold the sum cancels: for (1,2) within 1e-5 of C(1,2) its O(1)
+    terms add up to a norm of ~1e-5, and about 8 of 16 digits survive, in
+    the norm and in <V>, which divides by it.  Reordering the same arithmetic
+    moves the norm there by up to ~1e-8 relative.
+    """
+    total = 6.0 * _norm_sum(state)
     if not (math.isfinite(total.real) and math.isfinite(total.imag)):
         raise OverflowError(
             f"norm overflow for {state.label} at c={state.c}: the bound-state "
@@ -137,9 +191,7 @@ def potential_expectation(state: StateSolution, norm: float | None = None) -> fl
     if state.c == 0.0:
         return 0.0
     n = norm_squared(state) if norm is None else norm
-
-    # coincidence-plane integral D(b) = e_2(i b), b = k_{P3} - conj(k_{Q3})
-    total = _pair_sum(state, lambda b1, b2, b3: _e2(1j * b3))
+    total = _coincidence_sum(state)
     if abs(total.imag) > NORM_IMAG_RTOL * max(1.0, abs(total.real)):
         raise ValueError(f"coincidence integral imaginary defect: {total}")
     return 6.0 * state.c * total.real / n

@@ -3,8 +3,12 @@
 The quadrature oracles are independent evaluation routes: tensor
 Gauss-Legendre on smooth mapped domains (the integrands are analytic inside
 the ordered simplex, so convergence is spectral).  The simplex-exponential
-oracle lives in bethe3.oracles, shared with `bethe3 verify`.
+oracle lives in bethe3.oracles, shared with `bethe3 verify`.  pair_terms is
+the direct form of the norm and coincidence sums, one term per permutation
+pair, against which the grouped sums of bethe3.observables are checked.
 """
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +47,26 @@ def quad_potential(state, n=160, norm=None):
     integral = np.sum(np.abs(val) ** 2 * x3 * w3 * wu)
     n2 = quad_norm(state) if norm is None else norm
     return 6.0 * state.c * integral / n2
+
+
+def pair_terms(state, term):
+    """The 36 terms a(P) conj(a(Q)) term(a1, a2, a3), a_m = k_{Pm} - conj(k_{Qm}),
+    over permutation pairs (P, Q); term = simplex_integral_exponents gives the
+    norm sum, term = coincidence_term the coincidence-plane sum."""
+    k = tuple(state.momenta)
+    kc = [kj.conjugate() for kj in k]
+    a = amplitudes(state.momenta, state.c)
+    return [a[p] * a[q].conjugate()
+            * term(k[p[0]] - kc[q[0]], k[p[1]] - kc[q[1]], k[p[2]] - kc[q[2]])
+            for p in PERMUTATIONS for q in PERMUTATIONS]
+
+
+def coincidence_term(a1, a2, a3):
+    """D(b) = int_0^1 (1 - u) e^{ibu} du = sum_n (ib)^n/(n+2)! at b = a3."""
+    z = 1j * a3
+    if abs(z) < 1.0:
+        return sum(z ** n / math.factorial(n + 2) for n in range(20))
+    return (cmath.exp(z) - 1.0 - z) / (z * z)
 
 
 _STATE_CACHE = {}

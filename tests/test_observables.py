@@ -6,15 +6,24 @@ import pytest
 from bethe3 import (
     QuantumLabel,
     density_grid,
+    find_critical,
     norm_squared,
     partner_state,
     potential_expectation,
     simplex_integral_exponents,
     solve_state,
 )
-from bethe3.observables import _pair_sum
+from bethe3.observables import _coincidence_sum, _norm_sum
+from bethe3.wavefunction import PERMUTATIONS
 
-from conftest import quad_norm, quad_potential, quad_simplex_exp, solved
+from conftest import (
+    coincidence_term,
+    pair_terms,
+    quad_norm,
+    quad_potential,
+    quad_simplex_exp,
+    solved,
+)
 
 TWO_PI = 2 * math.pi
 
@@ -240,5 +249,89 @@ class TestDensityGrid:
 class TestPairSumInternals:
     def test_norm_imag_defect_guard(self):
         st = solved(1, 2, -2.0)
-        total = _pair_sum(st, simplex_integral_exponents)
+        total = _norm_sum(st)
         assert abs(total.imag) < 1e-9 * abs(total.real)
+
+
+def near_fold_12():
+    """(1,2) at 4e-6 below C(1,2): the 36 O(1) norm terms cancel to ~1e-5."""
+    return solved(1, 2, find_critical(QuantumLabel(1, 2)).C - 4e-6)
+
+
+class TestExponentTable:
+    """The grouped sums of observables against the direct 36-term loop."""
+
+    @pytest.mark.parametrize("n1, n2, c", [
+        (2, 2, -3.0), (2, 2, 3.0), (2, 3, -3.0), (2, 3, 3.0), (0, 0, -9.0), (0, 1, -12.0),
+        (0, 2, -9.0), (1, 2, -7.0), (0, 0, 0.0), (2, 3, 0.0),
+    ])
+    def test_matches_direct_pair_sums(self, n1, n2, c):
+        st = solved(n1, n2, c)
+        for s in (st, partner_state(st)):
+            for got, term in ((_norm_sum(s), simplex_integral_exponents),
+                              (_coincidence_sum(s), coincidence_term)):
+                ref = sum(pair_terms(s, term))
+                assert abs(got - ref) <= 1e-13 * abs(ref), (n1, n2, c, s.label)
+
+    def test_near_fold_within_rounding_of_term_scale(self):
+        # the sums cancel here, so the bound is the size of the terms, not of the sum
+        st = near_fold_12()
+        for got, term in ((_norm_sum(st), simplex_integral_exponents),
+                          (_coincidence_sum(st), coincidence_term)):
+            terms = pair_terms(st, term)
+            assert abs(got - sum(terms)) <= 1e-14 * sum(map(abs, terms))
+
+
+def mp_observables(mpmath, state):
+    """Norm and <V> of the state's double momenta from the 36-term sums at 50
+    digits.  Each simplex integral is the divided difference of exp at the
+    partial exponent sums, read off the exponential of a bidiagonal matrix,
+    so no closed form, series or routing of observables is reused."""
+    with mpmath.workdps(50):
+        c = mpmath.mpf(state.c)
+        k = [mpmath.mpc(kj.real, kj.imag) for kj in state.momenta]
+
+        def phase(j, l):
+            return (c - 1j * (k[j] - k[l])) / (c + 1j * (k[j] - k[l]))
+
+        e21, e31, e32 = phase(1, 0), phase(2, 0), phase(2, 1)
+        a = {(0, 1, 2): mpmath.mpc(1), (1, 0, 2): -e21, (0, 2, 1): -e32,
+             (2, 1, 0): -e21 * e31 * e32, (2, 0, 1): e31 * e32, (1, 2, 0): e21 * e31}
+
+        def divided_difference(*nodes):
+            m = mpmath.zeros(len(nodes))
+            for i, x in enumerate(nodes):
+                m[i, i] = x
+                if i + 1 < len(nodes):
+                    m[i, i + 1] = 1
+            return mpmath.expm(m)[0, len(nodes) - 1]
+
+        norm = coincidence = mpmath.mpc(0)
+        for p in PERMUTATIONS:
+            for q in PERMUTATIONS:
+                z1, z2, z3 = (1j * (k[p[m]] - mpmath.conj(k[q[m]])) for m in range(3))
+                w = a[p] * mpmath.conj(a[q])
+                norm += w * divided_difference(z1 + z2 + z3, z2 + z3, z3, 0)
+                coincidence += w * divided_difference(z1 + z2 + z3, z3, 0)
+        norm = 6 * norm.real
+        return float(norm), float(6 * c * coincidence.real / norm)
+
+
+class TestMpmathOracle:
+    @pytest.mark.parametrize("n1, n2, c", [(2, 2, -3.0), (2, 3, 3.0), (0, 0, -9.0), (1, 2, -7.0)])
+    def test_shallow_states_to_rounding(self, n1, n2, c):
+        mpmath = pytest.importorskip("mpmath")
+        st = solved(n1, n2, c)
+        norm, v = mp_observables(mpmath, st)
+        assert norm_squared(st) == pytest.approx(norm, rel=1e-14)
+        assert potential_expectation(st) == pytest.approx(v, rel=1e-14)
+
+    def test_digits_kept_near_fold(self):
+        # the double sums keep about 8 of 16 digits here (5e-9 relative for
+        # both the norm and <V>); 7 are asserted
+        mpmath = pytest.importorskip("mpmath")
+        st = near_fold_12()
+        norm, v = mp_observables(mpmath, st)
+        assert norm < 1e-4
+        assert norm_squared(st) == pytest.approx(norm, rel=1e-7)
+        assert potential_expectation(st) == pytest.approx(v, rel=1e-7)
