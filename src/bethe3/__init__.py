@@ -20,8 +20,6 @@ from .equations import (
     NoConvergenceError,
     ResidualFloorError,
     ResidualPoint,
-    SingularArgumentError,
-    continued_arg,
     newton_solve,
     residual_complex,
     residual_equal_delta,

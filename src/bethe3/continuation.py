@@ -431,9 +431,9 @@ class Trajectory(NamedTuple):
     def couplings(self) -> list[float]:
         return [s.c for s in self.samples]
 
-    def sample_at(self, c: float, atol: float = 1e-12) -> StateSolution:
+    def sample_at(self, c: float) -> StateSolution:
         for s in self.samples:
-            if abs(s.c - c) <= atol:
+            if abs(s.c - c) <= 1e-12:
                 return s
         raise KeyError(f"no sample at c={c}")
 

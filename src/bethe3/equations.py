@@ -1,4 +1,4 @@
-"""Transcendental systems: continued arguments, residuals, Newton corrector.
+"""Transcendental systems: residuals, closed-form Jacobians, Newton corrector.
 
 Residual conventions
 --------------------
@@ -8,11 +8,10 @@ theta(dk, c) = -2*atan2(dk, c) in (-2*pi, 0], the quantization system reads
     r1 = d1 - 2*pi*(n1+1) - 2*theta(d1,c) - theta(d1+d2,c) + theta(d2,c)
     r2 = d2 - 2*pi*(n2+1) - 2*theta(d2,c) - theta(d1+d2,c) + theta(d1,c)
 
-which is globally continuous in c, so a root fixes its own branch, and
-equals the log form r_j = d_j - i*log(z_j) - 2*pi*n_j = d_j + arg(z_j) -
-2*pi*n_j when arg z_j is continued from the c = 0 root (z_j = 1, winding 0).
-The corrector solves the theta-sum; the log form (residual_real with refs)
-is the independent oracle that `bethe3 verify` walks along a trajectory.
+which is globally continuous in c, so a root fixes its own branch.  It
+equals the log form r_j = d_j + arg(z_j) - 2*pi*n_j with arg z_j continued
+from the c = 0 root; that form is an independent oracle
+(bethe3.oracles.log_form_real), not a corrector path.
 
 Complex branch, family n1 = 1 (valid below C(1, n2), 0 < alpha < -c/2):
 
@@ -46,23 +45,17 @@ tolerance.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from typing import NamedTuple
 
 from .model import TWO_PI, QuantumLabel
 from .tolerances import (
-    IMAG_TOL,
     NEWTON_MAX_HALVINGS,
     NEWTON_MAX_ITER,
     NEWTON_FLOOR_STEP,
     NEWTON_STALL_ITER,
     RESIDUAL_TOL,
 )
-
-
-class SingularArgumentError(ValueError):
-    """A continued argument was asked of zero (root collision / invalid region)."""
 
 
 class ConstraintViolationError(ValueError):
@@ -102,49 +95,14 @@ def dtheta(dk: float, c: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Continued argument
-# ---------------------------------------------------------------------------
-
-
-def continued_arg(z: complex, ref: float | None = None) -> float:
-    """Argument of z on the branch nearest ref (principal when ref is None).
-
-    This is ref + remainder(phase(z) - ref, 2*pi), written as phase(z) plus
-    whole turns so the principal value passes through unrounded.  Fed the
-    previous value at each point of a path, it continues arg z analytically
-    as long as successive arguments move by less than pi.
-    """
-    if z == 0:
-        raise SingularArgumentError("continued argument of zero")
-    phase = cmath.phase(z)
-    return phase if ref is None else phase + TWO_PI * round((ref - phase) / TWO_PI)
-
-
-# ---------------------------------------------------------------------------
 # Real branch
 # ---------------------------------------------------------------------------
 
 
 class ResidualPoint(NamedTuple):
-    """Residual evaluation at a trial point of a 2-unknown system; args are
-    the continued arguments of the log form (None for the theta-sum)."""
+    """Residuals of a 2-unknown system at a trial point."""
 
-    unknowns: tuple[float, float]
     residual: tuple[float, float]
-    imag_defect: float = 0.0
-    args: tuple[float, float] | None = None
-
-
-def _real_log_arguments(d1: float, d2: float, c: float) -> tuple[complex, complex]:
-    f1 = complex(c, d1)
-    f1c = complex(c, -d1)
-    f2 = complex(c, d2)
-    f2c = complex(c, -d2)
-    f3 = complex(c, d1 + d2)
-    f3c = complex(c, -(d1 + d2))
-    z1 = (f1 / f1c) ** 2 * (f2c / f2) * (f3 / f3c)
-    z2 = (f2 / f2c) ** 2 * (f1c / f1) * (f3 / f3c)
-    return z1, z2
 
 
 def residual_real_thetasum(d1: float, d2: float, c: float, n1: int, n2: int) -> tuple[float, float]:
@@ -163,34 +121,9 @@ def jacobian_real_thetasum(d1: float, d2: float, c: float):
     return ((1.0 - 2.0 * p1 - p3, p2 - p3), (p1 - p3, 1.0 - 2.0 * p2 - p3))
 
 
-def residual_real(
-    d1: float,
-    d2: float,
-    c: float,
-    label: QuantumLabel,
-    refs: tuple[float | None, float | None] | None = None,
-) -> ResidualPoint:
-    """Coupled residuals for (delta1, delta2) at coupling c under a label.
-
-    With refs the log form r_j = d_j - i*log(z_j) - 2*pi*n_j = d_j + arg z_j
-    - 2*pi*n_j is evaluated, arg z_j continued from refs[j] (principal where
-    None); feeding the returned args back as refs along a path from the c = 0
-    root continues the log.  At a root the continued argument is
-    arg z_j = 2*pi*n_j - d_j in closed form, so no solve needs to carry it.
-    Without refs the equivalent theta-sum form is used.  The imaginary parts
-    log|z_j| must cancel and are asserted below IMAG_TOL.
-    """
-    if refs is None:
-        r1, r2 = residual_real_thetasum(d1, d2, c, label.n1, label.n2)
-        return ResidualPoint(unknowns=(d1, d2), residual=(r1, r2))
-    z1, z2 = _real_log_arguments(d1, d2, c)
-    args = (continued_arg(z1, refs[0]), continued_arg(z2, refs[1]))
-    r1 = d1 + args[0] - TWO_PI * label.n1
-    r2 = d2 + args[1] - TWO_PI * label.n2
-    defect = max(abs(math.log(abs(z1))), abs(math.log(abs(z2))))
-    if defect > IMAG_TOL:
-        raise ValueError(f"residual imaginary defect {defect} exceeds {IMAG_TOL}")
-    return ResidualPoint(unknowns=(d1, d2), residual=(r1, r2), imag_defect=defect, args=args)
+def residual_real(d1: float, d2: float, c: float, label: QuantumLabel) -> ResidualPoint:
+    """Coupled theta-sum residuals for (delta1, delta2) at coupling c under a label."""
+    return ResidualPoint(residual_real_thetasum(d1, d2, c, label.n1, label.n2))
 
 
 def residual_equal_delta(d: float, c: float, n0: int) -> float:
@@ -322,7 +255,7 @@ def residual_complex(
         raise ConstraintViolationError(
             f"label {label} has no complex branch (both n_j >= 2)"
         )
-    return ResidualPoint(unknowns=(alpha, gamma), residual=(ra, rg))
+    return ResidualPoint((ra, rg))
 
 
 # ---------------------------------------------------------------------------
@@ -362,15 +295,15 @@ def newton_solve(
     jacobian,
     guess,
     tol: float = RESIDUAL_TOL,
-    max_iter: int = NEWTON_MAX_ITER,
     guard=None,
 ) -> NewtonResult:
     """Damped Newton for one or two unknowns with a closed-form Jacobian.
 
     residual maps the tuple of unknowns to a sequence of residuals and
     jacobian maps it to the rows of d(residual)/d(unknown); guard(x) -> bool
-    marks the valid sheet (steps never cross it).  Each step is halved until
-    it stays on the sheet with a finite residual whose max-norm does not grow.
+    marks the valid sheet (steps never cross it) and is False wherever
+    residual raises ConstraintViolationError.  Each step is halved until it
+    stays on the sheet with a finite residual whose max-norm does not grow.
     Raises NoConvergenceError / ConstraintViolationError.  When that max-norm
     has not decreased for NEWTON_STALL_ITER iterations in a row, the error is
     ResidualFloorError if the full Newton step is rounding noise (below
@@ -381,7 +314,7 @@ def newton_solve(
         raise ConstraintViolationError(f"initial guess {x} violates constraints")
     r = residual(x)
     best, stalled, contraction = math.inf, 0, 0.0
-    for it in range(1, max_iter + 1):
+    for it in range(1, NEWTON_MAX_ITER + 1):
         rmax = max(map(abs, r))
         if rmax < tol:
             return NewtonResult(x, tuple(r), it - 1, contraction)
@@ -409,11 +342,7 @@ def newton_solve(
         for _ in range(NEWTON_MAX_HALVINGS):
             x_new = tuple([xi + lam * si for xi, si in zip(x, step)])
             if guard is None or guard(x_new):
-                try:
-                    r_new = residual(x_new)
-                except ConstraintViolationError:
-                    lam *= 0.5
-                    continue
+                r_new = residual(x_new)
                 if all(map(math.isfinite, r_new)) and max(map(abs, r_new)) <= rmax:
                     break
             lam *= 0.5
@@ -424,12 +353,9 @@ def newton_solve(
                 raise ConstraintViolationError(
                     f"Newton step blocked by sign constraints near x={x}"
                 )
-            try:
-                r_new = residual(x_new)
-            except ConstraintViolationError as exc:
-                raise NoConvergenceError(str(exc), x, r, it) from exc
+            r_new = residual(x_new)
         x, r = x_new, r_new
     raise NoConvergenceError(
-        f"no convergence after {max_iter} iterations (|r|={max(abs(v) for v in r):.3e})",
-        x, r, max_iter,
+        f"no convergence after {NEWTON_MAX_ITER} iterations (|r|={max(abs(v) for v in r):.3e})",
+        x, r, NEWTON_MAX_ITER,
     )

@@ -98,8 +98,8 @@ class Momenta(NamedTuple):
     def energy_imag_defect(self) -> float:
         return abs((self.k1 ** 2 + self.k2 ** 2 + self.k3 ** 2).imag)
 
-    def is_real(self, tol: float = IDENTITY_TOL) -> bool:
-        return max(abs(self.k1.imag), abs(self.k2.imag), abs(self.k3.imag)) < tol
+    def is_real(self) -> bool:
+        return max(abs(self.k1.imag), abs(self.k2.imag), abs(self.k3.imag)) < IDENTITY_TOL
 
 
 def k_from_deltas(p: float, d1: float, d2: float) -> Momenta:

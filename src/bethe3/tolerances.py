@@ -16,7 +16,7 @@ NEWTON_FLOOR_STEP = 1e-8    # a stalled full step below this relative to x: the 
 
 # Identity / bookkeeping checks
 IDENTITY_TOL = 1e-10        # momentum conservation, round trips
-IMAG_TOL = 1e-10            # residual imaginary parts must cancel below this
+IMAG_TOL = 1e-10            # log|z_j| of the real-branch log-form oracle must cancel below this
 ENERGY_AGREEMENT_RTOL = 1e-11  # sum(k^2) vs coordinate energy formulas
 
 # Wavefunction / observables

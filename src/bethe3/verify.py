@@ -68,6 +68,8 @@ def suite_core() -> list[CheckResult]:
 
 
 def suite_roots() -> list[CheckResult]:
+    from .oracles import log_form_residual
+
     out = []
     c11 = find_critical(QuantumLabel(1, 1))
     c12 = find_critical(QuantumLabel(1, 2))
@@ -89,21 +91,6 @@ def suite_roots() -> list[CheckResult]:
     out.append(_check("residual-at-root", r < 1e-11 and log_r < 1e-9,
                       f"|r|={r:.2e}, log form along (2,2) {log_r:.2e}"))
     return out
-
-
-def log_form_residual(traj) -> float:
-    """Largest log-form residual (residual_real with refs) over a real-branch
-    trajectory, each arg z_j continued sample by sample outward from c = 0."""
-    samples = traj.samples
-    i0 = traj.couplings().index(0.0)
-    worst = 0.0
-    for side in (samples[i0::-1], samples[i0:]):
-        refs = (None, None)
-        for s in side:
-            point = eq.residual_real(s.coords.delta1, s.coords.delta2, s.c, s.label, refs=refs)
-            refs = point.args
-            worst = max(worst, abs(point.residual[0]), abs(point.residual[1]))
-    return worst
 
 
 def suite_asymptotics() -> list[CheckResult]:

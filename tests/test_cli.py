@@ -229,6 +229,20 @@ class TestVerify:
         rows = [json.loads(line) for line in out.strip().splitlines()]
         assert rows and all(r["passed"] for r in rows)
 
+    def test_all_suite_names_pinned(self):
+        # `bethe3 verify --suite all` prints these checks in this order
+        from bethe3.verify import run_suite
+
+        results = run_suite("all")
+        assert [r.name for r in results] == [
+            "np-rule", "delta-roundtrip", "partner-energy", "critical-11", "critical-12",
+            "momentum-conservation", "equal-label-deltas", "residual-at-root",
+            "alpha-dimer-11", "alpha-trimer-00", "delta-large-positive",
+            "delta-large-negative", "boundary-conditions", "prefactor-00", "prefactor-11",
+            "simplex-vs-quadrature", "norm-positive", "v-sign", "trimer-vertex-max",
+        ]
+        assert all(r.passed for r in results), [r for r in results if not r.passed]
+
     def test_unknown_suite_fails_usage(self, capsys):
         code, _, err = run_cli(["verify", "--suite", "nope"], capsys)
         assert code == EXIT_USAGE

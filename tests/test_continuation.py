@@ -20,7 +20,7 @@ from bethe3 import (
     trace_root,
 )
 from bethe3.continuation import u0_equation
-from bethe3.verify import log_form_residual
+from bethe3.oracles import log_form_residual
 from bethe3.asymptotics import alpha_dimer, alpha_trimer, small_c_slope
 
 TWO_PI = 2 * math.pi

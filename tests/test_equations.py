@@ -9,7 +9,13 @@ import bethe3.equations as eq
 from bethe3 import Branch, QuantumLabel, solve_state
 from bethe3.asymptotics import delta_large_c, small_c_slope
 from bethe3.continuation import find_critical
-from bethe3.oracles import ddelta_dc, fd_jacobian, gamma_squared_from_alpha
+from bethe3.oracles import (
+    continued_arg,
+    ddelta_dc,
+    fd_jacobian,
+    gamma_squared_from_alpha,
+    log_form_real,
+)
 
 TWO_PI = 2 * math.pi
 
@@ -36,27 +42,27 @@ class TestTheta:
 
 
 class TestTrackedLog:
-    """continued_arg: the imaginary part of the log continued along a path."""
+    """oracles.continued_arg: the imaginary part of the log continued along a path."""
 
     def test_fresh_unit(self):
-        assert eq.continued_arg(1.0 + 0j) == 0.0
+        assert continued_arg(1.0 + 0j) == 0.0
 
     def test_full_circle_accumulates(self):
         arg = None
         for j in range(9):
-            arg = eq.continued_arg(cmath.exp(1j * TWO_PI * j / 8.0), arg)
+            arg = continued_arg(cmath.exp(1j * TWO_PI * j / 8.0), arg)
         assert arg == pytest.approx(TWO_PI, abs=1e-12)
 
     def test_cut_avoiding_path_is_principal(self):
         arg = None
         for phi in np.linspace(-0.45 * math.pi, 0.45 * math.pi, 40):
             z = cmath.exp(1j * phi) * (1.0 + 0.3 * phi)
-            arg = eq.continued_arg(z, arg)
+            arg = continued_arg(z, arg)
             assert arg == pytest.approx(cmath.phase(z), abs=1e-14)
 
     def test_zero_raises(self):
-        with pytest.raises(eq.SingularArgumentError):
-            eq.continued_arg(0j)
+        with pytest.raises(ValueError, match="continued argument of zero"):
+            continued_arg(0j)
 
 
 class TestResidualReal:
@@ -75,7 +81,8 @@ class TestResidualReal:
 
     def test_thetasum_equals_tracked_log_along_paths(self):
         # walk from the c=0 reference root to random valid points; the
-        # log form with continued arguments must agree with the theta-sum
+        # log form with continued arguments must agree with the theta-sum,
+        # and log_form_real raises unless |log|z_j|| < IMAG_TOL = 1e-10
         rng = np.random.default_rng(23)
         for _ in range(100):
             n1, n2 = rng.integers(1, 4, 2)
@@ -87,12 +94,10 @@ class TestResidualReal:
             for frac in np.linspace(0.0, 1.0, 60):
                 dd = d + (d_t - d) * frac
                 cc = c_t * frac
-                point = eq.residual_real(dd[0], dd[1], cc, label, refs=refs)
-                refs = point.args
+                r, refs = log_form_real(dd[0], dd[1], cc, label.n1, label.n2, refs)
             direct = eq.residual_real_thetasum(d_t[0], d_t[1], c_t, label.n1, label.n2)
-            assert point.residual[0] == pytest.approx(direct[0], abs=1e-12)
-            assert point.residual[1] == pytest.approx(direct[1], abs=1e-12)
-            assert point.imag_defect < 1e-10
+            assert r[0] == pytest.approx(direct[0], abs=1e-12)
+            assert r[1] == pytest.approx(direct[1], abs=1e-12)
 
 
 class TestResidualEqualDelta:
@@ -198,7 +203,7 @@ class TestNewton:
     def test_no_convergence_raises(self):
         with pytest.raises(eq.NoConvergenceError):
             eq.newton_solve(
-                lambda x: (x[0] ** 2 + 1.0,), lambda x: ((2.0 * x[0],),), [0.5], max_iter=20
+                lambda x: (x[0] ** 2 + 1.0,), lambda x: ((2.0 * x[0],),), [0.5]
             )
 
     def test_guard_blocks_boundary(self):
@@ -206,7 +211,7 @@ class TestNewton:
         with pytest.raises((eq.ConstraintViolationError, eq.NoConvergenceError)):
             eq.newton_solve(
                 lambda x: (x[0] + 1.0,), lambda x: ((1.0,),), [0.5],
-                guard=lambda x: x[0] > 0.0, max_iter=25,
+                guard=lambda x: x[0] > 0.0,
             )
 
     def test_contraction_of_first_iteration(self):
@@ -261,6 +266,26 @@ def test_closed_form_jacobian_matches_fd_oracle(chart, label, sign, c):
             fd_scaled = [v * abs(xj) for v, xj in zip(fd_row, x)]
             worst = max(abs(a - b) for a, b in zip(scaled, fd_scaled))
             assert worst <= 1e-5 * max(abs(v) for v in scaled), (x, row, fd_row)
+
+
+@pytest.mark.parametrize("c", [-5.0, -40.0, -1000.0])
+@pytest.mark.parametrize("chart, label, sign", CHARTS)
+def test_residual_raises_only_off_the_guard(chart, label, sign, c):
+    # newton_solve evaluates a residual only where its chart's guard holds, so
+    # each guard must repeat its residual's sign test: probe both sides of every
+    # edge (delta, beta, eta at 0; beta, eta at c/2), down to the adjacent double
+    lab = QuantumLabel(*label)
+    width = len(chart.jacobian((0.7, -1.7), c))
+    firsts = [v for edge in (0.0, c / 2.0) for v in (
+        edge - 0.01, math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf),
+        edge + 0.01)]
+    points = [(v, g)[:width] for v in firsts for g in (-1.7, 0.0, 5.0)]
+    for x in points:
+        try:
+            chart.residual(lab, x, c)
+        except ValueError as exc:  # ConstraintViolationError, or log(0) at eta = gamma = 0
+            assert not chart.guard(lab, x, c), (x, exc)
+    assert {chart.guard(lab, x, c) for x in points} == {True, False}
 
 
 class TestImplicitDerivative:
