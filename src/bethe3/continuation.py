@@ -47,10 +47,10 @@ from .tolerances import (
     BASE_STEP,
     FOLD_ALPHA_SMALL,
     FOLD_MIN_SPAN,
-    IDENTITY_TOL,
     MAX_GRID_POINTS,
     MIN_STEP,
     RESIDUAL_TOL,
+    SMALL_C_MAX,
     STEP_CONTRACTION,
     STEP_CORRECTION,
     STEP_GROWTH,
@@ -168,20 +168,20 @@ def branch_switch(
 class Chart(NamedTuple):
     """Unknowns x of one branch or complex family and their corrector pieces.
 
-    residual and guard take the canonical label first; they are pure
-    functions of (label, x, c).  sheet runs at every returned sample.
+    residual, jacobian and guard are pure functions of (x, label, c), called
+    by newton_solve with args = (label, c).  sheet runs at every returned sample.
     """
 
     branch: Branch
     to_x: Callable        # (coords, c) -> x
     to_coords: Callable   # (x, c, p) -> RealCoords | ComplexCoords
-    residual: Callable    # (label, x, c) -> residuals
-    jacobian: Callable    # (x, c) -> rows of d(residual)/dx
-    guard: Callable       # (label, x, c) -> x on the valid sheet
+    residual: Callable    # (x, label, c) -> residuals
+    jacobian: Callable    # (x, label, c) -> rows of d(residual)/dx
+    guard: Callable       # (x, label, c) -> x on the valid sheet
     sheet: Callable       # (label, c, coords), raises BoundsViolationError off the sheet
 
 
-def _real_guard(lab, x, c) -> bool:
+def _real_guard(x, lab, c) -> bool:
     """Loose sheet guard for the real-branch Newton; _real_sheet enforces the
     published delta windows exactly on returned samples."""
     return (0.0 <= x[0] < TWO_PI * (lab.n1 + 1) + math.pi
@@ -231,39 +231,39 @@ REAL_DIAGONAL = Chart(  # n1 = n2: one common delta
     Branch.REAL_K,
     to_x=lambda co, c: (co.delta1,),
     to_coords=lambda x, c, p: RealCoords(x[0], x[0], p),
-    residual=lambda lab, x, c: (eq.residual_equal_delta(x[0], c, lab.n1),),
-    jacobian=lambda x, c: ((eq.jacobian_equal_delta(x[0], c),),),
-    guard=lambda lab, x, c: x[0] >= 0.0,
+    residual=lambda x, lab, c: (eq.residual_equal_delta(x[0], c, lab.n1),),
+    jacobian=lambda x, lab, c: ((eq.jacobian_equal_delta(x[0], c),),),
+    guard=lambda x, lab, c: x[0] >= 0.0,
     sheet=_real_sheet,
 )
 REAL_COUPLED = Chart(
     Branch.REAL_K,
     to_x=lambda co, c: (co.delta1, co.delta2),
     to_coords=lambda x, c, p: RealCoords(x[0], x[1], p),
-    residual=lambda lab, x, c: eq.residual_real_thetasum(x[0], x[1], c, lab.n1, lab.n2),
-    jacobian=lambda x, c: eq.jacobian_real_thetasum(x[0], x[1], c),
+    residual=lambda x, lab, c: eq.residual_real_thetasum(x[0], x[1], c, lab.n1, lab.n2),
+    jacobian=lambda x, lab, c: eq.jacobian_real_thetasum(x[0], x[1], c),
     guard=_real_guard,
     sheet=_real_sheet,
 )
 FAMILY1 = Chart(  # (1, n2) in (beta, gamma); (1,1) keeps gamma = 0
     Branch.COMPLEX_K, **_shifted(0.5),
-    residual=lambda lab, x, c: eq.family1_residual_beta(x[0], x[1], c, lab.n2),
-    jacobian=lambda x, c: eq.family1_jacobian_beta(x[0], x[1], c),
-    guard=lambda lab, x, c: c / 2.0 < x[0] < 0.0,
+    residual=lambda x, lab, c: eq.family1_residual_beta(x[0], x[1], c, lab.n2),
+    jacobian=lambda x, lab, c: eq.family1_jacobian_beta(x[0], x[1], c),
+    guard=lambda x, lab, c: c / 2.0 < x[0] < 0.0,
     sheet=_dimer_sheet,
 )
 FAMILY0_ETA = Chart(  # (0,0), (0,1) in (eta, gamma)
     Branch.COMPLEX_K, **_shifted(1.0),
-    residual=lambda lab, x, c: eq.family0_residual_eta(x[0], x[1], c, lab.n2),
-    jacobian=lambda x, c: eq.family0_jacobian_eta(x[0], x[1], c),
-    guard=lambda lab, x, c: -c + 2.0 * x[0] > 0.0 and (x[0] != 0.0 or x[1] != 0.0),
+    residual=lambda x, lab, c: eq.family0_residual_eta(x[0], x[1], c, lab.n2),
+    jacobian=lambda x, lab, c: eq.family0_jacobian_eta(x[0], x[1], c),
+    guard=lambda x, lab, c: -c + 2.0 * x[0] > 0.0 and (x[0] != 0.0 or x[1] != 0.0),
     sheet=_trimer_sheet,
 )
 FAMILY0_BETA = Chart(  # (0, n2 >= 2) in (beta, gamma)
     Branch.COMPLEX_K, **_shifted(0.5),
-    residual=lambda lab, x, c: eq.family0_residual_beta(x[0], x[1], c, lab.n2),
-    jacobian=lambda x, c: eq.family0_jacobian_beta(x[0], x[1], c),
-    guard=lambda lab, x, c: x[0] > 0.0,
+    residual=lambda x, lab, c: eq.family0_residual_beta(x[0], x[1], c, lab.n2),
+    jacobian=lambda x, lab, c: eq.family0_jacobian_beta(x[0], x[1], c),
+    guard=lambda x, lab, c: x[0] > 0.0,
     sheet=_trimer_sheet,
 )
 
@@ -281,15 +281,6 @@ class _Marcher:
         self.p = TWO_PI * self.lab.np
         self.critical = critical_point(self.lab)
 
-    def _solve(self, chart: Chart, c: float, guess) -> eq.NewtonResult:
-        return eq.newton_solve(
-            lambda x: chart.residual(self.lab, x, c),
-            lambda x: chart.jacobian(x, c),
-            guess,
-            tol=RESIDUAL_TOL,
-            guard=lambda x: chart.guard(self.lab, x, c),
-        )
-
     def _predict(self, chart: Chart, c, x, cprev, xprev, cn):
         """Small-c series or square-root fold model where they apply, else secant."""
         lab, crit = self.lab, self.critical
@@ -297,7 +288,7 @@ class _Marcher:
             seed = branch_switch(lab, cn, crit)
             if seed.alpha < FOLD_ALPHA_SMALL:
                 return chart.to_x(seed, cn)
-        elif lab.n1 == 0 and 0.0 < cn <= 0.05:
+        elif lab.n1 == 0 and 0.0 < cn <= SMALL_C_MAX:
             from .asymptotics import delta_small_c
 
             return chart.to_x(RealCoords(*delta_small_c(lab, cn), self.p), cn)
@@ -345,6 +336,7 @@ class _Marcher:
         distance: always on the real branch, while alpha is small on the
         complex one.  Errors name the label, the failing c and the last good c.
         """
+        lab, p, real = self.lab, self.p, chart.branch is Branch.REAL_K
         out = []
         xprev = cprev = None
         h = BASE_STEP
@@ -353,26 +345,25 @@ class _Marcher:
                 sign = 1.0 if tgt > c else -1.0
                 step = min(h, abs(tgt - c))
                 if fold_c is not None and (
-                    chart.branch is Branch.REAL_K
-                    or chart.to_coords(x, c, self.p).alpha < FOLD_ALPHA_SMALL
-                ):
+                        real or chart.to_coords(x, c, p).alpha < FOLD_ALPHA_SMALL):
                     step = min(step, max(0.5 * abs(c - fold_c), FOLD_MIN_SPAN / 4.0))
                 cn = c + sign * step
                 if sign * (tgt - cn) < 1e-12 * max(1.0, abs(tgt)):
                     cn = tgt
                 guess = self._predict(chart, c, x, cprev, xprev, cn)
                 try:
-                    res = self._solve(chart, cn, guess)
+                    res = eq.newton_solve(chart.residual, chart.jacobian, guess, RESIDUAL_TOL,
+                                          chart.guard, (lab, cn))
                 except (eq.NoConvergenceError, eq.ConstraintViolationError) as exc:
                     h = step / STEP_GROWTH ** 2
                     floor = isinstance(exc, eq.ResidualFloorError)
-                    if chart.branch is Branch.COMPLEX_K and abs(guess[0]) < sys.float_info.min:
+                    if not real and abs(guess[0]) < sys.float_info.min:
                         floor, exc.args = True, (
                             f"predicted beta/eta {guess[0]:.3e} is below the smallest normal "
                             f"double {sys.float_info.min:.3e}: {exc}",)
                     if floor or h < MIN_STEP:
                         exc.args = (f"{chart.branch.value}-branch corrector failed for label "
-                                    f"{self.lab} at c={cn} (last good c={c}): {exc}",)
+                                    f"{lab} at c={cn} (last good c={c}): {exc}",)
                         raise
                     continue
                 root = res.root  # one or two unknowns: [0] and [-1] cover them all
@@ -385,9 +376,9 @@ class _Marcher:
                 h = max(step / f if f > 1.0 / STEP_GROWTH else step * STEP_GROWTH,
                         h if h < BASE_STEP else BASE_STEP)
                 xprev, cprev, x, c = x, c, root, cn
-            coords = chart.to_coords(x, c, self.p)
-            chart.sheet(self.lab, c, coords)
-            out.append(build_state(self.lab, c, coords))
+            coords = chart.to_coords(x, c, p)
+            chart.sheet(lab, c, coords)
+            out.append(build_state(lab, c, coords))
         return out
 
     def solve_targets(self, targets: list[float]) -> list[StateSolution]:
@@ -410,7 +401,9 @@ class _Marcher:
         if neg_complex:
             chart = FAMILY1 if lab.n1 == 1 else FAMILY0_BETA if lab.n2 >= 2 else FAMILY0_ETA
             c = max(c_crit - FOLD_MIN_SPAN, neg_complex[0])
-            x = self._solve(chart, c, chart.to_x(branch_switch(lab, c, self.critical), c)).root
+            guess = chart.to_x(branch_switch(lab, c, self.critical), c)
+            x = eq.newton_solve(chart.residual, chart.jacobian, guess, RESIDUAL_TOL,
+                                chart.guard, (lab, c)).root
             states += self.march(chart, neg_complex, c, x, c_crit)
         by_c = {st.c: st for st in states}
         return [by_c[float(t)] for t in targets]
@@ -508,10 +501,6 @@ def _validate_trajectory(traj: Trajectory) -> None:
         raise BoundsViolationError("trajectory samples are not strictly monotone in c")
     if traj.branch_changes() > 1:
         raise BoundsViolationError("branch tag changed more than once")
-    p = TWO_PI * traj.label.np
-    for s in traj.samples:
-        if abs(s.momenta.total - p) > IDENTITY_TOL:
-            raise BoundsViolationError(f"momentum drift at c={s.c}")
 
 
 def solve_state(label: QuantumLabel, c: float) -> StateSolution:

@@ -37,11 +37,12 @@ functions accept plain (alpha, gamma).
 
 Every residual the corrector solves has its closed-form Jacobian next to it,
 built from d(theta)/d(dk) = -2c/(c^2 + dk^2) and the derivatives of log|z|
-and arg z.  newton_solve is a damped Newton for these one- and two-unknown
-systems; the test suite checks each Jacobian against central differences.
-It reports the contraction of its first iteration (the march sizes its steps
-from it) and raises ResidualFloorError when the residual stalls above the
-tolerance.
+and arg z; the test suite checks each against central differences.
+newton_solve is a damped Newton for these one- and two-unknown systems.  It
+calls residual, jacobian and guard as f(x, label, c), so the march hands it a
+Chart's pieces as they are; callables of x alone also work.  It reports the
+contraction of its first iteration (the march sizes its steps from it) and
+raises ResidualFloorError when the residual stalls above the tolerance.
 """
 from __future__ import annotations
 
@@ -274,54 +275,56 @@ class NewtonResult(NamedTuple):
     contraction: float = 0.0
 
 
-def _newton_step(jac, r) -> tuple[float, ...]:
-    """Solve J*s = -r for one or two unknowns (Cramer's rule).
-
-    Rows are scaled to unit max-norm first, so the determinant stays finite
-    when an exponentially small unknown puts 1/eta ~ 1e160 into the Jacobian.
-    """
-    if len(r) == 1:
-        return (-r[0] / jac[0][0],)
-    (a, b), (c, d) = jac
-    s0, s1 = max(abs(a), abs(b)), max(abs(c), abs(d))
-    a, b, r0 = a / s0, b / s0, r[0] / s0
-    c, d, r1 = c / s1, d / s1, r[1] / s1
-    det = a * d - b * c
-    return ((b * r1 - d * r0) / det, (c * r0 - a * r1) / det)
-
-
 def newton_solve(
     residual,
     jacobian,
     guess,
     tol: float = RESIDUAL_TOL,
     guard=None,
+    args: tuple = (),
 ) -> NewtonResult:
     """Damped Newton for one or two unknowns with a closed-form Jacobian.
 
-    residual maps the tuple of unknowns to a sequence of residuals and
-    jacobian maps it to the rows of d(residual)/d(unknown); guard(x) -> bool
-    marks the valid sheet (steps never cross it) and is False wherever
-    residual raises ConstraintViolationError.  Each step is halved until it
-    stays on the sheet with a finite residual whose max-norm does not grow.
+    residual(x, *args) gives the residuals at the tuple of unknowns x,
+    jacobian(x, *args) the rows of d(residual)/dx, and guard(x, *args) -> bool
+    marks the valid sheet (steps never cross it; False wherever residual
+    raises ConstraintViolationError).  args is () for callables of x alone,
+    or (label, c) for a Chart's pieces, which the march passes directly.
+    Each Cramer step is halved until it stays on the sheet with a finite
+    residual whose max-norm does not grow.
     Raises NoConvergenceError / ConstraintViolationError.  When that max-norm
     has not decreased for NEWTON_STALL_ITER iterations in a row, the error is
     ResidualFloorError if the full Newton step is rounding noise (below
     NEWTON_FLOOR_STEP relative to x), else NoConvergenceError.
     """
-    x = tuple(float(v) for v in guess)
-    if guard is not None and not guard(x):
+    if not args:  # callables of x alone
+        f, j, g, args = residual, jacobian, guard, (None, None)
+        residual, jacobian = (lambda x, *_: f(x)), (lambda x, *_: j(x))
+        guard = g and (lambda x, *_: g(x))
+    a0, a1 = args
+    x = tuple([float(v) for v in guess])
+    if guard is not None and not guard(x, a0, a1):
         raise ConstraintViolationError(f"initial guess {x} violates constraints")
-    r = residual(x)
+    pair = len(x) == 2
+    r = residual(x, a0, a1)
     best, stalled, contraction = math.inf, 0, 0.0
     for it in range(1, NEWTON_MAX_ITER + 1):
-        rmax = max(map(abs, r))
+        rmax = max(abs(r[0]), abs(r[1])) if pair else abs(r[0])
         if rmax < tol:
             return NewtonResult(x, tuple(r), it - 1, contraction)
         if it == 2:
             contraction = rmax / best
         try:
-            step = _newton_step(jacobian(x), r)
+            jac = jacobian(x, a0, a1)
+            if pair:  # rows scaled to unit max-norm keep det finite at 1/eta ~ 1e160
+                (a, b), (c, d) = jac
+                s0, s1 = max(abs(a), abs(b)), max(abs(c), abs(d))
+                a, b, r0 = a / s0, b / s0, r[0] / s0
+                c, d, r1 = c / s1, d / s1, r[1] / s1
+                det = a * d - b * c
+                dx = ((b * r1 - d * r0) / det, (c * r0 - a * r1) / det)
+            else:
+                dx = (-r[0] / jac[0][0],)
         except ZeroDivisionError as exc:
             raise NoConvergenceError(f"singular Jacobian at {x}: {exc}", x, r, it) from exc
         if rmax < best:
@@ -331,7 +334,7 @@ def newton_solve(
             if stalled == NEWTON_STALL_ITER:
                 # a full step of rounding size marks the floor of the residual
                 # evaluation; a larger one, a minimum of |r| away from any root
-                if all(abs(s) <= NEWTON_FLOOR_STEP * abs(v) for s, v in zip(step, x)):
+                if all(abs(s) <= NEWTON_FLOOR_STEP * abs(v) for s, v in zip(dx, x)):
                     raise ResidualFloorError(
                         f"residual floor |r|={best:.3e} reached above tol={tol:.1e}", x, r, it
                     )
@@ -340,20 +343,21 @@ def newton_solve(
                 )
         lam = 1.0
         for _ in range(NEWTON_MAX_HALVINGS):
-            x_new = tuple([xi + lam * si for xi, si in zip(x, step)])
-            if guard is None or guard(x_new):
-                r_new = residual(x_new)
-                if all(map(math.isfinite, r_new)) and max(map(abs, r_new)) <= rmax:
+            x_new = (x[0] + lam * dx[0], x[1] + lam * dx[1]) if pair else (x[0] + lam * dx[0],)
+            if guard is None or guard(x_new, a0, a1):
+                r_new = residual(x_new, a0, a1)
+                if (math.isfinite(r_new[0]) and abs(r_new[0]) <= rmax
+                        and (not pair or math.isfinite(r_new[1]) and abs(r_new[1]) <= rmax)):
                     break
             lam *= 0.5
         else:
             # keep the last guarded candidate if any; otherwise the step is blocked
-            x_new = tuple([xi + lam * si for xi, si in zip(x, step)])
-            if guard is not None and not guard(x_new):
+            x_new = (x[0] + lam * dx[0], x[1] + lam * dx[1]) if pair else (x[0] + lam * dx[0],)
+            if guard is not None and not guard(x_new, a0, a1):
                 raise ConstraintViolationError(
                     f"Newton step blocked by sign constraints near x={x}"
                 )
-            r_new = residual(x_new)
+            r_new = residual(x_new, a0, a1)
         x, r = x_new, r_new
     raise NoConvergenceError(
         f"no convergence after {NEWTON_MAX_ITER} iterations (|r|={max(abs(v) for v in r):.3e})",

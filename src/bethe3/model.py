@@ -95,9 +95,6 @@ class Momenta(NamedTuple):
         e = self.k1 ** 2 + self.k2 ** 2 + self.k3 ** 2
         return e.real
 
-    def energy_imag_defect(self) -> float:
-        return abs((self.k1 ** 2 + self.k2 ** 2 + self.k3 ** 2).imag)
-
     def is_real(self) -> bool:
         return max(abs(self.k1.imag), abs(self.k2.imag), abs(self.k3.imag)) < IDENTITY_TOL
 
@@ -186,22 +183,22 @@ def build_state(label: QuantumLabel, c: float, coords: BranchCoords) -> StateSol
     """Assemble a StateSolution, enforcing the conservation and energy identities."""
     if not math.isfinite(c):
         raise ValueError(f"coupling must be finite, got {c}")
-    m = coords.momenta()
+    k1, k2, k3 = m = coords.momenta()
     p = TWO_PI * label.np
-    if abs(m.total - p) > IDENTITY_TOL:
+    if abs(k1 + k2 + k3 - p) > IDENTITY_TOL:
         raise ValueError(
             f"momentum sum {m.total} != 2*pi*np = {p} for label {label}"
         )
     e_coord = coords.energy()
-    e_sum = m.energy()
+    e_sum = k1 ** 2 + k2 ** 2 + k3 ** 2  # formed once: energy and imaginary defect
     scale = max(1.0, abs(e_coord))
-    if abs(e_coord - e_sum) > ENERGY_AGREEMENT_RTOL * scale:
+    if abs(e_coord - e_sum.real) > ENERGY_AGREEMENT_RTOL * scale:
         raise ValueError(
-            f"energy formulas disagree: coords {e_coord} vs sum(k^2) {e_sum}"
+            f"energy formulas disagree: coords {e_coord} vs sum(k^2) {e_sum.real}"
         )
-    if m.energy_imag_defect() > ENERGY_AGREEMENT_RTOL * scale:
-        raise ValueError(f"imaginary energy defect {m.energy_imag_defect()}")
-    return StateSolution(label=label, c=c, coords=coords, momenta=m, energy=e_coord)
+    if abs(e_sum.imag) > ENERGY_AGREEMENT_RTOL * scale:
+        raise ValueError(f"imaginary energy defect {abs(e_sum.imag)}")
+    return StateSolution(label, c, coords, m, e_coord)
 
 
 def partner_state(state: StateSolution) -> StateSolution:

@@ -11,6 +11,7 @@ d(delta)/dc of the equal-delta curve; and gamma^2(alpha) of the n1 = 1 family.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -19,12 +20,21 @@ from .model import TWO_PI
 from .tolerances import IMAG_TOL
 
 
+def _read_only(*arrays):
+    """The arrays, read-only: each rule below is built once per n and shared."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+@functools.lru_cache(maxsize=4)
 def gl_nodes(n: int):
     """Gauss-Legendre nodes and weights on [0, 1]."""
     x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
+    return _read_only(0.5 * (x + 1.0), 0.5 * w)
 
 
+@functools.lru_cache(maxsize=4)
 def simplex_rule(n: int = 48):
     """Nodes x1, x2, x3 and weights of tensor GL on 0 <= x1 <= x2 <= x3 <= 1.
 
@@ -34,7 +44,7 @@ def simplex_rule(n: int = 48):
     x, w = gl_nodes(n)
     t3, t2, t1 = np.meshgrid(x, x, x, indexing="ij")
     w3, w2, w1 = np.meshgrid(w, w, w, indexing="ij")
-    return t3 * t2 * t1, t3 * t2, t3, t3 ** 2 * t2 * w1 * w2 * w3
+    return _read_only(t3 * t2 * t1, t3 * t2, t3, t3 ** 2 * t2 * w1 * w2 * w3)
 
 
 def quad_simplex_exp(a1, a2, a3, n: int = 48):

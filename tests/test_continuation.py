@@ -441,6 +441,30 @@ class TestStepControl:
             solve_state(QuantumLabel(*lab), c)
             assert newton_counter.calls <= fixed / cut, (lab, c, newton_counter.calls)
 
+    @pytest.mark.parametrize("lab, solves, iterations", [
+        ((2, 3), 480, 914), ((1, 2), 527, 1072), ((0, 1), 528, 1153), ((2, 2), 480, 826)])
+    def test_trace_corrector_work(self, lab, solves, iterations, newton_counter):
+        # the corrector's work over one trace_sweep benchmark op, pinned so that
+        # a change to the code around the solves leaves the march's steps and
+        # Newton iterations as they are
+        trace_root(QuantumLabel(*lab), -12.0, 12.0, 0.05)
+        assert newton_counter.calls == solves
+        assert newton_counter.iterations <= iterations
+
+    def test_residual_looked_up_by_module_attribute(self, newton_counter, monkeypatch):
+        # the benchmark counts residual evaluations by replacing this name in
+        # bethe3.equations, so the charts must look it up at call time
+        calls = []
+        residual = eq.residual_real_thetasum
+
+        def counting(*args):
+            calls.append(args)
+            return residual(*args)
+
+        monkeypatch.setattr(eq, "residual_real_thetasum", counting)
+        trace_root(QuantumLabel(2, 3), -1.0, 1.0, 0.25)
+        assert len(calls) > newton_counter.calls > 0
+
     @pytest.mark.parametrize("lab", [(0, 2), (0, 5), (5, 0)])
     @pytest.mark.parametrize("c", [-12.0, -40.0, -1000.0])
     def test_beta_predicted_without_sign_flip(self, lab, c, newton_counter):

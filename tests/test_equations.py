@@ -258,9 +258,9 @@ def test_closed_form_jacobian_matches_fd_oracle(chart, label, sign, c):
     else:
         points = [(sign * v, g) for v in (1e-200, 1e-30, 1e-3, 0.9) for g in (-1.7, 1e-3, 0.0)]
     for x in points:
-        x = x[:len(chart.jacobian(x, c))]
-        exact = chart.jacobian(x, c)
-        approx = fd_jacobian(lambda y: chart.residual(lab, y, c), x)
+        x = x[:len(chart.jacobian(x, lab, c))]
+        exact = chart.jacobian(x, lab, c)
+        approx = fd_jacobian(lambda y: chart.residual(y, lab, c), x)
         for row, fd_row in zip(exact, approx):
             scaled = [v * abs(xj) for v, xj in zip(row, x)]
             fd_scaled = [v * abs(xj) for v, xj in zip(fd_row, x)]
@@ -275,17 +275,17 @@ def test_residual_raises_only_off_the_guard(chart, label, sign, c):
     # each guard must repeat its residual's sign test: probe both sides of every
     # edge (delta, beta, eta at 0; beta, eta at c/2), down to the adjacent double
     lab = QuantumLabel(*label)
-    width = len(chart.jacobian((0.7, -1.7), c))
+    width = len(chart.jacobian((0.7, -1.7), lab, c))
     firsts = [v for edge in (0.0, c / 2.0) for v in (
         edge - 0.01, math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf),
         edge + 0.01)]
     points = [(v, g)[:width] for v in firsts for g in (-1.7, 0.0, 5.0)]
     for x in points:
         try:
-            chart.residual(lab, x, c)
+            chart.residual(x, lab, c)
         except ValueError as exc:  # ConstraintViolationError, or log(0) at eta = gamma = 0
-            assert not chart.guard(lab, x, c), (x, exc)
-    assert {chart.guard(lab, x, c) for x in points} == {True, False}
+            assert not chart.guard(x, lab, c), (x, exc)
+    assert {chart.guard(x, lab, c) for x in points} == {True, False}
 
 
 class TestImplicitDerivative:

@@ -18,10 +18,12 @@ from bethe3.wavefunction import PERMUTATIONS
 
 from conftest import (
     coincidence_term,
+    gl_nodes,
     pair_terms,
     quad_norm,
     quad_potential,
     quad_simplex_exp,
+    simplex_rule,
     solved,
 )
 
@@ -92,6 +94,13 @@ class TestSimplexIntegral:
     def test_sum_validation(self):
         with pytest.raises(ValueError):
             simplex_integral_exponents(1.0, 2.0, 3.0)
+
+    def test_quadrature_rule_built_once_and_read_only(self):
+        # every quad_simplex_exp call shares one cached rule, so no caller may write to it
+        assert simplex_rule(48) is simplex_rule(48)
+        for arr in (*simplex_rule(48), *gl_nodes(48)):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
 
 
 class TestNorm:
