@@ -1,12 +1,15 @@
 """Root continuation over the coupling grid: tracing, critical points, spectra.
 
 Every trajectory starts from the exact non-interacting solution
-delta_j(0) = 2*pi*n_j and marches outward with a secant predictor and the
-damped-Newton corrector.  Labels with min(n1,n2) = 1 turn complex at the
-critical coupling C(1,n2) in [-6,-4); labels with min = 0 turn complex at
-C = 0; labels with both n_j >= 2 stay real for all c (critical_point).  Near
-a critical point the square-root local models seed the corrector and the
-step is refined geometrically.  Five Charts (unknowns, residual, closed-form
+delta_j(0) = 2*pi*n_j and marches outward with a predictor and the
+damped-Newton corrector.  The predictor is the cubic through the last four
+accepted points when they and the next point are equally spaced (the
+uniform part of a trace_root grid), else the secant through the last two.
+Labels with min(n1,n2) = 1 turn complex at the critical coupling C(1,n2)
+in [-6,-4); labels with min = 0 turn complex at C = 0; labels with both
+n_j >= 2 stay real for all c (critical_point).  Near a critical point the
+square-root local models seed the corrector and the step is refined
+geometrically.  Five Charts (unknowns, residual, closed-form
 Jacobian, guard) cover the two real branches and the complex families, whose
 gamma = 0 members (1,1) and (0,0) need no chart of their own, and a single
 march loop runs them all.  Every residual is single-valued on its sheet
@@ -179,6 +182,7 @@ class Chart(NamedTuple):
     jacobian: Callable    # (x, label, c) -> rows of d(residual)/dx
     guard: Callable       # (x, label, c) -> x on the valid sheet
     sheet: Callable       # (label, c, coords), raises BoundsViolationError off the sheet
+    shift: float = 0.0    # complex charts: x[0] = alpha + shift*c
 
 
 def _real_guard(x, lab, c) -> bool:
@@ -224,7 +228,8 @@ def _shifted(frac: float) -> dict:
     beta = alpha + c/2 or eta = alpha + c keeps their exponentially small
     values exact deep in the attractive regime."""
     return dict(to_x=lambda co, c: (co.alpha + frac * c, co.gamma),
-                to_coords=lambda x, c, p: ComplexCoords(x[0] - frac * c, x[1], p))
+                to_coords=lambda x, c, p: ComplexCoords(x[0] - frac * c, x[1], p),
+                shift=frac)
 
 
 REAL_DIAGONAL = Chart(  # n1 = n2: one common delta
@@ -277,40 +282,67 @@ class _Marcher:
     """Marches one canonical label outward on both sides of c = 0."""
 
     def __init__(self, label: QuantumLabel):
-        self.lab = label.canonical()
-        self.p = TWO_PI * self.lab.np
-        self.critical = critical_point(self.lab)
+        self.lab = lab = label.canonical()
+        self.p = TWO_PI * lab.np
+        self.critical = crit = critical_point(lab)
+        # the branch_switch seed alpha can fall below FOLD_ALPHA_SMALL = A only
+        # for c >= seed_c, so below it the predictor skips the seed: alpha is
+        # sqrt(-3c) for (0,0), sqrt(-c) for (0,n2), sqrt(6(-6-c)) for (1,1)
+        # (it rounds to 0.3 - 3e-15 at c = -6.015 itself), and
+        # (|c|/2) sqrt((C-c)/kc) with |c| > 4 for (1,n2>=2)
+        a2 = FOLD_ALPHA_SMALL ** 2
+        if crit is None:
+            self.seed_c = math.inf
+        elif lab.n1 == 0:
+            self.seed_c = -a2 / 3.0 if lab.n2 == 0 else -a2
+        elif lab.n2 == 1:
+            self.seed_c = -6.0 - a2 / 6.0
+        else:
+            self.seed_c = crit.C - fold_coefficients(crit.u0)[0] * a2 / 4.0
 
-    def _predict(self, chart: Chart, c, x, cprev, xprev, cn):
-        """Small-c series or square-root fold model where they apply, else secant."""
+    def _predict(self, chart: Chart, hist: tuple, cn: float):
+        """Guess at cn from hist = (c, x, c1, x1, c2, x2, c3, x3), the last four
+        accepted points of this march, newest first (None where there are
+        fewer): the small-c series or a square-root fold model where they
+        apply, else the cubic through all four when they and cn are equally
+        spaced, else the secant through the last two."""
         lab, crit = self.lab, self.critical
+        c, x, c1, x1, c2, x2, c3, x3 = hist
         if chart.branch is Branch.COMPLEX_K:
-            seed = branch_switch(lab, cn, crit)
-            if seed.alpha < FOLD_ALPHA_SMALL:
-                return chart.to_x(seed, cn)
+            if cn >= self.seed_c:
+                seed = branch_switch(lab, cn, crit)
+                if seed.alpha < FOLD_ALPHA_SMALL:
+                    return chart.to_x(seed, cn)
         elif lab.n1 == 0 and 0.0 < cn <= SMALL_C_MAX:
             from .asymptotics import delta_small_c
 
             return chart.to_x(RealCoords(*delta_small_c(lab, cn), self.p), cn)
         elif lab.n1 == 1 and cn < 0 and (x[0] < FOLD_ALPHA_SMALL or cn - crit.C < 0.1):
             return chart.to_x(RealCoords(*delta1_fold_model(lab, cn, crit), self.p), cn)
-        if xprev is None or cprev == c:
+        if x1 is None or c1 == c:
             return x
-        frac = (cn - c) / (c - cprev)
+        h = cn - c
+        frac = h / (c - c1)
+        # equal spacing: every gap within 1e-9*|h| of h, the last one via frac
+        if x3 is not None and -1e-9 <= frac - 1.0 <= 1e-9 and (
+                -1e-9 * abs(h) <= c1 - c2 - h <= 1e-9 * abs(h)
+                and -1e-9 * abs(h) <= c2 - c3 - h <= 1e-9 * abs(h)):
+            lin = [4.0 * (a + b2) - 6.0 * b1 - b3 for a, b1, b2, b3 in zip(x, x1, x2, x3)]
+        else:
+            lin = [a + (a - b) * frac for a, b in zip(x, x1)]
         if chart.branch is Branch.REAL_K:
-            return [a + (a - b) * frac for a, b in zip(x, xprev)]
+            return lin
         # the complex unknowns that decay exponentially deep in the attractive
         # regime (beta or eta, and gamma of (0,1)) are predicted multiplicatively
-        # while their sign holds, and so is any whose secant would flip its sign
-        # (signs compared directly: a*b underflows below 1e-154)
+        # while their sign holds, and so is any whose cubic or secant would flip
+        # its sign (signs compared directly: a*b underflows below 1e-154)
         guess = []
-        for a, b in zip(x, xprev):
-            secant = a + (a - b) * frac
+        for a, b, s in zip(x, x1, lin):
             same_sign = a != 0.0 and b != 0.0 and (a > 0.0) == (b > 0.0)
-            if same_sign and (abs(a) < 1e-2 or (secant > 0.0) != (a > 0.0)):
+            if same_sign and (abs(a) < 1e-2 or (s > 0.0) != (a > 0.0)):
                 guess.append(a * (a / b) ** frac)
             else:
-                guess.append(secant)
+                guess.append(s)
         return guess
 
     def march(self, chart: Chart, targets: list[float], c: float, x, fold_c) -> list[StateSolution]:
@@ -318,9 +350,13 @@ class _Marcher:
 
         The step h starts at BASE_STEP and is carried from step to step.  A
         corrector solve reports its Newton contraction kappa = |r1|/|r0| and
-        the predictor error delta = max|root - guess|; both scale like h^2, so
+        the predictor error delta = max|root - guess|; after a secant both
+        scale like h^2, so
         f = max(sqrt(kappa / STEP_CONTRACTION), sqrt(delta / STEP_CORRECTION))
-        is the factor by which the step overshot its nominal size.
+        is the factor by which the step overshot its nominal size.  The cubic
+        predictor's error scales like h^4; it runs only on equally spaced
+        points, where the targets, not f, set the step, and there it turns
+        most solves into a single Newton iteration.
         - f <= STEP_GROWTH: the step is accepted and the next h is
           step / max(f, 1/STEP_GROWTH), but not below min(h, BASE_STEP): the
           old fixed BASE_STEP converges wherever the folds leave it room, so
@@ -331,26 +367,28 @@ class _Marcher:
           once that falls below MIN_STEP.  A residual floor (ResidualFloorError)
           or a predicted beta/eta below the smallest normal double is raised at
           once, since no step size lowers it.
-        Every step is clipped to the next target, and while heading for the
-        fold at fold_c (None: no fold ahead) to at most half the remaining
-        distance: always on the real branch, while alpha is small on the
-        complex one.  Errors name the label, the failing c and the last good c.
+        The predictor (_predict) sees the last four accepted points of this
+        call; a retried step breaks their equal spacing, so the retry and
+        every step until three equal ones follow it take the secant.  Every step is clipped to the next
+        target, and while heading for the fold at fold_c (None: no fold
+        ahead) to at most half the remaining distance: always on the real
+        branch, while alpha = x[0] - shift*c is small on the complex one.
+        Errors name the label, the failing c and the last good c.
         """
-        lab, p, real = self.lab, self.p, chart.branch is Branch.REAL_K
+        lab, p, real, shift = self.lab, self.p, chart.branch is Branch.REAL_K, chart.shift
         out = []
-        xprev = cprev = None
+        hist = (c, x, None, None, None, None, None, None)
         h = BASE_STEP
         for tgt in targets:
             while c != tgt:
                 sign = 1.0 if tgt > c else -1.0
                 step = min(h, abs(tgt - c))
-                if fold_c is not None and (
-                        real or chart.to_coords(x, c, p).alpha < FOLD_ALPHA_SMALL):
+                if fold_c is not None and (real or x[0] - shift * c < FOLD_ALPHA_SMALL):
                     step = min(step, max(0.5 * abs(c - fold_c), FOLD_MIN_SPAN / 4.0))
                 cn = c + sign * step
                 if sign * (tgt - cn) < 1e-12 * max(1.0, abs(tgt)):
                     cn = tgt
-                guess = self._predict(chart, c, x, cprev, xprev, cn)
+                guess = self._predict(chart, hist, cn)
                 try:
                     res = eq.newton_solve(chart.residual, chart.jacobian, guess, RESIDUAL_TOL,
                                           chart.guard, (lab, cn))
@@ -375,7 +413,8 @@ class _Marcher:
                     continue
                 h = max(step / f if f > 1.0 / STEP_GROWTH else step * STEP_GROWTH,
                         h if h < BASE_STEP else BASE_STEP)
-                xprev, cprev, x, c = x, c, root, cn
+                x, c = root, cn
+                hist = (c, x) + hist[:6]
             coords = chart.to_coords(x, c, p)
             chart.sheet(lab, c, coords)
             out.append(build_state(lab, c, coords))

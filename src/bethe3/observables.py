@@ -30,13 +30,17 @@ near-degenerate triple takes the nearer limiting form instead of cancelling.
 The 108 exponents of the 36 pairs take only 9 values d_ij = k_i - conj(k_j),
 so a state's norm is read from one 3x3 table: entry (i, j) holds d_ij, |d_ij|
 and, at z = i d_ij, e_1(-z), e_1(z), e_2(z), e_3(z) and the middle-zero form,
-from two complex expm1 evaluations.  Each pair only routes and combines
-three entries.
+from e^z - 1 and e^{-z} - 1, which share their trigonometric factors.  As
+d_ji = -conj(d_ij), entry (j, i) is entry (i, j) with every piece
+conjugated, so only the diagonal and upper entries are evaluated.  Each
+pair only routes and combines three entries; all 36 are summed, so the
+imaginary part of the total stays a check on the arithmetic.
 
 The coincidence-plane integral for <V> reduces to the single-variable
 D(b) = e_2(ib) = (e^{ib} - 1 - ib)/(ib)^2 per pair, with b = k_{P3} - conj(k_{Q3}).
 It depends on (P3, Q3) alone, so the 36-term sum is grouped exactly into 9:
-sum_ij e_2(i d_ij) A_i conj(A_j) with A_i = sum over P3 = i of a(P).
+sum_ij e_2(i d_ij) A_i conj(A_j) with A_i = sum over P3 = i of a(P); the
+same symmetry leaves six e_2 values to evaluate.
 """
 from __future__ import annotations
 
@@ -88,17 +92,48 @@ def _middle_zero(w: complex, e1: complex, e2: complex) -> complex:
 
 class _Exponent:
     """One exponent a with every piece T reads for it, at z = i a: e_1(-z),
-    e_1(z), e_2(z), e_3(z) and the middle-zero form, from two expm1 calls."""
+    e_1(z), e_2(z), e_3(z) and the middle-zero form.  e^z - 1 and e^{-z} - 1
+    share cos y, sin y and 2 sin^2(y/2) (y = Im z), as _cexpm1 forms them."""
 
     __slots__ = ("a", "mag", "z", "e1_neg", "e1", "e2", "e3", "mid")
 
     def __init__(self, a: complex) -> None:
         z = 1j * a
-        m = _cexpm1(z)
+        x, y = z.real, z.imag
+        cos_y, sin_y, half = math.cos(y), math.sin(y), 2.0 * math.sin(y / 2.0) ** 2
+        m = complex(math.expm1(x) * cos_y - half, math.exp(x) * sin_y)
+        m_neg = complex(math.expm1(-x) * cos_y - half, math.exp(-x) * -sin_y)
         self.a, self.mag, self.z = a, abs(a), z
-        self.e1_neg = _e1(-z, _cexpm1(-z))
+        self.e1_neg = _e1(-z, m_neg)
         self.e1, self.e2, self.e3 = _e1(z, m), _e2(z, m), _e3(z, m)
         self.mid = _middle_zero(z, self.e1, self.e2)
+
+    def conjugate(self) -> _Exponent:
+        """The entry of -conj(a), whose z is conj(z): every piece conjugated."""
+        t = _Exponent.__new__(_Exponent)
+        t.a, t.mag, t.z = -self.a.conjugate(), self.mag, self.z.conjugate()
+        t.e1_neg, t.e1 = self.e1_neg.conjugate(), self.e1.conjugate()
+        t.e2, t.e3, t.mid = self.e2.conjugate(), self.e3.conjugate(), self.mid.conjugate()
+        return t
+
+
+def _symmetric_table(k, entry) -> list[list]:
+    """3x3 table of entry(d_ij), d_ij = k_i - conj(k_j), for an entry whose
+    value at -conj(d) is its value at d conjugated: d_ji = -conj(d_ij), so
+    only the diagonal and the upper triangle are evaluated."""
+    table = [[None] * 3 for _ in range(3)]
+    for i in range(3):
+        for j in range(i, 3):
+            table[i][j] = t = entry(k[i] - k[j].conjugate())
+            if j != i:
+                table[j][i] = t.conjugate()
+    return table
+
+
+def _coincidence_e2(d: complex) -> complex:
+    """e_2(i d), the coincidence-plane integral of one (P3, Q3) group."""
+    z = 1j * d
+    return _e2(z, _cexpm1(z))
 
 
 def _simplex(t1: _Exponent, t2: _Exponent, t3: _Exponent) -> complex:
@@ -136,8 +171,7 @@ def _norm_sum(state: StateSolution) -> complex:
     """sum over 36 permutation pairs (P, Q) of a(P) conj(a(Q)) T_PQ, with T_PQ
     read from the 3x3 table of d_ij = k_i - conj(k_j)."""
     a = amplitudes(state.momenta, state.c)
-    k = state.momenta
-    table = [[_Exponent(ki - kj.conjugate()) for kj in k] for ki in k]
+    table = _symmetric_table(state.momenta, _Exponent)
     total = 0j
     for p in PERMUTATIONS:
         ap, row1, row2, row3 = a[p], table[p[0]], table[p[1]], table[p[2]]
@@ -150,15 +184,14 @@ def _coincidence_sum(state: StateSolution) -> complex:
     """sum over (P, Q) of a(P) conj(a(Q)) e_2(i d_{P3 Q3}), grouped by (P3, Q3):
     sum_ij e_2(i d_ij) A_i conj(A_j) with A_i = sum_{P3 = i} a(P)."""
     a = amplitudes(state.momenta, state.c)
-    k = state.momenta
     A = [0j, 0j, 0j]
     for p in PERMUTATIONS:
         A[p[2]] += a[p]
+    table = _symmetric_table(state.momenta, _coincidence_e2)
     total = 0j
-    for ki, Ai in zip(k, A):
-        for kj, Aj in zip(k, A):
-            z = 1j * (ki - kj.conjugate())
-            total += _e2(z, _cexpm1(z)) * Ai * Aj.conjugate()
+    for row, Ai in zip(table, A):
+        for e2, Aj in zip(row, A):
+            total += e2 * Ai * Aj.conjugate()
     return total
 
 

@@ -507,3 +507,75 @@ class TestStepControl:
         with pytest.raises(ValueError, match="more than 1000000 samples"):
             trace_root(QuantumLabel(0, 0), 0.0, 1.0, step=1e-300)
         assert newton_counter.calls == 0
+
+
+class TestTracePredictor:
+    """The cubic predictor on equally spaced trace grids, and the complex
+    march that calls branch_switch only where its seed can be used."""
+
+    # the 21 labels of the trace_sweep benchmark: complex below c = 0, a fold
+    # at C(1, n2), and real for all c
+    SWEEP = [(0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (5, 0),
+             (1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (2, 1), (3, 1),
+             (2, 2), (2, 3), (2, 4), (2, 5), (3, 3), (3, 4), (3, 5)]
+
+    @pytest.mark.parametrize("lab", [(2, 3), (0, 2)])
+    def test_about_one_iteration_per_solve(self, lab, newton_counter, monkeypatch):
+        # the secant took 1.88 Newton iterations per solve on these grids
+        calls = []
+        switch = bethe3.continuation.branch_switch
+
+        def counting(*args):
+            calls.append(args)
+            return switch(*args)
+
+        monkeypatch.setattr(bethe3.continuation, "branch_switch", counting)
+        traj = trace_root(QuantumLabel(*lab), -12.0, 12.0, 0.05)
+        assert newton_counter.iterations <= 1.3 * newton_counter.calls, newton_counter
+        complex_samples = sum(s.branch is Branch.COMPLEX_K for s in traj.samples)
+        # without the seed window the predictor calls it on every complex step
+        assert len(calls) <= 0.2 * complex_samples, (len(calls), complex_samples)
+
+    def test_seed_window_skips_only_unusable_seeds(self):
+        windows = {(0, 0): -0.03, (0, 1): -0.09, (0, 4): -0.09, (1, 1): -6.015}
+        for lab in [(0, 0), (0, 1), (0, 4), (1, 1), (1, 2), (1, 3), (1, 9), (1, 40)]:
+            label = QuantumLabel(*lab)
+            marcher = bethe3.continuation._Marcher(label)
+            bound = marcher.seed_c
+            if lab in windows:
+                assert bound == pytest.approx(windows[lab], rel=1e-15)
+            below = [float(np.nextafter(bound, -np.inf))]
+            below += [float(c) for c in np.linspace(bound - 3.0, bound, 301)[:-1]]
+            for c in below:
+                seed = branch_switch(label, c, marcher.critical)
+                assert seed.alpha >= bethe3.continuation.FOLD_ALPHA_SMALL, (lab, c)
+
+    def test_integer_samples_equal_solve_state(self):
+        # the trace takes the cubic, solve_state's adaptive march the secant
+        for lab in self.SWEEP:
+            label = QuantumLabel(*lab)
+            traj = trace_root(label, -12.0, 12.0, 0.05)
+            for c in range(-12, 13):
+                if lab == (1, 1) and c == -6:
+                    continue  # the critical point itself is not sampled
+                st, ref = solve_state(label, float(c)), traj.sample_at(float(c))
+                assert st.branch is ref.branch
+                for a, b in zip(_values(st), _values(ref)):
+                    assert abs(a - b) <= 1e-10 * max(1.0, abs(b)), (lab, c)
+
+    @pytest.mark.parametrize("lab, c_min, c_max, step", [
+        ((1, 1), -6.5, -5.5, 0.001), ((1, 2), -7.0, -3.0, 0.02)])
+    def test_near_fold_small_steps(self, lab, c_min, c_max, step):
+        # a quartic predictor failed the first of these; the grid runs through
+        # the geometric fold refinement on both sides of C
+        label = QuantumLabel(*lab)
+        traj = trace_root(label, c_min, c_max, step)
+        assert traj.branch_changes() == 1
+        cont = bethe3.continuation
+        for s in traj.samples:
+            if s.branch is Branch.COMPLEX_K:
+                chart = cont.FAMILY1
+            else:
+                chart = cont.REAL_DIAGONAL if label.is_diagonal else cont.REAL_COUPLED
+            r = chart.residual(chart.to_x(s.coords, s.c), label, s.c)
+            assert max(abs(v) for v in r) < cont.RESIDUAL_TOL, (lab, s.c, r)

@@ -13,7 +13,7 @@ from bethe3 import (
     simplex_integral_exponents,
     solve_state,
 )
-from bethe3.observables import _coincidence_sum, _norm_sum
+from bethe3.observables import _Exponent, _coincidence_sum, _norm_sum, _symmetric_table
 from bethe3.wavefunction import PERMUTATIONS
 
 from conftest import (
@@ -281,6 +281,18 @@ class TestExponentTable:
                               (_coincidence_sum(s), coincidence_term)):
                 ref = sum(pair_terms(s, term))
                 assert abs(got - ref) <= 1e-13 * abs(ref), (n1, n2, c, s.label)
+
+    @pytest.mark.parametrize("n1, n2, c", [(2, 3, -3.0), (0, 2, -9.0), (1, 2, -7.0), (1, 1, -5.0)])
+    def test_conjugate_entries_equal_direct_entries(self, n1, n2, c):
+        # d_ji = -conj(d_ij): the lower entries, built by conjugation, equal
+        # the entries evaluated at d_ji bit for bit
+        k = solved(n1, n2, c).momenta
+        table = _symmetric_table(k, _Exponent)
+        for i in range(3):
+            for j in range(3):
+                got, ref = table[i][j], _Exponent(k[i] - k[j].conjugate())
+                for name in _Exponent.__slots__:
+                    assert getattr(got, name) == getattr(ref, name), (i, j, name)
 
     def test_near_fold_within_rounding_of_term_scale(self):
         # the sums cancel here, so the bound is the size of the terms, not of the sum
