@@ -231,8 +231,10 @@ def residual_complex(
 ) -> ResidualPoint:
     """Two real residuals for the complex branch at (alpha, gamma) (principal arguments).
 
-    Dispatches to the n1 = 0 or n1 = 1 family of equations; raises
-    ConstraintViolationError when a log factor would change sign.
+    Dispatches to the n1 = 0 or n1 = 1 family of equations, in the shifted
+    unknown of the label's continuation chart: eta for (0,0) and (0,1), beta
+    otherwise.  Raises ConstraintViolationError when a log factor would
+    change sign.
 
     Conditioning: the equations depend on the exponentially small parts
     eta = alpha + c (trimers) or beta = alpha + c/2 (dimers), recovered here
@@ -248,10 +250,10 @@ def residual_complex(
     if lab.n1 == 1:
         ra, rg = family1_residual_beta(alpha + c / 2.0, gamma, c, lab.n2)
     elif lab.n1 == 0:
-        if alpha > -0.75 * c:
-            ra, rg = family0_residual_eta(alpha + c, gamma, c, lab.n2)
-        else:
+        if lab.n2 >= 2:
             ra, rg = family0_residual_beta(alpha + c / 2.0, gamma, c, lab.n2)
+        else:
+            ra, rg = family0_residual_eta(alpha + c, gamma, c, lab.n2)
     else:
         raise ConstraintViolationError(
             f"label {label} has no complex branch (both n_j >= 2)"

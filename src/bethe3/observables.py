@@ -39,24 +39,21 @@ imaginary part of the total stays a check on the arithmetic.
 The coincidence-plane integral for <V> reduces to the single-variable
 D(b) = e_2(ib) = (e^{ib} - 1 - ib)/(ib)^2 per pair, with b = k_{P3} - conj(k_{Q3}).
 It depends on (P3, Q3) alone, so the 36-term sum is grouped exactly into 9:
-sum_ij e_2(i d_ij) A_i conj(A_j) with A_i = sum over P3 = i of a(P); the
-same symmetry leaves six e_2 values to evaluate.
+sum_ij e_2(i d_ij) A_i conj(A_j) with A_i = sum over P3 = i of a(P).  The
+e_2(i d_ij) are the .e2 pieces of the norm's table, so one amplitudes call
+and one table serve both sums.  That pair of sums is memoised for the last
+state evaluated: callers take norm_squared and then
+potential_expectation(state, norm=n) of the same state, and without the
+memo the second call would rebuild the whole table.
 """
 from __future__ import annotations
 
+import functools
 import math
 
-from .model import StateSolution
+from .model import Momenta, StateSolution
 from .tolerances import MAX_GRID_POINTS, NEAR_DEGENERATE_EXPONENT, NORM_IMAG_RTOL
 from .wavefunction import PERMUTATIONS, amplitudes, psi_ordered
-
-
-def _cexpm1(z: complex) -> complex:
-    """e^z - 1 without cancellation for small |z| (complex expm1)."""
-    x, y = z.real, z.imag
-    re = math.expm1(x) * math.cos(y) - 2.0 * math.sin(y / 2.0) ** 2
-    im = math.exp(x) * math.sin(y)
-    return complex(re, im)
 
 
 def _e1(z: complex, m: complex) -> complex:
@@ -93,7 +90,8 @@ def _middle_zero(w: complex, e1: complex, e2: complex) -> complex:
 class _Exponent:
     """One exponent a with every piece T reads for it, at z = i a: e_1(-z),
     e_1(z), e_2(z), e_3(z) and the middle-zero form.  e^z - 1 and e^{-z} - 1
-    share cos y, sin y and 2 sin^2(y/2) (y = Im z), as _cexpm1 forms them."""
+    are formed without cancellation at small |z| (complex expm1) and share
+    cos y, sin y and 2 sin^2(y/2) (y = Im z)."""
 
     __slots__ = ("a", "mag", "z", "e1_neg", "e1", "e2", "e3", "mid")
 
@@ -130,12 +128,6 @@ def _symmetric_table(k, entry) -> list[list]:
     return table
 
 
-def _coincidence_e2(d: complex) -> complex:
-    """e_2(i d), the coincidence-plane integral of one (P3, Q3) group."""
-    z = 1j * d
-    return _e2(z, _cexpm1(z))
-
-
 def _simplex(t1: _Exponent, t2: _Exponent, t3: _Exponent) -> complex:
     """T(a1, a2, a3) from the three exponents' pieces; the routing of
     simplex_integral_exponents.  A triple with an exponent below
@@ -167,32 +159,26 @@ def simplex_integral_exponents(a1: complex, a2: complex, a3: complex) -> complex
     return _simplex(_Exponent(a1), _Exponent(a2), _Exponent(a3))
 
 
-def _norm_sum(state: StateSolution) -> complex:
-    """sum over 36 permutation pairs (P, Q) of a(P) conj(a(Q)) T_PQ, with T_PQ
-    read from the 3x3 table of d_ij = k_i - conj(k_j)."""
-    a = amplitudes(state.momenta, state.c)
-    table = _symmetric_table(state.momenta, _Exponent)
-    total = 0j
+@functools.lru_cache(maxsize=1)
+def _sums(momenta: Momenta, c: float) -> tuple[complex, complex]:
+    """(norm sum, coincidence sum) of one state from one amplitudes call and
+    one exponent table: the 36 pairs a(P) conj(a(Q)) T_PQ, and the (P3, Q3)
+    grouping sum_ij e_2(i d_ij) A_i conj(A_j) with A_i = sum_{P3 = i} a(P)."""
+    a = amplitudes(momenta, c)
+    table = _symmetric_table(momenta, _Exponent)
+    norm = 0j
     for p in PERMUTATIONS:
         ap, row1, row2, row3 = a[p], table[p[0]], table[p[1]], table[p[2]]
         for q in PERMUTATIONS:
-            total += ap * a[q].conjugate() * _simplex(row1[q[0]], row2[q[1]], row3[q[2]])
-    return total
-
-
-def _coincidence_sum(state: StateSolution) -> complex:
-    """sum over (P, Q) of a(P) conj(a(Q)) e_2(i d_{P3 Q3}), grouped by (P3, Q3):
-    sum_ij e_2(i d_ij) A_i conj(A_j) with A_i = sum_{P3 = i} a(P)."""
-    a = amplitudes(state.momenta, state.c)
+            norm += ap * a[q].conjugate() * _simplex(row1[q[0]], row2[q[1]], row3[q[2]])
     A = [0j, 0j, 0j]
     for p in PERMUTATIONS:
         A[p[2]] += a[p]
-    table = _symmetric_table(state.momenta, _coincidence_e2)
-    total = 0j
+    coincidence = 0j
     for row, Ai in zip(table, A):
-        for e2, Aj in zip(row, A):
-            total += e2 * Ai * Aj.conjugate()
-    return total
+        for t, Aj in zip(row, A):
+            coincidence += t.e2 * Ai * Aj.conjugate()
+    return norm, coincidence
 
 
 def norm_squared(state: StateSolution) -> float:
@@ -203,7 +189,7 @@ def norm_squared(state: StateSolution) -> float:
     the norm and in <V>, which divides by it.  Reordering the same arithmetic
     moves the norm there by up to ~1e-8 relative.
     """
-    total = 6.0 * _norm_sum(state)
+    total = 6.0 * _sums(state.momenta, state.c)[0]
     if not (math.isfinite(total.real) and math.isfinite(total.imag)):
         raise OverflowError(
             f"norm overflow for {state.label} at c={state.c}: the bound-state "
@@ -219,12 +205,15 @@ def norm_squared(state: StateSolution) -> float:
 def potential_expectation(state: StateSolution, norm: float | None = None) -> float:
     """<V> = (6c/<psi|psi>) * integral of |psi|^2 over the coincidence plane.
 
-    Exactly zero at c = 0; otherwise sign(<V>) = sign(c).
+    Exactly zero at c = 0; otherwise sign(<V>) = sign(c).  A given norm must
+    be finite and positive (it is norm_squared(state)); otherwise ValueError.
     """
+    if norm is not None and not (math.isfinite(norm) and norm > 0.0):
+        raise ValueError(f"norm must be finite and positive, got {norm}")
     if state.c == 0.0:
         return 0.0
     n = norm_squared(state) if norm is None else norm
-    total = _coincidence_sum(state)
+    total = _sums(state.momenta, state.c)[1]
     if abs(total.imag) > NORM_IMAG_RTOL * max(1.0, abs(total.real)):
         raise ValueError(f"coincidence integral imaginary defect: {total}")
     return 6.0 * state.c * total.real / n
@@ -261,15 +250,16 @@ def density_grid(state: StateSolution, resolution: int) -> TernaryGrid:
 
     The representative configuration for (r12, r23, r31) is
     x = (0, r12, r12 + r23); the density depends only on the relative
-    coordinates at fixed state.  A resolution below 8, or above 1413 where the
-    n(n+1)/2 points pass MAX_GRID_POINTS, raises ValueError before any array
-    is built.
+    coordinates at fixed state.  A resolution that is not an integer, is
+    below 8, or is above 1413 where the n(n+1)/2 points pass MAX_GRID_POINTS,
+    raises ValueError before any array is built.
     """
     import numpy as np
 
     n = resolution
-    if not (n >= 8 and n * (n + 1) // 2 <= MAX_GRID_POINTS):
-        raise ValueError(f"resolution must be >= 8 with n(n+1)/2 <= {MAX_GRID_POINTS}, got {n}")
+    if not (isinstance(n, (int, np.integer)) and n >= 8 and n * (n + 1) // 2 <= MAX_GRID_POINTS):
+        raise ValueError(
+            f"resolution must be an integer >= 8 with n(n+1)/2 <= {MAX_GRID_POINTS}, got {n!r}")
     ii, jj = np.nonzero(np.add.outer(np.arange(n), np.arange(n)) < n)
     r12 = ii / (n - 1)
     r23 = jj / (n - 1)

@@ -6,6 +6,8 @@ the ordered simplex, so convergence is spectral).  The simplex-exponential
 oracle lives in bethe3.oracles, shared with `bethe3 verify`.  pair_terms is
 the direct form of the norm and coincidence sums, one term per permutation
 pair, against which the grouped sums of bethe3.observables are checked.
+gaudin_norm is the Gaudin-Korepin determinant form of the norm, which needs
+no simplex integral at all.
 """
 import cmath
 import math
@@ -67,6 +69,29 @@ def coincidence_term(a1, a2, a3):
     if abs(z) < 1.0:
         return sum(z ** n / math.factorial(n + 2) for n in range(20))
     return (cmath.exp(z) - 1.0 - z) / (z * z)
+
+
+def gaudin_norm(state):
+    """Gaudin-Korepin norm (Korepin, Commun. Math. Phys. 86, 391 (1982)):
+    Re(6 det G F) with K(x) = 2c/(c^2 + x^2), G_jj = 1 + sum_{m != j} K(k_j - k_m),
+    G_jl = -K(k_j - k_l), and F = prod_{j<l} [(D^2 + c^2)/D^2] [|D|^2/|D - ic|^2]
+    at D = k_l - k_j, which is 1 for real momenta."""
+    k, c = tuple(state.momenta), state.c
+
+    def kernel(x):
+        return 2.0 * c / (c * c + x * x)
+
+    g = [[1.0 + sum(kernel(k[j] - k[m]) for m in range(3) if m != j) if l == j
+          else -kernel(k[j] - k[l]) for l in range(3)] for j in range(3)]
+    det = (g[0][0] * (g[1][1] * g[2][2] - g[1][2] * g[2][1])
+           - g[0][1] * (g[1][0] * g[2][2] - g[1][2] * g[2][0])
+           + g[0][2] * (g[1][0] * g[2][1] - g[1][1] * g[2][0]))
+    f = 1.0
+    for j in range(3):
+        for l in range(j + 1, 3):
+            d = k[l] - k[j]
+            f *= (d * d + c * c) / (d * d) * (abs(d) ** 2 / abs(d - 1j * c) ** 2)
+    return (6.0 * det * f).real
 
 
 _STATE_CACHE = {}

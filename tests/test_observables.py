@@ -13,11 +13,13 @@ from bethe3 import (
     simplex_integral_exponents,
     solve_state,
 )
-from bethe3.observables import _Exponent, _coincidence_sum, _norm_sum, _symmetric_table
-from bethe3.wavefunction import PERMUTATIONS
+import bethe3.observables as obs
+from bethe3.observables import _Exponent, _sums, _symmetric_table
+from bethe3.wavefunction import PERMUTATIONS, amplitudes
 
 from conftest import (
     coincidence_term,
+    gaudin_norm,
     gl_nodes,
     pair_terms,
     quad_norm,
@@ -121,6 +123,16 @@ class TestNorm:
         pt = partner_state(st)
         assert norm_squared(pt) == pytest.approx(norm_squared(st), rel=1e-9)
 
+    @pytest.mark.parametrize("n1, n2", [
+        (0, 0), (0, 1), (0, 2), (0, 5), (1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 5), (2, 1), (5, 0),
+    ])
+    def test_gaudin_determinant_oracle(self, n1, n2):
+        # complex states stay at c >= -12: deeper, the stored alpha has lost
+        # eta/beta and the determinant itself drifts (3e-10 for (0,1) at -20)
+        for c in (-12, -9, -7, -5, -3, -2, -1, -0.5, 0.3, 1, 3, 8, 40, 1000):
+            st = solved(n1, n2, c)
+            assert norm_squared(st) == pytest.approx(gaudin_norm(st), rel=1e-12), (n1, n2, c)
+
 
 class TestPotential:
     def test_zero_coupling_exact(self):
@@ -167,6 +179,12 @@ class TestPotential:
         st = solved(0, 1, -5.0)
         pt = partner_state(st)
         assert potential_expectation(pt) == pytest.approx(potential_expectation(st), rel=1e-9)
+
+    @pytest.mark.parametrize("norm", [-1.0, 0.0, math.nan, math.inf, -math.inf])
+    def test_invalid_norm_rejected(self, norm):
+        # a negative norm would flip the sign of <V> silently (+90.59 for -18.30 here)
+        with pytest.raises(ValueError, match="norm must be finite and positive"):
+            potential_expectation(solved(2, 2, -3.0), norm=norm)
 
     def test_finiteness_weak_form(self):
         # E, <V>, and the norm are finite with norm > 0 for every solved state
@@ -247,6 +265,17 @@ class TestDensityGrid:
         with pytest.raises(ValueError):
             density_grid(st, 4)
 
+    @pytest.mark.parametrize("resolution", [8.5, 8.0, "8", None])
+    def test_non_integer_resolution_refused(self, resolution):
+        # 8.5 would place points off the simplex (r12 up to 1.067, r31 down to -0.067)
+        with pytest.raises(ValueError, match="integer"):
+            density_grid(solved(2, 2, -3.0), resolution)
+
+    def test_numpy_integer_resolution(self):
+        st = solved(2, 2, -3.0)
+        got, ref = density_grid(st, np.int64(12)), density_grid(st, 12)
+        assert len(got) == len(ref) and np.array_equal(got.density, ref.density)
+
     @pytest.mark.parametrize("resolution", [1414, 10**7])
     def test_oversized_grid_refused_before_allocation(self, resolution):
         # n(n+1)/2 lattice points above MAX_GRID_POINTS (10**6) is a ValueError,
@@ -258,7 +287,7 @@ class TestDensityGrid:
 class TestPairSumInternals:
     def test_norm_imag_defect_guard(self):
         st = solved(1, 2, -2.0)
-        total = _norm_sum(st)
+        total = _sums(st.momenta, st.c)[0]
         assert abs(total.imag) < 1e-9 * abs(total.real)
 
 
@@ -277,8 +306,8 @@ class TestExponentTable:
     def test_matches_direct_pair_sums(self, n1, n2, c):
         st = solved(n1, n2, c)
         for s in (st, partner_state(st)):
-            for got, term in ((_norm_sum(s), simplex_integral_exponents),
-                              (_coincidence_sum(s), coincidence_term)):
+            norm, coincidence = _sums(s.momenta, s.c)
+            for got, term in ((norm, simplex_integral_exponents), (coincidence, coincidence_term)):
                 ref = sum(pair_terms(s, term))
                 assert abs(got - ref) <= 1e-13 * abs(ref), (n1, n2, c, s.label)
 
@@ -297,10 +326,44 @@ class TestExponentTable:
     def test_near_fold_within_rounding_of_term_scale(self):
         # the sums cancel here, so the bound is the size of the terms, not of the sum
         st = near_fold_12()
-        for got, term in ((_norm_sum(st), simplex_integral_exponents),
-                          (_coincidence_sum(st), coincidence_term)):
+        norm, coincidence = _sums(st.momenta, st.c)
+        for got, term in ((norm, simplex_integral_exponents), (coincidence, coincidence_term)):
             terms = pair_terms(st, term)
             assert abs(got - sum(terms)) <= 1e-14 * sum(map(abs, terms))
+
+
+class TestSumsMemo:
+    """_sums keeps the last state's sums, so norm_squared and then
+    potential_expectation on one state evaluate it once."""
+
+    def test_one_amplitudes_call_per_state(self, monkeypatch):
+        calls = []
+
+        def counting(m, c):
+            calls.append(c)
+            return amplitudes(m, c)
+
+        monkeypatch.setattr(obs, "amplitudes", counting)
+        _sums.cache_clear()
+        st = solved(1, 2, -7.0)
+        potential_expectation(st, norm=norm_squared(st))
+        assert len(calls) == 1
+        _sums.cache_clear()
+
+    def test_alternating_states_read_their_own_values(self):
+        # one coupling, so only the momenta tell the memo's states apart
+        a, b = solved(2, 3, -3.0), solved(0, 1, -3.0)
+        states = (a, b, partner_state(a), a, partner_state(a), b)
+        memo = [(norm_squared(s), potential_expectation(s)) for s in states]
+        for s, got in zip(states, memo):
+            _sums.cache_clear()
+            assert got == (norm_squared(s), potential_expectation(s)), s.label
+
+    def test_given_norm_is_bit_identical(self):
+        for st in (solved(2, 2, -3.0), solved(0, 0, -9.0), solved(1, 2, -7.0)):
+            _sums.cache_clear()
+            v = potential_expectation(st)
+            assert potential_expectation(st, norm=norm_squared(st)) == v
 
 
 def mp_observables(mpmath, state):
