@@ -40,9 +40,9 @@ built from d(theta)/d(dk) = -2c/(c^2 + dk^2) and the derivatives of log|z|
 and arg z; the test suite checks each against central differences.
 newton_solve is a damped Newton for these one- and two-unknown systems.  It
 calls residual, jacobian and guard as f(x, label, c), so the march hands it a
-Chart's pieces as they are; callables of x alone also work.  It reports the
-contraction of its first iteration (the march sizes its steps from it) and
-raises ResidualFloorError when the residual stalls above the tolerance.
+Chart's pieces as they are.  It reports the contraction of its first
+iteration (the march sizes its steps from it) and raises ResidualFloorError
+when the residual stalls above the tolerance.
 """
 from __future__ import annotations
 
@@ -283,15 +283,16 @@ def newton_solve(
     guess,
     tol: float = RESIDUAL_TOL,
     guard=None,
-    args: tuple = (),
+    args: tuple = (None, None),
 ) -> NewtonResult:
     """Damped Newton for one or two unknowns with a closed-form Jacobian.
 
     residual(x, *args) gives the residuals at the tuple of unknowns x,
     jacobian(x, *args) the rows of d(residual)/dx, and guard(x, *args) -> bool
     marks the valid sheet (steps never cross it; False wherever residual
-    raises ConstraintViolationError).  args is () for callables of x alone,
-    or (label, c) for a Chart's pieces, which the march passes directly.
+    raises ConstraintViolationError).  args is (label, c) for a Chart's
+    pieces, which the march passes directly; the default suits callables
+    of (x, *_) that ignore it.
     Each Cramer step is halved until it stays on the sheet with a finite
     residual whose max-norm does not grow.
     Raises NoConvergenceError / ConstraintViolationError.  When that max-norm
@@ -299,10 +300,6 @@ def newton_solve(
     ResidualFloorError if the full Newton step is rounding noise (below
     NEWTON_FLOOR_STEP relative to x), else NoConvergenceError.
     """
-    if not args:  # callables of x alone
-        f, j, g, args = residual, jacobian, guard, (None, None)
-        residual, jacobian = (lambda x, *_: f(x)), (lambda x, *_: j(x))
-        guard = g and (lambda x, *_: g(x))
     a0, a1 = args
     x = tuple([float(v) for v in guess])
     if guard is not None and not guard(x, a0, a1):

@@ -21,8 +21,9 @@ ENERGY_AGREEMENT_RTOL = 1e-11  # sum(k^2) vs coordinate energy formulas
 
 # Wavefunction / observables
 DEGENERATE_MOMENTA_TOL = 1e-12  # pairwise |k_j - k_l| below this: raw ansatz vanishes
-NEAR_DEGENERATE_EXPONENT = 1e-6  # window routed to the nearest limiting case
+NEAR_DEGENERATE_EXPONENT = 1e-6  # |a2| below this: the simplex integral's two middle nodes merge
 NORM_IMAG_RTOL = 1e-9           # relative imaginary defect allowed in <psi|psi>
+MAX_SUM_CONDITION = 1e7         # sum |term| / |sum| of the norm or <V> sum above this: raise
 
 # Continuation
 BASE_STEP = 0.05            # default c-grid spacing; also the first march step and, short

@@ -95,10 +95,10 @@ class TestBranchSwitch:
         c = crit.C - 1e-3
         seed = branch_switch(QuantumLabel(1, 2), c, crit)
         res = eq.newton_solve(
-            lambda x: eq.family1_residual_beta(x[0], x[1], c, 2),
-            lambda x: eq.family1_jacobian_beta(x[0], x[1], c),
+            lambda x, *_: eq.family1_residual_beta(x[0], x[1], c, 2),
+            lambda x, *_: eq.family1_jacobian_beta(x[0], x[1], c),
             [seed.alpha + c / 2.0, seed.gamma],
-            guard=lambda x: c / 2.0 < x[0] < 0.0,
+            guard=lambda x, *_: c / 2.0 < x[0] < 0.0,
         )
         assert res.iterations <= 10
         assert -c / 2.0 + res.root[0] == pytest.approx(seed.alpha, rel=5e-3)
@@ -175,8 +175,8 @@ class TestTraceRoot:
         for c in (1.0, -2.0, 5.0):
             st = solve_state(QuantumLabel(2, 2), c)
             res = eq.newton_solve(
-                lambda x: eq.residual_real_thetasum(x[0], x[1], c, 2, 2),
-                lambda x: eq.jacobian_real_thetasum(x[0], x[1], c),
+                lambda x, *_: eq.residual_real_thetasum(x[0], x[1], c, 2, 2),
+                lambda x, *_: eq.jacobian_real_thetasum(x[0], x[1], c),
                 [st.coords.delta1 + 0.05, st.coords.delta2 - 0.03],
                 tol=1e-13,
             )

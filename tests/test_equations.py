@@ -121,8 +121,8 @@ class TestResidualEqualDelta:
                 hi = mid
         d_bisect = 0.5 * (lo + hi)
         res = eq.newton_solve(
-            lambda x: eq.residual_real_thetasum(x[0], x[1], 1.0, 2, 2),
-            lambda x: eq.jacobian_real_thetasum(x[0], x[1], 1.0),
+            lambda x, *_: eq.residual_real_thetasum(x[0], x[1], 1.0, 2, 2),
+            lambda x, *_: eq.jacobian_real_thetasum(x[0], x[1], 1.0),
             [2 * TWO_PI + 0.5, 2 * TWO_PI + 0.5],
         )
         assert res.root[0] == pytest.approx(d_bisect, abs=1e-10)
@@ -187,15 +187,15 @@ class TestGammaSquared:
 
 class TestNewton:
     def test_linear_single_step(self):
-        res = eq.newton_solve(lambda x: (x[0] - 2.5,), lambda x: ((1.0,),), [2.8])
+        res = eq.newton_solve(lambda x, *_: (x[0] - 2.5,), lambda x, *_: ((1.0,),), [2.8])
         assert res.iterations <= 2
         assert res.root[0] == pytest.approx(2.5, abs=1e-12)
 
     def test_matches_independent_solver(self):
         from scipy.optimize import fsolve
 
-        fun = lambda x: np.array(eq.residual_real_thetasum(x[0], x[1], -2.0, 1, 2))
-        jac = lambda x: eq.jacobian_real_thetasum(x[0], x[1], -2.0)
+        fun = lambda x, *_: np.array(eq.residual_real_thetasum(x[0], x[1], -2.0, 1, 2))
+        jac = lambda x, *_: eq.jacobian_real_thetasum(x[0], x[1], -2.0)
         mine = eq.newton_solve(fun, jac, [TWO_PI, 2 * TWO_PI])
         ref = fsolve(fun, [TWO_PI, 2 * TWO_PI], xtol=1e-13)
         assert mine.root == pytest.approx(ref, abs=1e-10)
@@ -203,36 +203,39 @@ class TestNewton:
     def test_no_convergence_raises(self):
         with pytest.raises(eq.NoConvergenceError):
             eq.newton_solve(
-                lambda x: (x[0] ** 2 + 1.0,), lambda x: ((2.0 * x[0],),), [0.5]
+                lambda x, *_: (x[0] ** 2 + 1.0,), lambda x, *_: ((2.0 * x[0],),), [0.5]
             )
 
     def test_guard_blocks_boundary(self):
         # root at -1 is outside the guarded region; the solve must not cross 0
         with pytest.raises((eq.ConstraintViolationError, eq.NoConvergenceError)):
             eq.newton_solve(
-                lambda x: (x[0] + 1.0,), lambda x: ((1.0,),), [0.5],
-                guard=lambda x: x[0] > 0.0,
+                lambda x, *_: (x[0] + 1.0,), lambda x, *_: ((1.0,),), [0.5],
+                guard=lambda x, *_: x[0] > 0.0,
             )
 
     def test_contraction_of_first_iteration(self):
         # x^2 = 2 from 1.5: |r0| = 0.25, one Newton step lands at 1.5 - 0.25/3
-        res = eq.newton_solve(lambda x: (x[0] ** 2 - 2.0,), lambda x: ((2.0 * x[0],),), [1.5])
+        res = eq.newton_solve(
+            lambda x, *_: (x[0] ** 2 - 2.0,), lambda x, *_: ((2.0 * x[0],),), [1.5])
         x1 = 1.5 - 0.25 / 3.0
         assert res.contraction == pytest.approx((x1 * x1 - 2.0) / 0.25, rel=1e-12)
-        assert eq.newton_solve(lambda x: (x[0] - 2.5,), lambda x: ((1.0,),), [2.8]).contraction == 0.0
+        linear = eq.newton_solve(lambda x, *_: (x[0] - 2.5,), lambda x, *_: ((1.0,),), [2.8])
+        assert linear.contraction == 0.0
 
     def test_residual_floor_named(self):
         # |r| >= 3e-13 everywhere: the stall is reported with the floor and tol,
         # long before max_iter
-        fun = lambda x: (x[0] - 1.0 + 3e-13 * math.copysign(1.0, x[0] - 1.0),)
+        fun = lambda x, *_: (x[0] - 1.0 + 3e-13 * math.copysign(1.0, x[0] - 1.0),)
         with pytest.raises(eq.ResidualFloorError, match=r"floor \|r\|=6\.000e-13 .*tol=1\.0e-13") as err:
-            eq.newton_solve(fun, lambda x: ((1.0,),), [1.5], tol=1e-13)
+            eq.newton_solve(fun, lambda x, *_: ((1.0,),), [1.5], tol=1e-13)
         assert err.value.iterations < 10
 
     def test_scaled_tiny_unknown(self):
         # root at 1e-9 with a log-singular residual: steps must not cross zero
-        fun = lambda x: (math.log(x[0] / 1e-9),)
-        res = eq.newton_solve(fun, lambda x: ((1.0 / x[0],),), [3e-9], guard=lambda x: x[0] > 0.0)
+        fun = lambda x, *_: (math.log(x[0] / 1e-9),)
+        res = eq.newton_solve(fun, lambda x, *_: ((1.0 / x[0],),), [3e-9],
+                              guard=lambda x, *_: x[0] > 0.0)
         assert res.root[0] == pytest.approx(1e-9, rel=1e-9)
 
 

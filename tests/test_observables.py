@@ -15,6 +15,7 @@ from bethe3 import (
 )
 import bethe3.observables as obs
 from bethe3.observables import _Exponent, _sums, _symmetric_table
+from bethe3.verify import simplex_triples
 from bethe3.wavefunction import PERMUTATIONS, amplitudes
 
 from conftest import (
@@ -83,15 +84,24 @@ class TestSimplexIntegral:
         assert worst < 1e-8
 
     def test_near_degenerate_routing(self):
-        # inside the 1e-6 window the nearest limiting form is used; the
-        # mis-specification error is O(window) but cancellation-free
+        # a small a1 or a3 puts a node next to the double node at 0, which the
+        # series of e_2 resolves: no window and no lost digits
+        for eps in (1e-7, 1e-8, 1e-12):
+            for trio in ((eps, 3.0, -3.0 - eps), (-3.0 - eps, 3.0, eps)):
+                ref = quad_simplex_exp(*trio)
+                assert abs(simplex_integral_exponents(*trio) - ref) <= 1e-13 * abs(ref), trio
+        # inside the 1e-6 window of a2 the two middle nodes merge into e_2'(i a3);
+        # the error is O(window) but cancellation-free
         for eps in (1e-7, 1e-8):
-            got = simplex_integral_exponents(eps, 3.0, -3.0 - eps)
-            ref = quad_simplex_exp(eps, 3.0, -3.0 - eps)
+            got = simplex_integral_exponents(3.0, eps, -3.0 - eps)
+            ref = quad_simplex_exp(3.0, eps, -3.0 - eps)
             assert abs(got - ref) < 1e-6
-        # the routed triple takes the exact a1 = 0 form
-        assert simplex_integral_exponents(1e-7, 3.0, -3.0 - 1e-7) == \
-            simplex_integral_exponents(0.0, 3.0 + 1e-7, -3.0 - 1e-7)
+
+    def test_verify_rule_matches_default_rule(self):
+        # `bethe3 verify` reads its seeded triples with 24 nodes per axis
+        for trio in simplex_triples():
+            ref = quad_simplex_exp(*trio, n=48)
+            assert abs(quad_simplex_exp(*trio, n=24) - ref) <= 1e-13 * abs(ref), trio
 
     def test_sum_validation(self):
         with pytest.raises(ValueError):
@@ -185,6 +195,12 @@ class TestPotential:
         # a negative norm would flip the sign of <V> silently (+90.59 for -18.30 here)
         with pytest.raises(ValueError, match="norm must be finite and positive"):
             potential_expectation(solved(2, 2, -3.0), norm=norm)
+
+    def test_cancelled_coincidence_sum_raises(self):
+        # 1e-3 from C(1,1) = -6 the coincidence terms exceed their sum ~8e7-fold
+        st = solve_state(QuantumLabel(1, 1), -6.001)
+        with pytest.raises(ValueError, match=r"coincidence sum of .* at c=-6\.001 cancels"):
+            potential_expectation(st, norm=1.0)
 
     def test_finiteness_weak_form(self):
         # E, <V>, and the norm are finite with norm > 0 for every solved state
@@ -306,7 +322,7 @@ class TestExponentTable:
     def test_matches_direct_pair_sums(self, n1, n2, c):
         st = solved(n1, n2, c)
         for s in (st, partner_state(st)):
-            norm, coincidence = _sums(s.momenta, s.c)
+            norm, coincidence = _sums(s.momenta, s.c)[:2]
             for got, term in ((norm, simplex_integral_exponents), (coincidence, coincidence_term)):
                 ref = sum(pair_terms(s, term))
                 assert abs(got - ref) <= 1e-13 * abs(ref), (n1, n2, c, s.label)
@@ -316,7 +332,7 @@ class TestExponentTable:
         # d_ji = -conj(d_ij): the lower entries, built by conjugation, equal
         # the entries evaluated at d_ji bit for bit
         k = solved(n1, n2, c).momenta
-        table = _symmetric_table(k, _Exponent)
+        table = _symmetric_table(k)
         for i in range(3):
             for j in range(3):
                 got, ref = table[i][j], _Exponent(k[i] - k[j].conjugate())
@@ -326,7 +342,7 @@ class TestExponentTable:
     def test_near_fold_within_rounding_of_term_scale(self):
         # the sums cancel here, so the bound is the size of the terms, not of the sum
         st = near_fold_12()
-        norm, coincidence = _sums(st.momenta, st.c)
+        norm, coincidence = _sums(st.momenta, st.c)[:2]
         for got, term in ((norm, simplex_integral_exponents), (coincidence, coincidence_term)):
             terms = pair_terms(st, term)
             assert abs(got - sum(terms)) <= 1e-14 * sum(map(abs, terms))
@@ -419,3 +435,36 @@ class TestMpmathOracle:
         assert norm < 1e-4
         assert norm_squared(st) == pytest.approx(norm, rel=1e-7)
         assert potential_expectation(st) == pytest.approx(v, rel=1e-7)
+
+    @pytest.mark.parametrize("n1, n2, c", [(0, 0, 1e-9), (0, 1, -1e-9), (0, 2, 1e-9)])
+    def test_near_zero_coupling(self, n1, n2, c):
+        # momenta ~3e-5 apart put nodes ~3e-5 from the double node at 0, so
+        # e_2 must stay accurate where e^z - 1 - z cancels
+        mpmath = pytest.importorskip("mpmath")
+        st = solved(n1, n2, c)
+        norm, v = mp_observables(mpmath, st)
+        assert norm_squared(st) == pytest.approx(norm, rel=1e-11)
+        assert potential_expectation(st) == pytest.approx(v, rel=1e-11)
+
+    @pytest.mark.parametrize("n1, n2", [(1, 1), (1, 2)])
+    def test_near_fold_raises_or_keeps_six_digits(self, n1, n2):
+        # 10^-k from the fold, k = 2..12, the O(1) terms cancel ever deeper:
+        # each call returns 6 correct digits or raises, never a wrong value
+        mpmath = pytest.importorskip("mpmath")
+        label = QuantumLabel(n1, n2)
+        crit = find_critical(label).C
+        raised = 0
+        for k in range(2, 13):
+            for c in (crit - 10.0 ** -k, crit + 10.0 ** -k):
+                st = solve_state(label, c)
+                try:
+                    n = norm_squared(st)
+                    v = potential_expectation(st, norm=n)
+                except ValueError as exc:
+                    assert f"{label} at c={c} cancels" in str(exc)
+                    raised += 1
+                    continue
+                ref_n, ref_v = mp_observables(mpmath, st)
+                assert n == pytest.approx(ref_n, rel=1e-6), c
+                assert v == pytest.approx(ref_v, rel=1e-6), c
+        assert raised > 0
