@@ -173,6 +173,10 @@ class Chart(NamedTuple):
 
     residual, jacobian and guard are pure functions of (x, label, c), called
     by newton_solve with args = (label, c).  sheet runs at every returned sample.
+    The residual and jacobian lambdas look up their eq.* function by module
+    attribute at every call, never binding it at import: the benchmark's
+    tracer and the tests count residual evaluations by replacing those
+    attributes of bethe3.equations.
     """
 
     branch: Branch
@@ -324,12 +328,15 @@ class _Marcher:
         h = cn - c
         frac = h / (c - c1)
         # equal spacing: every gap within 1e-9*|h| of h, the last one via frac
+        tol = 1e-9 * abs(h)
         if x3 is not None and -1e-9 <= frac - 1.0 <= 1e-9 and (
-                -1e-9 * abs(h) <= c1 - c2 - h <= 1e-9 * abs(h)
-                and -1e-9 * abs(h) <= c2 - c3 - h <= 1e-9 * abs(h)):
-            lin = [4.0 * (a + b2) - 6.0 * b1 - b3 for a, b1, b2, b3 in zip(x, x1, x2, x3)]
+                -tol <= c1 - c2 - h <= tol and -tol <= c2 - c3 - h <= tol):
+            lin = ((4.0 * (x[0] + x2[0]) - 6.0 * x1[0] - x3[0],) if len(x) == 1 else
+                   (4.0 * (x[0] + x2[0]) - 6.0 * x1[0] - x3[0],
+                    4.0 * (x[1] + x2[1]) - 6.0 * x1[1] - x3[1]))
         else:
-            lin = [a + (a - b) * frac for a, b in zip(x, x1)]
+            lin = ((x[0] + (x[0] - x1[0]) * frac,) if len(x) == 1 else
+                   (x[0] + (x[0] - x1[0]) * frac, x[1] + (x[1] - x1[1]) * frac))
         if chart.branch is Branch.REAL_K:
             return lin
         # the complex unknowns that decay exponentially deep in the attractive
@@ -374,24 +381,35 @@ class _Marcher:
         ahead) to at most half the remaining distance: always on the real
         branch, while alpha = x[0] - shift*c is small on the complex one.
         Errors name the label, the failing c and the last good c.
+
+        The chart's pieces are bound to locals once per march, and the
+        hoisting stops there: eq.newton_solve, build_state and the eq.*
+        residuals inside the chart lambdas are looked up at call time, since
+        the benchmark's tracer and the tests' newton_counter replace them by
+        module attribute (bethe3.equations, bethe3.continuation).
         """
         lab, p, real, shift = self.lab, self.p, chart.branch is Branch.REAL_K, chart.shift
+        residual, jacobian, guard = chart.residual, chart.jacobian, chart.guard
+        to_coords, sheet = chart.to_coords, chart.sheet
+        predict = self._predict
         out = []
         hist = (c, x, None, None, None, None, None, None)
         h = BASE_STEP
         for tgt in targets:
+            snap = 1e-12 * max(1.0, abs(tgt))
             while c != tgt:
                 sign = 1.0 if tgt > c else -1.0
-                step = min(h, abs(tgt - c))
+                step = abs(tgt - c)
+                if h < step:
+                    step = h
                 if fold_c is not None and (real or x[0] - shift * c < FOLD_ALPHA_SMALL):
                     step = min(step, max(0.5 * abs(c - fold_c), FOLD_MIN_SPAN / 4.0))
                 cn = c + sign * step
-                if sign * (tgt - cn) < 1e-12 * max(1.0, abs(tgt)):
+                if sign * (tgt - cn) < snap:
                     cn = tgt
-                guess = self._predict(chart, hist, cn)
+                guess = predict(chart, hist, cn)
                 try:
-                    res = eq.newton_solve(chart.residual, chart.jacobian, guess, RESIDUAL_TOL,
-                                          chart.guard, (lab, cn))
+                    res = eq.newton_solve(residual, jacobian, guess, RESIDUAL_TOL, guard, (lab, cn))
                 except (eq.NoConvergenceError, eq.ConstraintViolationError) as exc:
                     h = step / STEP_GROWTH ** 2
                     floor = isinstance(exc, eq.ResidualFloorError)
@@ -415,8 +433,8 @@ class _Marcher:
                         h if h < BASE_STEP else BASE_STEP)
                 x, c = root, cn
                 hist = (c, x) + hist[:6]
-            coords = chart.to_coords(x, c, p)
-            chart.sheet(lab, c, coords)
+            coords = to_coords(x, c, p)
+            sheet(lab, c, coords)
             out.append(build_state(lab, c, coords))
         return out
 
@@ -535,10 +553,14 @@ def trace_root(
 
 
 def _validate_trajectory(traj: Trajectory) -> None:
-    cs = traj.couplings()
-    if any(b <= a for a, b in zip(cs, cs[1:])):
-        raise BoundsViolationError("trajectory samples are not strictly monotone in c")
-    if traj.branch_changes() > 1:
+    """Samples strictly ascending in c, and at most one branch change, in one pass."""
+    changes = 0
+    for a, b in zip(traj.samples, traj.samples[1:]):
+        if b.c <= a.c:
+            raise BoundsViolationError("trajectory samples are not strictly monotone in c")
+        if a.coords.branch is not b.coords.branch:
+            changes += 1
+    if changes > 1:
         raise BoundsViolationError("branch tag changed more than once")
 
 

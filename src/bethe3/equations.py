@@ -107,18 +107,25 @@ class ResidualPoint(NamedTuple):
 
 
 def residual_real_thetasum(d1: float, d2: float, c: float, n1: int, n2: int) -> tuple[float, float]:
-    """Theta-sum form of the coupled real-branch equations (stateless)."""
-    t1 = theta(d1, c)
-    t2 = theta(d2, c)
-    t3 = theta(d1 + d2, c)
+    """Theta-sum form of the coupled real-branch equations (stateless).
+
+    theta is inlined off c = 0, where it is -2*atan2 with no special case.
+    """
+    if c == 0.0:  # theta's dk = c = 0 convention
+        t1, t2, t3 = theta(d1, c), theta(d2, c), theta(d1 + d2, c)
+    else:
+        t1 = -2.0 * math.atan2(d1, c)
+        t2 = -2.0 * math.atan2(d2, c)
+        t3 = -2.0 * math.atan2(d1 + d2, c)
     r1 = d1 - TWO_PI * (n1 + 1) - 2.0 * t1 - t3 + t2
     r2 = d2 - TWO_PI * (n2 + 1) - 2.0 * t2 - t3 + t1
     return r1, r2
 
 
 def jacobian_real_thetasum(d1: float, d2: float, c: float):
-    """Rows d(r1, r2)/d(d1, d2) of the theta-sum residual."""
-    p1, p2, p3 = dtheta(d1, c), dtheta(d2, c), dtheta(d1 + d2, c)
+    """Rows d(r1, r2)/d(d1, d2) of the theta-sum residual (dtheta inlined)."""
+    m, cc, d3 = -2.0 * c, c * c, d1 + d2
+    p1, p2, p3 = m / (cc + d1 * d1), m / (cc + d2 * d2), m / (cc + d3 * d3)
     return ((1.0 - 2.0 * p1 - p3, p2 - p3), (p1 - p3, 1.0 - 2.0 * p2 - p3))
 
 
@@ -131,12 +138,15 @@ def residual_equal_delta(d: float, c: float, n0: int) -> float:
     """Scalar residual for the common delta when n1 = n2 = n0 (real branch)."""
     if d < 0:
         raise ConstraintViolationError(f"delta must be >= 0, got {d}")
-    return d - theta(d, c) - theta(2.0 * d, c) - TWO_PI * (n0 + 1)
+    if c == 0.0:  # theta's dk = c = 0 convention
+        return d - theta(d, c) - theta(2.0 * d, c) - TWO_PI * (n0 + 1)
+    return d + 2.0 * math.atan2(d, c) + 2.0 * math.atan2(2.0 * d, c) - TWO_PI * (n0 + 1)
 
 
 def jacobian_equal_delta(d: float, c: float) -> float:
-    """d/dd of residual_equal_delta."""
-    return 1.0 - dtheta(d, c) - 2.0 * dtheta(2.0 * d, c)
+    """d/dd of residual_equal_delta (dtheta inlined)."""
+    m, cc, d2 = -2.0 * c, c * c, 2.0 * d
+    return 1.0 - m / (cc + d * d) - 2.0 * (m / (cc + d2 * d2))
 
 
 # ---------------------------------------------------------------------------
@@ -301,29 +311,38 @@ def newton_solve(
     NEWTON_FLOOR_STEP relative to x), else NoConvergenceError.
     """
     a0, a1 = args
-    x = tuple([float(v) for v in guess])
+    pair = len(guess) == 2
+    x = (float(guess[0]), float(guess[1])) if pair else (float(guess[0]),)
     if guard is not None and not guard(x, a0, a1):
         raise ConstraintViolationError(f"initial guess {x} violates constraints")
-    pair = len(x) == 2
     r = residual(x, a0, a1)
     best, stalled, contraction = math.inf, 0, 0.0
     for it in range(1, NEWTON_MAX_ITER + 1):
-        rmax = max(abs(r[0]), abs(r[1])) if pair else abs(r[0])
+        rmax = abs(r[0])
+        if pair:
+            r1 = abs(r[1])
+            if r1 > rmax:
+                rmax = r1
         if rmax < tol:
-            return NewtonResult(x, tuple(r), it - 1, contraction)
+            # tuple.__new__ skips the named tuple's keyword-argument __new__
+            return tuple.__new__(NewtonResult, (x, tuple(r), it - 1, contraction))
         if it == 2:
             contraction = rmax / best
         try:
             jac = jacobian(x, a0, a1)
             if pair:  # rows scaled to unit max-norm keep det finite at 1/eta ~ 1e160
                 (a, b), (c, d) = jac
-                s0, s1 = max(abs(a), abs(b)), max(abs(c), abs(d))
+                s0, s1 = abs(a), abs(c)
+                if abs(b) > s0:
+                    s0 = abs(b)
+                if abs(d) > s1:
+                    s1 = abs(d)
                 a, b, r0 = a / s0, b / s0, r[0] / s0
                 c, d, r1 = c / s1, d / s1, r[1] / s1
                 det = a * d - b * c
-                dx = ((b * r1 - d * r0) / det, (c * r0 - a * r1) / det)
+                dx0, dx1 = (b * r1 - d * r0) / det, (c * r0 - a * r1) / det
             else:
-                dx = (-r[0] / jac[0][0],)
+                dx0, dx1 = -r[0] / jac[0][0], 0.0
         except ZeroDivisionError as exc:
             raise NoConvergenceError(f"singular Jacobian at {x}: {exc}", x, r, it) from exc
         if rmax < best:
@@ -333,7 +352,8 @@ def newton_solve(
             if stalled == NEWTON_STALL_ITER:
                 # a full step of rounding size marks the floor of the residual
                 # evaluation; a larger one, a minimum of |r| away from any root
-                if all(abs(s) <= NEWTON_FLOOR_STEP * abs(v) for s, v in zip(dx, x)):
+                if (abs(dx0) <= NEWTON_FLOOR_STEP * abs(x[0])
+                        and (not pair or abs(dx1) <= NEWTON_FLOOR_STEP * abs(x[1]))):
                     raise ResidualFloorError(
                         f"residual floor |r|={best:.3e} reached above tol={tol:.1e}", x, r, it
                     )
@@ -342,7 +362,7 @@ def newton_solve(
                 )
         lam = 1.0
         for _ in range(NEWTON_MAX_HALVINGS):
-            x_new = (x[0] + lam * dx[0], x[1] + lam * dx[1]) if pair else (x[0] + lam * dx[0],)
+            x_new = (x[0] + lam * dx0, x[1] + lam * dx1) if pair else (x[0] + lam * dx0,)
             if guard is None or guard(x_new, a0, a1):
                 r_new = residual(x_new, a0, a1)
                 if (math.isfinite(r_new[0]) and abs(r_new[0]) <= rmax
@@ -351,7 +371,7 @@ def newton_solve(
             lam *= 0.5
         else:
             # keep the last guarded candidate if any; otherwise the step is blocked
-            x_new = (x[0] + lam * dx[0], x[1] + lam * dx[1]) if pair else (x[0] + lam * dx[0],)
+            x_new = (x[0] + lam * dx0, x[1] + lam * dx1) if pair else (x[0] + lam * dx0,)
             if guard is not None and not guard(x_new, a0, a1):
                 raise ConstraintViolationError(
                     f"Newton step blocked by sign constraints near x={x}"

@@ -106,7 +106,7 @@ def k_from_deltas(p: float, d1: float, d2: float) -> Momenta:
     k1 = (p - 2.0 * d1 - d2) / 3.0
     k2 = (p + d1 - d2) / 3.0
     k3 = (p + d1 + 2.0 * d2) / 3.0
-    return Momenta(complex(k1), complex(k2), complex(k3))
+    return tuple.__new__(Momenta, (complex(k1), complex(k2), complex(k3)))
 
 
 def deltas_from_k(m: Momenta) -> tuple[float, float, float]:
@@ -123,10 +123,9 @@ def k_from_alpha_gamma(p: float, alpha: float, gamma: float) -> Momenta:
     """Complex-branch momenta: k1 = i*alpha + gamma + p/3, k2 = conj(k1), k3 real."""
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
-    k1 = complex(gamma + p / 3.0, alpha)
-    k2 = complex(gamma + p / 3.0, -alpha)
-    k3 = complex(-2.0 * gamma + p / 3.0, 0.0)
-    return Momenta(k1, k2, k3)
+    q = p / 3.0
+    return tuple.__new__(Momenta, (complex(gamma + q, alpha), complex(gamma + q, -alpha),
+                                   complex(-2.0 * gamma + q, 0.0)))
 
 
 class RealCoords(NamedTuple("_Real", [("delta1", float), ("delta2", float), ("p", float)])):
@@ -136,14 +135,15 @@ class RealCoords(NamedTuple("_Real", [("delta1", float), ("delta2", float), ("p"
     branch = Branch.REAL_K
 
     def __new__(cls, delta1: float, delta2: float, p: float) -> "RealCoords":
-        return super().__new__(cls, float(delta1), float(delta2), float(p))
+        return tuple.__new__(cls, (float(delta1), float(delta2), float(p)))
 
     def momenta(self) -> Momenta:
-        return k_from_deltas(self.p, self.delta1, self.delta2)
+        d1, d2, p = self
+        return k_from_deltas(p, d1, d2)
 
     def energy(self) -> float:
-        d1, d2 = self.delta1, self.delta2
-        return (self.p ** 2 + 2.0 * (d1 * d1 + d2 * d2 + d1 * d2)) / 3.0
+        d1, d2, p = self
+        return (p ** 2 + 2.0 * (d1 * d1 + d2 * d2 + d1 * d2)) / 3.0
 
 
 class ComplexCoords(NamedTuple("_Complex", [("alpha", float), ("gamma", float), ("p", float)])):
@@ -153,13 +153,15 @@ class ComplexCoords(NamedTuple("_Complex", [("alpha", float), ("gamma", float), 
     branch = Branch.COMPLEX_K
 
     def __new__(cls, alpha: float, gamma: float, p: float) -> "ComplexCoords":
-        return super().__new__(cls, float(alpha), float(gamma), float(p))
+        return tuple.__new__(cls, (float(alpha), float(gamma), float(p)))
 
     def momenta(self) -> Momenta:
-        return k_from_alpha_gamma(self.p, self.alpha, self.gamma)
+        alpha, gamma, p = self
+        return k_from_alpha_gamma(p, alpha, gamma)
 
     def energy(self) -> float:
-        return -2.0 * self.alpha ** 2 + 6.0 * self.gamma ** 2 + self.p ** 2 / 3.0
+        alpha, gamma, p = self
+        return -2.0 * alpha ** 2 + 6.0 * gamma ** 2 + p ** 2 / 3.0
 
 
 BranchCoords = RealCoords | ComplexCoords
@@ -184,13 +186,13 @@ def build_state(label: QuantumLabel, c: float, coords: BranchCoords) -> StateSol
     if not math.isfinite(c):
         raise ValueError(f"coupling must be finite, got {c}")
     k1, k2, k3 = m = coords.momenta()
-    p = TWO_PI * label.np
+    p = TWO_PI * _NP_FROM_MOD3[(label.n1 - label.n2) % 3]  # label.np, inlined
     if abs(k1 + k2 + k3 - p) > IDENTITY_TOL:
         raise ValueError(
             f"momentum sum {m.total} != 2*pi*np = {p} for label {label}"
         )
     e_coord = coords.energy()
-    e_sum = k1 ** 2 + k2 ** 2 + k3 ** 2  # formed once: energy and imaginary defect
+    e_sum = k1 * k1 + k2 * k2 + k3 * k3  # formed once: energy and imaginary defect
     scale = max(1.0, abs(e_coord))
     if abs(e_coord - e_sum.real) > ENERGY_AGREEMENT_RTOL * scale:
         raise ValueError(
@@ -198,7 +200,7 @@ def build_state(label: QuantumLabel, c: float, coords: BranchCoords) -> StateSol
         )
     if abs(e_sum.imag) > ENERGY_AGREEMENT_RTOL * scale:
         raise ValueError(f"imaginary energy defect {abs(e_sum.imag)}")
-    return StateSolution(label, c, coords, m, e_coord)
+    return tuple.__new__(StateSolution, (label, c, coords, m, e_coord))
 
 
 def partner_state(state: StateSolution) -> StateSolution:
@@ -206,13 +208,9 @@ def partner_state(state: StateSolution) -> StateSolution:
 
     Diagonal labels return an equivalent state (same momenta set, p = 0).
     """
-    lab = state.label.partner()
-    if isinstance(state.coords, RealCoords):
-        coords = RealCoords(
-            delta1=state.coords.delta2, delta2=state.coords.delta1, p=-state.coords.p
-        )
+    co = state.coords
+    if isinstance(co, RealCoords):
+        coords = RealCoords(co.delta2, co.delta1, -co.p)
     else:
-        coords = ComplexCoords(
-            alpha=state.coords.alpha, gamma=-state.coords.gamma, p=-state.coords.p
-        )
-    return build_state(lab, state.c, coords)
+        coords = ComplexCoords(co.alpha, -co.gamma, -co.p)
+    return build_state(state.label.partner(), state.c, coords)

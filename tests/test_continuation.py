@@ -142,6 +142,17 @@ class TestTraceRoot:
         p = TWO_PI * traj.label.np
         assert max(abs(s.momenta.total - p) for s in traj.samples) < 1e-10
 
+    def test_validation_rejects_disorder_and_a_second_branch_change(self):
+        traj = trace_root(QuantumLabel(1, 2), -6.0, -3.0, step=0.5)
+        assert traj.branch_changes() == 1
+        s = traj.samples
+        swapped = traj._replace(samples=[s[1], s[0]] + s[2:])
+        with pytest.raises(BoundsViolationError, match="not strictly monotone in c"):
+            bethe3.continuation._validate_trajectory(swapped)
+        back = solve_state(QuantumLabel(0, 0), -2.5)  # complex after the real samples
+        with pytest.raises(BoundsViolationError, match="branch tag changed more than once"):
+            bethe3.continuation._validate_trajectory(traj._replace(samples=s + [back]))
+
     def test_real_branch_delta_bounds(self):
         for label in (QuantumLabel(1, 2), QuantumLabel(2, 3)):
             traj = trace_root(label, -3.9, 3.0, step=0.3)

@@ -79,6 +79,43 @@ class TestResidualReal:
         r1, _ = eq.residual_real_thetasum(d, d, -4000.0, 2, 2)
         assert abs(r1) < 7e-4 / 15  # shrinks like c^-2
 
+    def test_thetasum_is_exactly_the_theta_composition(self):
+        # the residual and Jacobian inline theta and dtheta; pin them bit for
+        # bit to the compositions, degenerate points (c = 0, a gap of 0, and
+        # d1 = d2 = c = 0 with its theta = -pi convention) included
+        rng = np.random.default_rng(17)
+        d1s, d2s = rng.uniform(0.0, 40.0, (2, 200))
+        cs = rng.uniform(-50.0, 50.0, 200)
+        cs[:10], d1s[10:15], d2s[15:20] = 0.0, 0.0, 0.0
+        points = [(float(d1), float(d2), float(c)) for d1, d2, c in zip(d1s, d2s, cs)]
+        points += [(0.0, 0.0, -3.0), (0.0, 2.5, 0.0), (2.5, 0.0, -0.0), (0.0, 0.0, 0.0),
+                   (0.0, 0.0, -0.0)]
+        for d1, d2, c in points:
+            n1, n2 = (int(v) for v in rng.integers(0, 6, 2))
+            t1, t2, t3 = eq.theta(d1, c), eq.theta(d2, c), eq.theta(d1 + d2, c)
+            expected = (d1 - TWO_PI * (n1 + 1) - 2.0 * t1 - t3 + t2,
+                        d2 - TWO_PI * (n2 + 1) - 2.0 * t2 - t3 + t1)
+            assert eq.residual_real_thetasum(d1, d2, c, n1, n2) == expected, (d1, d2, c)
+            if c == 0.0 and (d1 == 0.0 or d2 == 0.0):
+                continue  # dtheta divides by c^2 + dk^2 = 0
+            p1, p2, p3 = eq.dtheta(d1, c), eq.dtheta(d2, c), eq.dtheta(d1 + d2, c)
+            expected = ((1.0 - 2.0 * p1 - p3, p2 - p3), (p1 - p3, 1.0 - 2.0 * p2 - p3))
+            assert eq.jacobian_real_thetasum(d1, d2, c) == expected, (d1, d2, c)
+
+    def test_equal_delta_is_exactly_the_theta_composition(self):
+        rng = np.random.default_rng(19)
+        ds, cs = rng.uniform(0.0, 40.0, 200), rng.uniform(-50.0, 50.0, 200)
+        cs[:10], ds[10:15] = 0.0, 0.0
+        points = [(float(d), float(c)) for d, c in zip(ds, cs)] + [(0.0, 0.0), (0.0, -0.0)]
+        for d, c in points:
+            n0 = int(rng.integers(0, 6))
+            expected = d - eq.theta(d, c) - eq.theta(2.0 * d, c) - TWO_PI * (n0 + 1)
+            assert eq.residual_equal_delta(d, c, n0) == expected, (d, c)
+            if d == 0.0 and c == 0.0:
+                continue
+            expected = 1.0 - eq.dtheta(d, c) - 2.0 * eq.dtheta(2.0 * d, c)
+            assert eq.jacobian_equal_delta(d, c) == expected, (d, c)
+
     def test_thetasum_equals_tracked_log_along_paths(self):
         # walk from the c=0 reference root to random valid points; the
         # log form with continued arguments must agree with the theta-sum,
@@ -230,6 +267,30 @@ class TestNewton:
         with pytest.raises(eq.ResidualFloorError, match=r"floor \|r\|=6\.000e-13 .*tol=1\.0e-13") as err:
             eq.newton_solve(fun, lambda x, *_: ((1.0,),), [1.5], tol=1e-13)
         assert err.value.iterations < 10
+
+    def test_singular_jacobian_two_unknowns(self):
+        # proportional rows: the scaled Cramer determinant is exactly 0
+        with pytest.raises(eq.NoConvergenceError, match="singular Jacobian"):
+            eq.newton_solve(lambda x, *_: (x[0] + 2.0 * x[1] - 1.0, 2.0 * x[0] + 4.0 * x[1] + 3.0),
+                            lambda x, *_: ((1.0, 2.0), (2.0, 4.0)), [0.5, 0.5])
+
+    def test_residual_floor_two_unknowns(self):
+        # |r_j| >= 3e-13 in both rows: the stall is a floor, reported early
+        def fun(x, *_):
+            return (x[0] - 1.0 + 3e-13 * math.copysign(1.0, x[0] - 1.0),
+                    x[1] + 2.0 + 3e-13 * math.copysign(1.0, x[1] + 2.0))
+
+        with pytest.raises(eq.ResidualFloorError, match=r"tol=1\.0e-13") as err:
+            eq.newton_solve(fun, lambda x, *_: ((1.0, 0.0), (0.0, 1.0)), [1.5, -2.5], tol=1e-13)
+        assert err.value.iterations < 10
+
+    def test_guard_blocks_every_halving_two_unknowns(self):
+        # the guess sits on the guard's edge x0 >= 0.5 and the Newton step
+        # points off it, so every halved step leaves the sheet
+        with pytest.raises(eq.ConstraintViolationError, match="blocked by sign constraints"):
+            eq.newton_solve(lambda x, *_: (x[0] + 1.0, x[1] - 3.0),
+                            lambda x, *_: ((1.0, 0.0), (0.0, 1.0)), [0.5, 0.5],
+                            guard=lambda x, *_: x[0] >= 0.5)
 
     def test_scaled_tiny_unknown(self):
         # root at 1e-9 with a log-singular residual: steps must not cross zero
