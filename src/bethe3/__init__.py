@@ -22,7 +22,6 @@ from .equations import (
     ResidualPoint,
     newton_solve,
     residual_complex,
-    residual_equal_delta,
     residual_real,
     theta,
 )

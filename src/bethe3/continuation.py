@@ -9,13 +9,16 @@ Labels with min(n1,n2) = 1 turn complex at the critical coupling C(1,n2)
 in [-6,-4); labels with min = 0 turn complex at C = 0; labels with both
 n_j >= 2 stay real for all c (critical_point).  Near a critical point the
 square-root local models seed the corrector and the step is refined
-geometrically.  Five Charts (unknowns, residual, closed-form
-Jacobian, guard) cover the two real branches and the complex families, whose
-gamma = 0 members (1,1) and (0,0) need no chart of their own, and a single
-march loop runs them all.  Every residual is single-valued on its sheet
-(the real branch in its theta-sum form, family 0 with principal arguments
-while gamma <= 0), so a root fixes its own branch: the march is a function
-of the label and the targets, with no continued argument carried along.
+geometrically.  Four Charts (two unknowns, residual, closed-form
+Jacobian, guard) cover the real branch and the complex families, and a
+single march loop runs them all.  The diagonal labels n1 = n2 need no chart
+of their own: the real equations are symmetric under delta1 <-> delta2
+there, and the complex families hold (1,1) and (0,0) as their gamma = 0
+members, so the corrector keeps delta1 == delta2 and gamma == 0 exactly.
+Every residual is single-valued on its sheet (the real branch in its
+theta-sum form, family 0 with principal arguments while gamma <= 0), so a
+root fixes its own branch: the march is a function of the label and the
+targets, with no continued argument carried along.
 
 The step size is adaptive (Allgower & Georg, Introduction to Numerical
 Continuation Methods, ch. 6): it starts at BASE_STEP and grows or shrinks
@@ -169,10 +172,12 @@ def branch_switch(
 
 
 class Chart(NamedTuple):
-    """Unknowns x of one branch or complex family and their corrector pieces.
+    """The two unknowns x of the real branch or of one complex family, and
+    their corrector pieces.
 
     residual, jacobian and guard are pure functions of (x, label, c), called
-    by newton_solve with args = (label, c).  sheet runs at every returned sample.
+    by newton_solve with args = (label, c).  sheet runs at every returned
+    sample.  Labels with n1 = n2 share these charts (see the module docstring).
     The residual and jacobian lambdas look up their eq.* function by module
     attribute at every call, never binding it at import: the benchmark's
     tracer and the tests count residual evaluations by replacing those
@@ -187,13 +192,6 @@ class Chart(NamedTuple):
     guard: Callable       # (x, label, c) -> x on the valid sheet
     sheet: Callable       # (label, c, coords), raises BoundsViolationError off the sheet
     shift: float = 0.0    # complex charts: x[0] = alpha + shift*c
-
-
-def _real_guard(x, lab, c) -> bool:
-    """Loose sheet guard for the real-branch Newton; _real_sheet enforces the
-    published delta windows exactly on returned samples."""
-    return (0.0 <= x[0] < TWO_PI * (lab.n1 + 1) + math.pi
-            and 0.0 <= x[1] < TWO_PI * (lab.n2 + 1) + math.pi)
 
 
 def _real_sheet(lab: QuantumLabel, c: float, coords: RealCoords) -> None:
@@ -236,22 +234,13 @@ def _shifted(frac: float) -> dict:
                 shift=frac)
 
 
-REAL_DIAGONAL = Chart(  # n1 = n2: one common delta
-    Branch.REAL_K,
-    to_x=lambda co, c: (co.delta1,),
-    to_coords=lambda x, c, p: RealCoords(x[0], x[0], p),
-    residual=lambda x, lab, c: (eq.residual_equal_delta(x[0], c, lab.n1),),
-    jacobian=lambda x, lab, c: ((eq.jacobian_equal_delta(x[0], c),),),
-    guard=lambda x, lab, c: x[0] >= 0.0,
-    sheet=_real_sheet,
-)
-REAL_COUPLED = Chart(
+REAL = Chart(  # every real label in (delta1, delta2), n1 = n2 included
     Branch.REAL_K,
     to_x=lambda co, c: (co.delta1, co.delta2),
     to_coords=lambda x, c, p: RealCoords(x[0], x[1], p),
     residual=lambda x, lab, c: eq.residual_real_thetasum(x[0], x[1], c, lab.n1, lab.n2),
     jacobian=lambda x, lab, c: eq.jacobian_real_thetasum(x[0], x[1], c),
-    guard=_real_guard,
+    guard=lambda x, lab, c: x[0] >= 0.0 and x[1] >= 0.0,  # the gaps' domain
     sheet=_real_sheet,
 )
 FAMILY1 = Chart(  # (1, n2) in (beta, gamma); (1,1) keeps gamma = 0
@@ -331,12 +320,10 @@ class _Marcher:
         tol = 1e-9 * abs(h)
         if x3 is not None and -1e-9 <= frac - 1.0 <= 1e-9 and (
                 -tol <= c1 - c2 - h <= tol and -tol <= c2 - c3 - h <= tol):
-            lin = ((4.0 * (x[0] + x2[0]) - 6.0 * x1[0] - x3[0],) if len(x) == 1 else
-                   (4.0 * (x[0] + x2[0]) - 6.0 * x1[0] - x3[0],
-                    4.0 * (x[1] + x2[1]) - 6.0 * x1[1] - x3[1]))
+            lin = (4.0 * (x[0] + x2[0]) - 6.0 * x1[0] - x3[0],
+                   4.0 * (x[1] + x2[1]) - 6.0 * x1[1] - x3[1])
         else:
-            lin = ((x[0] + (x[0] - x1[0]) * frac,) if len(x) == 1 else
-                   (x[0] + (x[0] - x1[0]) * frac, x[1] + (x[1] - x1[1]) * frac))
+            lin = (x[0] + (x[0] - x1[0]) * frac, x[1] + (x[1] - x1[1]) * frac)
         if chart.branch is Branch.REAL_K:
             return lin
         # the complex unknowns that decay exponentially deep in the attractive
@@ -357,7 +344,8 @@ class _Marcher:
 
         The step h starts at BASE_STEP and is carried from step to step.  A
         corrector solve reports its Newton contraction kappa = |r1|/|r0| and
-        the predictor error delta = max|root - guess|; after a secant both
+        the predictor error delta = max|root - guess| over the two unknowns
+        (root[0] and root[1] of every chart); after a secant both
         scale like h^2, so
         f = max(sqrt(kappa / STEP_CONTRACTION), sqrt(delta / STEP_CORRECTION))
         is the factor by which the step overshot its nominal size.  The cubic
@@ -422,10 +410,10 @@ class _Marcher:
                                     f"{lab} at c={cn} (last good c={c}): {exc}",)
                         raise
                     continue
-                root = res.root  # one or two unknowns: [0] and [-1] cover them all
+                root = res.root
                 f = math.sqrt(max(res.contraction / STEP_CONTRACTION,
                                   abs(root[0] - guess[0]) / STEP_CORRECTION,
-                                  abs(root[-1] - guess[-1]) / STEP_CORRECTION))
+                                  abs(root[1] - guess[1]) / STEP_CORRECTION))
                 if f > STEP_GROWTH and step / f >= MIN_STEP:
                     h = step / f
                     continue
@@ -446,14 +434,13 @@ class _Marcher:
         c_crit = self.critical.C if self.critical else -math.inf
         if any(abs(t - c_crit) < 1e-13 for t in neg):
             raise ValueError(f"cannot solve exactly at the critical point C={c_crit}")
-        real = REAL_DIAGONAL if lab.is_diagonal else REAL_COUPLED
-        x0 = real.to_x(RealCoords(TWO_PI * lab.n1, TWO_PI * lab.n2, self.p), 0.0)
+        x0 = (TWO_PI * lab.n1, TWO_PI * lab.n2)
         sides = [(pos, None)]
         if neg:
             sides.append(([t for t in neg if t > c_crit], c_crit if self.critical else None))
         states = []
         for side, fold_c in sides:
-            states += self.march(real, side, 0.0, x0, fold_c)
+            states += self.march(REAL, side, 0.0, x0, fold_c)
         neg_complex = [t for t in neg if t < c_crit]
         if neg_complex:
             chart = FAMILY1 if lab.n1 == 1 else FAMILY0_BETA if lab.n2 >= 2 else FAMILY0_ETA

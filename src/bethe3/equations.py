@@ -38,7 +38,7 @@ functions accept plain (alpha, gamma).
 Every residual the corrector solves has its closed-form Jacobian next to it,
 built from d(theta)/d(dk) = -2c/(c^2 + dk^2) and the derivatives of log|z|
 and arg z; the test suite checks each against central differences.
-newton_solve is a damped Newton for these one- and two-unknown systems.  It
+newton_solve is a damped Newton for these two-unknown systems.  It
 calls residual, jacobian and guard as f(x, label, c), so the march hands it a
 Chart's pieces as they are.  It reports the contraction of its first
 iteration (the march sizes its steps from it) and raises ResidualFloorError
@@ -132,21 +132,6 @@ def jacobian_real_thetasum(d1: float, d2: float, c: float):
 def residual_real(d1: float, d2: float, c: float, label: QuantumLabel) -> ResidualPoint:
     """Coupled theta-sum residuals for (delta1, delta2) at coupling c under a label."""
     return ResidualPoint(residual_real_thetasum(d1, d2, c, label.n1, label.n2))
-
-
-def residual_equal_delta(d: float, c: float, n0: int) -> float:
-    """Scalar residual for the common delta when n1 = n2 = n0 (real branch)."""
-    if d < 0:
-        raise ConstraintViolationError(f"delta must be >= 0, got {d}")
-    if c == 0.0:  # theta's dk = c = 0 convention
-        return d - theta(d, c) - theta(2.0 * d, c) - TWO_PI * (n0 + 1)
-    return d + 2.0 * math.atan2(d, c) + 2.0 * math.atan2(2.0 * d, c) - TWO_PI * (n0 + 1)
-
-
-def jacobian_equal_delta(d: float, c: float) -> float:
-    """d/dd of residual_equal_delta (dtheta inlined)."""
-    m, cc, d2 = -2.0 * c, c * c, 2.0 * d
-    return 1.0 - m / (cc + d * d) - 2.0 * (m / (cc + d2 * d2))
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +266,8 @@ class NewtonResult(NamedTuple):
     observed Newton contraction; 0 when the first iterate (or the guess)
     already meets the tolerance."""
 
-    root: tuple[float, ...]
-    residual: tuple[float, ...]
+    root: tuple[float, float]
+    residual: tuple[float, float]
     iterations: int
     contraction: float = 0.0
 
@@ -295,9 +280,9 @@ def newton_solve(
     guard=None,
     args: tuple = (None, None),
 ) -> NewtonResult:
-    """Damped Newton for one or two unknowns with a closed-form Jacobian.
+    """Damped Newton for two unknowns with a closed-form Jacobian.
 
-    residual(x, *args) gives the residuals at the tuple of unknowns x,
+    residual(x, *args) gives the two residuals at the pair of unknowns x,
     jacobian(x, *args) the rows of d(residual)/dx, and guard(x, *args) -> bool
     marks the valid sheet (steps never cross it; False wherever residual
     raises ConstraintViolationError).  args is (label, c) for a Chart's
@@ -311,38 +296,32 @@ def newton_solve(
     NEWTON_FLOOR_STEP relative to x), else NoConvergenceError.
     """
     a0, a1 = args
-    pair = len(guess) == 2
-    x = (float(guess[0]), float(guess[1])) if pair else (float(guess[0]),)
+    x = (float(guess[0]), float(guess[1]))
     if guard is not None and not guard(x, a0, a1):
         raise ConstraintViolationError(f"initial guess {x} violates constraints")
     r = residual(x, a0, a1)
     best, stalled, contraction = math.inf, 0, 0.0
     for it in range(1, NEWTON_MAX_ITER + 1):
-        rmax = abs(r[0])
-        if pair:
-            r1 = abs(r[1])
-            if r1 > rmax:
-                rmax = r1
+        rmax, r1 = abs(r[0]), abs(r[1])
+        if r1 > rmax:
+            rmax = r1
         if rmax < tol:
             # tuple.__new__ skips the named tuple's keyword-argument __new__
             return tuple.__new__(NewtonResult, (x, tuple(r), it - 1, contraction))
         if it == 2:
             contraction = rmax / best
         try:
-            jac = jacobian(x, a0, a1)
-            if pair:  # rows scaled to unit max-norm keep det finite at 1/eta ~ 1e160
-                (a, b), (c, d) = jac
-                s0, s1 = abs(a), abs(c)
-                if abs(b) > s0:
-                    s0 = abs(b)
-                if abs(d) > s1:
-                    s1 = abs(d)
-                a, b, r0 = a / s0, b / s0, r[0] / s0
-                c, d, r1 = c / s1, d / s1, r[1] / s1
-                det = a * d - b * c
-                dx0, dx1 = (b * r1 - d * r0) / det, (c * r0 - a * r1) / det
-            else:
-                dx0, dx1 = -r[0] / jac[0][0], 0.0
+            # rows scaled to unit max-norm keep det finite at 1/eta ~ 1e160
+            (a, b), (c, d) = jacobian(x, a0, a1)
+            s0, s1 = abs(a), abs(c)
+            if abs(b) > s0:
+                s0 = abs(b)
+            if abs(d) > s1:
+                s1 = abs(d)
+            a, b, r0 = a / s0, b / s0, r[0] / s0
+            c, d, r1 = c / s1, d / s1, r[1] / s1
+            det = a * d - b * c
+            dx0, dx1 = (b * r1 - d * r0) / det, (c * r0 - a * r1) / det
         except ZeroDivisionError as exc:
             raise NoConvergenceError(f"singular Jacobian at {x}: {exc}", x, r, it) from exc
         if rmax < best:
@@ -353,7 +332,7 @@ def newton_solve(
                 # a full step of rounding size marks the floor of the residual
                 # evaluation; a larger one, a minimum of |r| away from any root
                 if (abs(dx0) <= NEWTON_FLOOR_STEP * abs(x[0])
-                        and (not pair or abs(dx1) <= NEWTON_FLOOR_STEP * abs(x[1]))):
+                        and abs(dx1) <= NEWTON_FLOOR_STEP * abs(x[1])):
                     raise ResidualFloorError(
                         f"residual floor |r|={best:.3e} reached above tol={tol:.1e}", x, r, it
                     )
@@ -362,16 +341,16 @@ def newton_solve(
                 )
         lam = 1.0
         for _ in range(NEWTON_MAX_HALVINGS):
-            x_new = (x[0] + lam * dx0, x[1] + lam * dx1) if pair else (x[0] + lam * dx0,)
+            x_new = (x[0] + lam * dx0, x[1] + lam * dx1)
             if guard is None or guard(x_new, a0, a1):
                 r_new = residual(x_new, a0, a1)
                 if (math.isfinite(r_new[0]) and abs(r_new[0]) <= rmax
-                        and (not pair or math.isfinite(r_new[1]) and abs(r_new[1]) <= rmax)):
+                        and math.isfinite(r_new[1]) and abs(r_new[1]) <= rmax):
                     break
             lam *= 0.5
         else:
             # keep the last guarded candidate if any; otherwise the step is blocked
-            x_new = (x[0] + lam * dx0, x[1] + lam * dx1) if pair else (x[0] + lam * dx0,)
+            x_new = (x[0] + lam * dx0, x[1] + lam * dx1)
             if guard is not None and not guard(x_new, a0, a1):
                 raise ConstraintViolationError(
                     f"Newton step blocked by sign constraints near x={x}"

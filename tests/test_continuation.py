@@ -172,14 +172,16 @@ class TestTraceRoot:
             slope = (st.coords.delta1 - TWO_PI * n1) / h
             assert slope == pytest.approx(small_c_slope(n1, n2), rel=2e-2)
 
-    def test_diagonal_equality_and_gamma_zero(self):
-        traj = trace_root(QuantumLabel(2, 2), -10.0, 2.0, step=0.5)
+    @pytest.mark.parametrize("lab", [(0, 0), (1, 1), (2, 2), (3, 3)])
+    def test_diagonal_equality_and_gamma_zero(self, lab):
+        # n1 = n2 is solved in the same charts as every other label; the exact
+        # symmetry of its equations keeps delta1 == delta2 and gamma == 0 bit for bit
+        traj = trace_root(QuantumLabel(*lab), -12.0, 12.0, step=0.05)
         for s in traj.samples:
-            assert s.coords.delta1 == s.coords.delta2
-        traj = trace_root(QuantumLabel(1, 1), -12.0, 0.0, step=0.5)
-        for s in traj.samples:
-            if s.branch is Branch.COMPLEX_K:
-                assert s.coords.gamma == 0.0
+            if s.branch is Branch.REAL_K:
+                assert s.coords.delta1 == s.coords.delta2, s.c
+            else:
+                assert s.coords.gamma == 0.0, s.c
 
     def test_2d_solver_agrees_with_scalar_on_diagonal(self):
         # spec invariant: the coupled system's root has delta1 = delta2
@@ -193,6 +195,12 @@ class TestTraceRoot:
             )
             assert abs(res.root[0] - res.root[1]) < 1e-12
             assert res.root[0] == pytest.approx(st.coords.delta1, abs=1e-11)
+
+    def test_sample_at_off_the_grid_raises(self):
+        traj = trace_root(QuantumLabel(2, 3), -1.0, 1.0, step=0.5)
+        assert traj.sample_at(0.5).c == 0.5
+        with pytest.raises(KeyError, match="no sample at c=0.25"):
+            traj.sample_at(0.25)
 
     def test_partner_trace_is_mirror(self):
         traj = trace_root(QuantumLabel(2, 1), -2.0, 1.0, step=0.5)
@@ -453,7 +461,8 @@ class TestStepControl:
             assert newton_counter.calls <= fixed / cut, (lab, c, newton_counter.calls)
 
     @pytest.mark.parametrize("lab, solves, iterations", [
-        ((2, 3), 480, 914), ((1, 2), 527, 1072), ((0, 1), 528, 1153), ((2, 2), 480, 826)])
+        ((2, 3), 480, 914), ((1, 2), 527, 1072), ((0, 1), 528, 1153), ((2, 2), 480, 826),
+        ((0, 0), 527, 751), ((1, 1), 525, 623), ((3, 3), 480, 482)])
     def test_trace_corrector_work(self, lab, solves, iterations, newton_counter):
         # the corrector's work over one trace_sweep benchmark op, pinned so that
         # a change to the code around the solves leaves the march's steps and
@@ -461,6 +470,41 @@ class TestStepControl:
         trace_root(QuantumLabel(*lab), -12.0, 12.0, 0.05)
         assert newton_counter.calls == solves
         assert newton_counter.iterations <= iterations
+
+    @staticmethod
+    def _fail_from(monkeypatch, first, last):
+        """Make corrector calls first..last (1-based) raise NoConvergenceError."""
+        solve, calls = eq.newton_solve, []
+
+        def failing(*args):
+            calls.append(args)
+            if first <= len(calls) <= last:
+                raise eq.NoConvergenceError("injected failure", args[2], None, 0)
+            return solve(*args)
+
+        monkeypatch.setattr(eq, "newton_solve", failing)
+        return calls
+
+    def test_corrector_failure_retried_with_a_smaller_step(self, monkeypatch):
+        label = QuantumLabel(2, 3)
+        ref = solve_state(label, 40.0)
+        calls = self._fail_from(monkeypatch, 5, 5)
+        st = solve_state(label, 40.0)
+        assert len(calls) > 5
+        for a, b in zip(_values(st), _values(ref)):
+            assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
+
+    def test_corrector_failing_every_retry_raises(self, monkeypatch):
+        # the retries shrink the step by STEP_GROWTH**2 until it falls below MIN_STEP
+        calls = self._fail_from(monkeypatch, 5, math.inf)
+        with pytest.raises(eq.NoConvergenceError) as err:
+            solve_state(QuantumLabel(2, 3), 40.0)
+        found = re.fullmatch(r"real-branch corrector failed for label \(2,3\) at c=(\S+) "
+                             r"\(last good c=(\S+)\): injected failure", str(err.value))
+        assert found, str(err.value)
+        c_fail, c_good = float(found[1]), float(found[2])
+        assert 0.0 < c_good < c_fail < c_good + 1e-7
+        assert len(calls) > 6
 
     def test_residual_looked_up_by_module_attribute(self, newton_counter, monkeypatch):
         # the benchmark counts residual evaluations by replacing this name in
@@ -513,6 +557,14 @@ class TestStepControl:
             trace_root(label, -1.0, bad)
         with pytest.raises(ValueError, match=f"^step must be finite, got {bad}$"):
             trace_root(label, -1.0, 1.0, step=bad)
+
+    @pytest.mark.parametrize("c_min, c_max, step, message", [
+        (-1.0, 1.0, 0.0, "step must be positive"), (-1.0, 1.0, -0.05, "step must be positive"),
+        (1.0, -1.0, 0.05, r"empty range \[1\.0, -1\.0\]")])
+    def test_bad_grid_raised_before_any_solve(self, c_min, c_max, step, message, newton_counter):
+        with pytest.raises(ValueError, match=message):
+            trace_root(QuantumLabel(1, 2), c_min, c_max, step)
+        assert newton_counter.calls == 0
 
     def test_grid_cap_raised_before_any_solve(self, newton_counter):
         with pytest.raises(ValueError, match="more than 1000000 samples"):
@@ -584,9 +636,6 @@ class TestTracePredictor:
         assert traj.branch_changes() == 1
         cont = bethe3.continuation
         for s in traj.samples:
-            if s.branch is Branch.COMPLEX_K:
-                chart = cont.FAMILY1
-            else:
-                chart = cont.REAL_DIAGONAL if label.is_diagonal else cont.REAL_COUPLED
+            chart = cont.FAMILY1 if s.branch is Branch.COMPLEX_K else cont.REAL
             r = chart.residual(chart.to_x(s.coords, s.c), label, s.c)
             assert max(abs(v) for v in r) < cont.RESIDUAL_TOL, (lab, s.c, r)

@@ -16,6 +16,7 @@ from bethe3.oracles import (
     gamma_squared_from_alpha,
     log_form_real,
 )
+from bethe3.tolerances import NEWTON_MAX_ITER
 
 TWO_PI = 2 * math.pi
 
@@ -102,20 +103,6 @@ class TestResidualReal:
             expected = ((1.0 - 2.0 * p1 - p3, p2 - p3), (p1 - p3, 1.0 - 2.0 * p2 - p3))
             assert eq.jacobian_real_thetasum(d1, d2, c) == expected, (d1, d2, c)
 
-    def test_equal_delta_is_exactly_the_theta_composition(self):
-        rng = np.random.default_rng(19)
-        ds, cs = rng.uniform(0.0, 40.0, 200), rng.uniform(-50.0, 50.0, 200)
-        cs[:10], ds[10:15] = 0.0, 0.0
-        points = [(float(d), float(c)) for d, c in zip(ds, cs)] + [(0.0, 0.0), (0.0, -0.0)]
-        for d, c in points:
-            n0 = int(rng.integers(0, 6))
-            expected = d - eq.theta(d, c) - eq.theta(2.0 * d, c) - TWO_PI * (n0 + 1)
-            assert eq.residual_equal_delta(d, c, n0) == expected, (d, c)
-            if d == 0.0 and c == 0.0:
-                continue
-            expected = 1.0 - eq.dtheta(d, c) - 2.0 * eq.dtheta(2.0 * d, c)
-            assert eq.jacobian_equal_delta(d, c) == expected, (d, c)
-
     def test_thetasum_equals_tracked_log_along_paths(self):
         # walk from the c=0 reference root to random valid points; the
         # log form with continued arguments must agree with the theta-sum,
@@ -137,31 +124,42 @@ class TestResidualReal:
             assert r[1] == pytest.approx(direct[1], abs=1e-12)
 
 
+def equal_delta(d: float, c: float, n0: int) -> float:
+    """Scalar residual of the common delta when n1 = n2 = n0, the oracle for
+    the diagonal of the coupled real chart (each of its rows reduces to it)."""
+    return d - eq.theta(d, c) - eq.theta(2.0 * d, c) - TWO_PI * (n0 + 1)
+
+
 class TestResidualEqualDelta:
+    """The real chart on the diagonal n1 = n2 against the scalar equal-delta equation."""
+
     def test_critical_11(self):
-        assert eq.residual_equal_delta(0.0, -6.0, 1) == pytest.approx(0.0, abs=1e-14)
+        assert equal_delta(0.0, -6.0, 1) == pytest.approx(0.0, abs=1e-14)
+        r = cont.REAL.residual((0.0, 0.0), QuantumLabel(1, 1), -6.0)
+        assert r == pytest.approx((0.0, 0.0), abs=1e-14)
 
     def test_reference_values(self):
         for n0 in (0, 1, 2, 3):
-            assert eq.residual_equal_delta(TWO_PI * n0, 0.0, n0) == pytest.approx(0.0, abs=1e-13)
+            d = TWO_PI * n0
+            assert equal_delta(d, 0.0, n0) == pytest.approx(0.0, abs=1e-13)
+            r = cont.REAL.residual((d, d), QuantumLabel(n0, n0), 0.0)
+            assert r == pytest.approx((0.0, 0.0), abs=1e-13)
 
     def test_matches_2d_solver(self):
         # independent route: handwritten bisection on the scalar equation
         lo, hi = 2 * TWO_PI, 3 * TWO_PI
-        flo = eq.residual_equal_delta(lo, 1.0, 2)
+        flo = equal_delta(lo, 1.0, 2)
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            fm = eq.residual_equal_delta(mid, 1.0, 2)
+            fm = equal_delta(mid, 1.0, 2)
             if (fm > 0) == (flo > 0):
                 lo, flo = mid, fm
             else:
                 hi = mid
         d_bisect = 0.5 * (lo + hi)
-        res = eq.newton_solve(
-            lambda x, *_: eq.residual_real_thetasum(x[0], x[1], 1.0, 2, 2),
-            lambda x, *_: eq.jacobian_real_thetasum(x[0], x[1], 1.0),
-            [2 * TWO_PI + 0.5, 2 * TWO_PI + 0.5],
-        )
+        chart = cont.REAL
+        res = eq.newton_solve(chart.residual, chart.jacobian, [2 * TWO_PI + 0.5, 2 * TWO_PI + 0.5],
+                              guard=chart.guard, args=(QuantumLabel(2, 2), 1.0))
         assert res.root[0] == pytest.approx(d_bisect, abs=1e-10)
         assert res.root[1] == pytest.approx(d_bisect, abs=1e-10)
 
@@ -194,6 +192,14 @@ class TestResidualComplex:
         with pytest.raises(eq.ConstraintViolationError):
             eq.residual_complex(1.0, 0.0, -8.0, QuantumLabel(2, 2))  # no branch
 
+    def test_domain_checks_raise(self):
+        for c in (0.0, 3.0):
+            with pytest.raises(eq.ConstraintViolationError, match="requires c < 0"):
+                eq.residual_complex(1.0, 0.0, c, QuantumLabel(1, 2))
+        for alpha in (0.0, -1.0):
+            with pytest.raises(eq.ConstraintViolationError, match="alpha must be > 0"):
+                eq.residual_complex(alpha, 0.0, -8.0, QuantumLabel(0, 2))
+
     def test_n1zero_family_root(self):
         st = solve_state(QuantumLabel(0, 2), -9.0)
         point = eq.residual_complex(st.coords.alpha, st.coords.gamma, -9.0, QuantumLabel(0, 2))
@@ -223,8 +229,11 @@ class TestGammaSquared:
 
 
 class TestNewton:
+    # the one-unknown cases carry a decoupled second unknown: residual x[1],
+    # Jacobian row (0, 1), starting at its root 0
     def test_linear_single_step(self):
-        res = eq.newton_solve(lambda x, *_: (x[0] - 2.5,), lambda x, *_: ((1.0,),), [2.8])
+        res = eq.newton_solve(lambda x, *_: (x[0] - 2.5, x[1]),
+                              lambda x, *_: ((1.0, 0.0), (0.0, 1.0)), [2.8, 0.0])
         assert res.iterations <= 2
         assert res.root[0] == pytest.approx(2.5, abs=1e-12)
 
@@ -239,33 +248,33 @@ class TestNewton:
 
     def test_no_convergence_raises(self):
         with pytest.raises(eq.NoConvergenceError):
-            eq.newton_solve(
-                lambda x, *_: (x[0] ** 2 + 1.0,), lambda x, *_: ((2.0 * x[0],),), [0.5]
-            )
+            eq.newton_solve(lambda x, *_: (x[0] ** 2 + 1.0, x[1]),
+                            lambda x, *_: ((2.0 * x[0], 0.0), (0.0, 1.0)), [0.5, 0.0])
 
     def test_guard_blocks_boundary(self):
         # root at -1 is outside the guarded region; the solve must not cross 0
         with pytest.raises((eq.ConstraintViolationError, eq.NoConvergenceError)):
             eq.newton_solve(
-                lambda x, *_: (x[0] + 1.0,), lambda x, *_: ((1.0,),), [0.5],
-                guard=lambda x, *_: x[0] > 0.0,
+                lambda x, *_: (x[0] + 1.0, x[1]), lambda x, *_: ((1.0, 0.0), (0.0, 1.0)),
+                [0.5, 0.0], guard=lambda x, *_: x[0] > 0.0,
             )
 
     def test_contraction_of_first_iteration(self):
         # x^2 = 2 from 1.5: |r0| = 0.25, one Newton step lands at 1.5 - 0.25/3
-        res = eq.newton_solve(
-            lambda x, *_: (x[0] ** 2 - 2.0,), lambda x, *_: ((2.0 * x[0],),), [1.5])
+        res = eq.newton_solve(lambda x, *_: (x[0] ** 2 - 2.0, x[1]),
+                              lambda x, *_: ((2.0 * x[0], 0.0), (0.0, 1.0)), [1.5, 0.0])
         x1 = 1.5 - 0.25 / 3.0
         assert res.contraction == pytest.approx((x1 * x1 - 2.0) / 0.25, rel=1e-12)
-        linear = eq.newton_solve(lambda x, *_: (x[0] - 2.5,), lambda x, *_: ((1.0,),), [2.8])
+        linear = eq.newton_solve(lambda x, *_: (x[0] - 2.5, x[1]),
+                                 lambda x, *_: ((1.0, 0.0), (0.0, 1.0)), [2.8, 0.0])
         assert linear.contraction == 0.0
 
     def test_residual_floor_named(self):
         # |r| >= 3e-13 everywhere: the stall is reported with the floor and tol,
         # long before max_iter
-        fun = lambda x, *_: (x[0] - 1.0 + 3e-13 * math.copysign(1.0, x[0] - 1.0),)
+        fun = lambda x, *_: (x[0] - 1.0 + 3e-13 * math.copysign(1.0, x[0] - 1.0), x[1])
         with pytest.raises(eq.ResidualFloorError, match=r"floor \|r\|=6\.000e-13 .*tol=1\.0e-13") as err:
-            eq.newton_solve(fun, lambda x, *_: ((1.0,),), [1.5], tol=1e-13)
+            eq.newton_solve(fun, lambda x, *_: ((1.0, 0.0), (0.0, 1.0)), [1.5, 0.0], tol=1e-13)
         assert err.value.iterations < 10
 
     def test_singular_jacobian_two_unknowns(self):
@@ -292,17 +301,34 @@ class TestNewton:
                             lambda x, *_: ((1.0, 0.0), (0.0, 1.0)), [0.5, 0.5],
                             guard=lambda x, *_: x[0] >= 0.5)
 
+    def test_guess_off_the_guard_raises(self):
+        with pytest.raises(eq.ConstraintViolationError, match="initial guess .* violates"):
+            eq.newton_solve(lambda x, *_: (x[0] - 1.0, x[1]),
+                            lambda x, *_: ((1.0, 0.0), (0.0, 1.0)), [-0.5, 0.0],
+                            guard=lambda x, *_: x[0] >= 0.0)
+
+    def test_no_convergence_at_max_iterations(self):
+        # a Jacobian 10x too large: every full step cuts |r| by only 0.9, so
+        # the residual keeps falling (no stall) and ends near 0.9**100 = 2.7e-5
+        with pytest.raises(eq.NoConvergenceError,
+                           match=rf"no convergence after {NEWTON_MAX_ITER} iterations") as err:
+            eq.newton_solve(lambda x, *_: (x[0] - 1.0, x[1]),
+                            lambda x, *_: ((10.0, 0.0), (0.0, 10.0)), [2.0, 1.0])
+        assert type(err.value) is eq.NoConvergenceError
+        assert err.value.iterations == NEWTON_MAX_ITER
+        assert max(abs(v) for v in err.value.residual) == pytest.approx(0.9 ** 100, rel=1e-9)
+
     def test_scaled_tiny_unknown(self):
         # root at 1e-9 with a log-singular residual: steps must not cross zero
-        fun = lambda x, *_: (math.log(x[0] / 1e-9),)
-        res = eq.newton_solve(fun, lambda x, *_: ((1.0 / x[0],),), [3e-9],
+        fun = lambda x, *_: (math.log(x[0] / 1e-9), x[1])
+        res = eq.newton_solve(fun, lambda x, *_: ((1.0 / x[0], 0.0), (0.0, 1.0)), [3e-9, 0.0],
                               guard=lambda x, *_: x[0] > 0.0)
         assert res.root[0] == pytest.approx(1e-9, rel=1e-9)
 
 
 # every corrector chart with a label it serves and the sign of its shifted unknown
 CHARTS = [
-    (cont.REAL_DIAGONAL, (2, 2), 1.0), (cont.REAL_COUPLED, (1, 3), 1.0),
+    (cont.REAL, (2, 2), 1.0), (cont.REAL, (1, 3), 1.0),
     (cont.FAMILY1, (1, 1), -1.0), (cont.FAMILY1, (1, 3), -1.0), (cont.FAMILY0_ETA, (0, 0), 1.0),
     (cont.FAMILY0_ETA, (0, 1), 1.0), (cont.FAMILY0_BETA, (0, 3), 1.0),
 ]
@@ -322,7 +348,6 @@ def test_closed_form_jacobian_matches_fd_oracle(chart, label, sign, c):
     else:
         points = [(sign * v, g) for v in (1e-200, 1e-30, 1e-3, 0.9) for g in (-1.7, 1e-3, 0.0)]
     for x in points:
-        x = x[:len(chart.jacobian(x, lab, c))]
         exact = chart.jacobian(x, lab, c)
         approx = fd_jacobian(lambda y: chart.residual(y, lab, c), x)
         for row, fd_row in zip(exact, approx):
@@ -339,11 +364,10 @@ def test_residual_raises_only_off_the_guard(chart, label, sign, c):
     # each guard must repeat its residual's sign test: probe both sides of every
     # edge (delta, beta, eta at 0; beta, eta at c/2), down to the adjacent double
     lab = QuantumLabel(*label)
-    width = len(chart.jacobian((0.7, -1.7), lab, c))
     firsts = [v for edge in (0.0, c / 2.0) for v in (
         edge - 0.01, math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf),
         edge + 0.01)]
-    points = [(v, g)[:width] for v in firsts for g in (-1.7, 0.0, 5.0)]
+    points = [(v, g) for v in firsts for g in (-1.7, 0.0, 5.0)]
     for x in points:
         try:
             chart.residual(x, lab, c)
