@@ -6,7 +6,8 @@ surprise.  Where each expansion applies:
 
 * delta_large_c, c > 0: any label, c >= LARGE_C_MIN.
 * delta_large_c, c < 0: labels with n_j >= 2, c <= -LARGE_C_MIN.
-* delta_small_c: |c| <= SMALL_C_MAX (n1 = 0 labels: 0 <= c only).
+* delta_small_c: |c| <= SMALL_C_MAX (n1 = 0 labels: 0 <= c only).  Only an
+  oracle: the march no longer seeds from it (continuation.branch_switch does).
 * alpha/beta/gamma_dimer: (0, n2 >= 2) and (1, n2 >= 1), c <= DIMER_C_MAX.
 * alpha/eta_trimer: (0, 0) and (0, 1), c <= TRIMER_C_MAX.
 """

@@ -2,14 +2,17 @@
 
 Every trajectory starts from the exact non-interacting solution
 delta_j(0) = 2*pi*n_j and marches outward with a predictor and the
-damped-Newton corrector.  The predictor is the cubic through the last four
-accepted points when they and the next point are equally spaced (the
+damped-Newton corrector.  Labels with min(n1,n2) = 1 turn complex at the
+critical coupling C(1,n2) in [-6,-4); labels with min = 0 turn complex at
+C = 0; labels with both n_j >= 2 stay real for all c (critical_point).
+Near the threshold C the predictor is one square-root model per family
+(branch_switch), an expansion in t = sqrt(c - C) that is real above C and
+continues to the complex branch below it, chosen by one rule on every chart
+(_Marcher._predict), and the step is refined geometrically; at C itself the
+model is the root.  Elsewhere the predictor is the cubic through the last
+four accepted points when they and the next point are equally spaced (the
 uniform part of a trace_root grid), else the secant through the last two.
-Labels with min(n1,n2) = 1 turn complex at the critical coupling C(1,n2)
-in [-6,-4); labels with min = 0 turn complex at C = 0; labels with both
-n_j >= 2 stay real for all c (critical_point).  Near a critical point the
-square-root local models seed the corrector and the step is refined
-geometrically.  Four Charts (two unknowns, residual, closed-form
+Four Charts (two unknowns, residual, closed-form
 Jacobian, guard) cover the real branch and the complex families, and a
 single march loop runs them all.  The diagonal labels n1 = n2 need no chart
 of their own: the real equations are symmetric under delta1 <-> delta2
@@ -56,7 +59,6 @@ from .tolerances import (
     MAX_GRID_POINTS,
     MIN_STEP,
     RESIDUAL_TOL,
-    SMALL_C_MAX,
     STEP_CONTRACTION,
     STEP_CORRECTION,
     STEP_GROWTH,
@@ -129,41 +131,38 @@ def fold_coefficients(u0: float) -> tuple[float, float]:
     return kc, ku
 
 
-def delta1_fold_model(label: QuantumLabel, c: float, critical: CriticalPoint) -> tuple[float, float]:
-    """Real-branch (delta1, delta2) from the local model just above C."""
-    lab = label.canonical()
-    if lab.n2 == 1:
-        d = math.sqrt(max(6.0 * (c + 6.0), 0.0))
-        return d, d
-    kc, ku = fold_coefficients(critical.u0)
-    u1 = -math.sqrt(max(c - critical.C, 0.0) / kc)
-    u2 = critical.u0 - 0.5 * u1 + ku * u1 * u1
-    return c * u1, c * u2
-
-
 def branch_switch(
     label: QuantumLabel, c: float, critical: CriticalPoint | None = None
-) -> ComplexCoords:
-    """Square-root local-model seed (alpha, gamma) for c slightly below C."""
+) -> RealCoords | ComplexCoords:
+    """The square-root model of a canonical label at its threshold C: one
+    expansion in t = sqrt(c - C) per family, (0,0) delta1 = delta2 = sqrt(3) t,
+    (0,n2) delta1 = 2t, delta2 = 2 pi n2 - delta1/2 + 3 delta1^2/(4 pi n2),
+    (1,1) delta1 = delta2 = sqrt(6) t, (1,n2>=2) u1 = -t/sqrt(kc), delta1 = c u1,
+    delta2 = c (u0 - u1/2 + ku u1^2).  RealCoords at and above C; below it
+    t = -i sqrt(C - c) gives alpha = |Im delta1|/2, gamma = Re((i alpha -
+    delta2)/3) = -Re(delta2)/3 for a merging pair, and alpha = |Im delta1|,
+    gamma = 0 where all three momenta meet (n1 = n2)."""
     lab = label.canonical()
     p = TWO_PI * lab.np
     crit = critical or critical_point(lab)
     if crit is None:
         raise ValueError(f"label {label} has no complex branch")
-    if c >= crit.C:
-        raise ValueError(f"seed requires c < C = {crit.C}, got {c}")
-    if lab.n1 == 0:
-        if lab.n2 == 0:
-            return ComplexCoords(alpha=math.sqrt(-3.0 * c), gamma=0.0, p=p)
-        alpha = math.sqrt(-c)
-        gamma = -(2.0 / 3.0) * math.pi * lab.n2 + alpha * alpha / (math.pi * lab.n2)
-        return ComplexCoords(alpha=alpha, gamma=gamma, p=p)
-    if lab.n2 == 1:
-        return ComplexCoords(alpha=math.sqrt(6.0 * (-6.0 - c)), gamma=0.0, p=p)
-    kc, ku = fold_coefficients(crit.u0)
-    alpha = 0.5 * abs(c) * math.sqrt((crit.C - c) / kc)
-    gamma = -c * (crit.u0 + ku * (-4.0 * alpha * alpha / (c * c))) / 3.0
-    return ComplexCoords(alpha=alpha, gamma=gamma, p=p)
+    gap = c - crit.C
+    t = math.sqrt(gap) if gap >= 0.0 else -1j * math.sqrt(-gap)
+    if lab.n1 == lab.n2:
+        d1 = d2 = math.sqrt(3.0 if lab.n1 == 0 else 6.0) * t
+    elif lab.n1 == 0:
+        d1 = 2.0 * t
+        d2 = TWO_PI * lab.n2 - 0.5 * d1 + 3.0 * d1 * d1 / (4.0 * math.pi * lab.n2)
+    else:
+        kc, ku = fold_coefficients(crit.u0)
+        u1 = -t / math.sqrt(kc)
+        d1, d2 = c * u1, c * (crit.u0 - 0.5 * u1 + ku * u1 * u1)
+    if gap >= 0.0:
+        return RealCoords(d1, d2, p)
+    if lab.n1 == lab.n2:
+        return ComplexCoords(abs(d1.imag), 0.0, p)
+    return ComplexCoords(0.5 * abs(d1.imag), -d2.real / 3.0, p)
 
 
 # ---------------------------------------------------------------------------
@@ -277,41 +276,21 @@ class _Marcher:
     def __init__(self, label: QuantumLabel):
         self.lab = lab = label.canonical()
         self.p = TWO_PI * lab.np
-        self.critical = crit = critical_point(lab)
-        # the branch_switch seed alpha can fall below FOLD_ALPHA_SMALL = A only
-        # for c >= seed_c, so below it the predictor skips the seed: alpha is
-        # sqrt(-3c) for (0,0), sqrt(-c) for (0,n2), sqrt(6(-6-c)) for (1,1)
-        # (it rounds to 0.3 - 3e-15 at c = -6.015 itself), and
-        # (|c|/2) sqrt((C-c)/kc) with |c| > 4 for (1,n2>=2)
-        a2 = FOLD_ALPHA_SMALL ** 2
-        if crit is None:
-            self.seed_c = math.inf
-        elif lab.n1 == 0:
-            self.seed_c = -a2 / 3.0 if lab.n2 == 0 else -a2
-        elif lab.n2 == 1:
-            self.seed_c = -6.0 - a2 / 6.0
-        else:
-            self.seed_c = crit.C - fold_coefficients(crit.u0)[0] * a2 / 4.0
+        self.critical = critical_point(lab)
 
     def _predict(self, chart: Chart, hist: tuple, cn: float):
         """Guess at cn from hist = (c, x, c1, x1, c2, x2, c3, x3), the last four
         accepted points of this march, newest first (None where there are
-        fewer): the small-c series or a square-root fold model where they
-        apply, else the cubic through all four when they and cn are equally
-        spaced, else the secant through the last two."""
-        lab, crit = self.lab, self.critical
+        fewer).  One rule on every chart: the model branch_switch while the
+        last small unknown x[0] - shift*c (delta1 on REAL, alpha on a complex
+        chart) is below FOLD_ALPHA_SMALL or cn is within 0.1 of C, else the
+        cubic through all four when they and cn are equally spaced, else the
+        secant through the last two."""
         c, x, c1, x1, c2, x2, c3, x3 = hist
-        if chart.branch is Branch.COMPLEX_K:
-            if cn >= self.seed_c:
-                seed = branch_switch(lab, cn, crit)
-                if seed.alpha < FOLD_ALPHA_SMALL:
-                    return chart.to_x(seed, cn)
-        elif lab.n1 == 0 and 0.0 < cn <= SMALL_C_MAX:
-            from .asymptotics import delta_small_c
-
-            return chart.to_x(RealCoords(*delta_small_c(lab, cn), self.p), cn)
-        elif lab.n1 == 1 and cn < 0 and (x[0] < FOLD_ALPHA_SMALL or cn - crit.C < 0.1):
-            return chart.to_x(RealCoords(*delta1_fold_model(lab, cn, crit), self.p), cn)
+        crit = self.critical
+        if crit is not None and (x[0] - chart.shift * c < FOLD_ALPHA_SMALL
+                                 or -0.1 < cn - crit.C < 0.1):
+            return chart.to_x(branch_switch(self.lab, cn, crit), cn)
         if x1 is None or c1 == c:
             return x
         h = cn - c
@@ -363,11 +342,13 @@ class _Marcher:
           or a predicted beta/eta below the smallest normal double is raised at
           once, since no step size lowers it.
         The predictor (_predict) sees the last four accepted points of this
-        call; a retried step breaks their equal spacing, so the retry and
-        every step until three equal ones follow it take the secant.  Every step is clipped to the next
-        target, and while heading for the fold at fold_c (None: no fold
-        ahead) to at most half the remaining distance: always on the real
-        branch, while alpha = x[0] - shift*c is small on the complex one.
+        call; near the threshold it takes the square-root model instead, and
+        elsewhere a retried step breaks their equal spacing, so the retry and
+        every step until three equal ones follow it take the secant.  Every
+        step is clipped to the next target, and while heading for the fold at
+        fold_c (None: no fold ahead) to at most half the remaining distance:
+        always on the real branch, while alpha = x[0] - shift*c is small on
+        the complex one.
         Errors name the label, the failing c and the last good c.
 
         The chart's pieces are bound to locals once per march, and the
@@ -427,25 +408,32 @@ class _Marcher:
         return out
 
     def solve_targets(self, targets: list[float]) -> list[StateSolution]:
-        """Solve at every requested c (any order); returns states in input order."""
-        lab = self.lab
-        pos = sorted(t for t in targets if t >= 0.0)
-        neg = sorted((t for t in targets if t < 0.0), reverse=True)
-        c_crit = self.critical.C if self.critical else -math.inf
-        if any(abs(t - c_crit) < 1e-13 for t in neg):
-            raise ValueError(f"cannot solve exactly at the critical point C={c_crit}")
+        """Solve at every requested c (any order); returns states in input order.
+        A negative target within 1e-13 of C, where the Jacobian is singular,
+        takes the model's state: the threshold root at C itself."""
+        lab, crit = self.lab, self.critical
+        c_crit = crit.C if crit else -math.inf
+        chart = FAMILY1 if lab.n1 == 1 else FAMILY0_BETA if lab.n2 >= 2 else FAMILY0_ETA
+        states, pos, neg = [], [], []
+        for t in targets:
+            if t < 0.0 and abs(t - c_crit) < 1e-13:
+                coords = branch_switch(lab, t, crit)
+                (REAL if coords.branch is Branch.REAL_K else chart).sheet(lab, t, coords)
+                states.append(build_state(lab, float(t), coords))
+            else:
+                (pos if t >= 0.0 else neg).append(t)
+        pos.sort()
+        neg.sort(reverse=True)
         x0 = (TWO_PI * lab.n1, TWO_PI * lab.n2)
         sides = [(pos, None)]
         if neg:
-            sides.append(([t for t in neg if t > c_crit], c_crit if self.critical else None))
-        states = []
+            sides.append(([t for t in neg if t > c_crit], c_crit if crit else None))
         for side, fold_c in sides:
             states += self.march(REAL, side, 0.0, x0, fold_c)
         neg_complex = [t for t in neg if t < c_crit]
         if neg_complex:
-            chart = FAMILY1 if lab.n1 == 1 else FAMILY0_BETA if lab.n2 >= 2 else FAMILY0_ETA
             c = max(c_crit - FOLD_MIN_SPAN, neg_complex[0])
-            guess = chart.to_x(branch_switch(lab, c, self.critical), c)
+            guess = chart.to_x(branch_switch(lab, c, crit), c)
             x = eq.newton_solve(chart.residual, chart.jacobian, guess, RESIDUAL_TOL,
                                 chart.guard, (lab, c)).root
             states += self.march(chart, neg_complex, c, x, c_crit)

@@ -28,7 +28,7 @@ MAX_SUM_CONDITION = 1e7         # sum |term| / |sum| of the norm or <V> sum abov
 # Continuation
 BASE_STEP = 0.05            # default c-grid spacing; also the first march step and, short
                             # of a rejected step, the least step the march plans
-FOLD_ALPHA_SMALL = 0.3      # |delta1| / alpha below this: use the local fold model
+FOLD_ALPHA_SMALL = 0.3      # last |delta1| / alpha below this: predict by the threshold model
 FOLD_MIN_SPAN = 1e-6        # refine fold-side grid points down to this distance from C
 STEP_CONTRACTION = 0.1      # nominal Newton contraction |r1|/|r0| of a march step
 STEP_CORRECTION = 0.1       # nominal predictor error max|root - guess| of a march step

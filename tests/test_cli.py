@@ -116,10 +116,22 @@ class TestSpectrum:
         assert {(r["n1"], r["n2"]) for r in rows} == {(0, 1), (1, 0)}
 
     def test_solver_failure_exit(self, capsys):
-        # exactly at the critical point the solve must fail and exit 2
-        code, out, _ = run_cli(["spectrum", "--label", "1,1", "--c", "-6"], capsys)
+        # the trimer's eta reaches the subnormal floor before c = -1000: the
+        # solve fails and exits 2
+        code, out, _ = run_cli(["spectrum", "--label", "0,0", "--c", "-1000"], capsys)
         assert code == EXIT_SOLVER
         assert "error" in out
+
+    def test_threshold_state_observables_error_record(self, capsys):
+        # at C(1,1) = -6 the state is the threshold root, all momenta 0, whose
+        # ansatz vanishes: the observables give an error record, not a traceback
+        code, out, err = run_cli(
+            ["spectrum", "--label", "1,1", "--c", "-6", "--observables"], capsys)
+        assert code == EXIT_SOLVER
+        rec = json.loads(out)
+        assert (rec["n1"], rec["n2"], float(rec["c"])) == (1, 1, -6.0)
+        assert rec["error"].startswith("DegenerateMomentaError")
+        assert "Traceback" not in err
 
 
 class TestDensity:
@@ -183,10 +195,10 @@ class TestCsvErrors:
 
     def test_spectrum_label_failure(self, capsys):
         code, out, err = run_cli(
-            ["spectrum", "--labels", "1,1", "2,2", "--c", "-6", "--format", "csv"], capsys
+            ["spectrum", "--labels", "0,0", "2,2", "--c", "-1000", "--format", "csv"], capsys
         )
         assert code == EXIT_SOLVER
-        assert "error: label (1,1): ValueError" in err
+        assert "error: label (0,0): ConstraintViolationError" in err
         lines = out.strip().splitlines()
         assert len(lines) == 2 and lines[1].startswith("2,2,")
 

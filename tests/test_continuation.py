@@ -1,5 +1,8 @@
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,9 +12,12 @@ import bethe3.equations as eq
 from bethe3 import (
     BoundsViolationError,
     Branch,
+    ComplexCoords,
+    RealCoords,
     QuantumLabel,
     CriticalPoint,
     branch_switch,
+    build_state,
     critical_point,
     find_critical,
     partner_state,
@@ -19,9 +25,9 @@ from bethe3 import (
     spectrum,
     trace_root,
 )
-from bethe3.continuation import u0_equation
+from bethe3.continuation import RESIDUAL_TOL, fold_coefficients, u0_equation
 from bethe3.oracles import log_form_residual
-from bethe3.asymptotics import alpha_dimer, alpha_trimer, small_c_slope
+from bethe3.asymptotics import alpha_dimer, alpha_trimer, delta_small_c, small_c_slope
 
 TWO_PI = 2 * math.pi
 
@@ -67,6 +73,23 @@ class TestFindCritical:
         with pytest.raises(ValueError):
             find_critical(QuantumLabel(2, 3))
 
+    @pytest.mark.parametrize("n2", [2, 5])
+    def test_bisection_fallback(self, n2, monkeypatch):
+        # a thousandfold u0_equation has the same root, but every Newton step
+        # of the fixed slope overshoots out of the bracket, so each step bisects
+        calls = []
+
+        def steep(u, n):
+            calls.append(u)
+            return 1e3 * u0_equation(u, n)
+
+        ref = find_critical(QuantumLabel(1, n2))
+        monkeypatch.setattr(bethe3.continuation, "u0_equation", steep)
+        got = find_critical(QuantumLabel(1, n2))
+        assert len(calls) > 40
+        assert got.u0 == pytest.approx(ref.u0, rel=1e-14)
+        assert got.C == pytest.approx(ref.C, rel=1e-15)
+
 
 class TestBranchSwitch:
     def test_11_square_root_model(self):
@@ -89,6 +112,33 @@ class TestBranchSwitch:
         assert seed.alpha == pytest.approx(math.sqrt(eps), rel=1e-12)
         st = solve_state(QuantumLabel(0, 2), -eps)
         assert st.coords.alpha == pytest.approx(math.sqrt(eps), rel=2e-3)
+
+    @pytest.mark.parametrize("n2", [0, 1, 2, 5])
+    def test_small_c_series_above_zero(self, n2):
+        label = QuantumLabel(0, n2)
+        for c in (1e-12, 1e-6, 1e-3, 0.02, 0.05):
+            model = branch_switch(label, c)
+            assert model.branch is Branch.REAL_K
+            for got, ref in zip(model[:2], delta_small_c(label, c)):
+                assert got == pytest.approx(ref, rel=1e-14), (n2, c)
+
+    def test_11_square_root_model_above_C(self):
+        for gap in (1e-12, 1e-6, 1e-3, 0.1, 0.5):
+            c = -6.0 + gap
+            model = branch_switch(QuantumLabel(1, 1), c)
+            assert model.delta1 == model.delta2
+            assert model.delta1 == pytest.approx(math.sqrt(6 * (c + 6)), rel=1e-14)
+
+    @pytest.mark.parametrize("n2", [2, 3, 9, 40])
+    def test_fold_relation_above_C(self, n2):
+        label = QuantumLabel(1, n2)
+        crit = find_critical(label)
+        kc, _ = fold_coefficients(crit.u0)
+        for gap in (1e-12, 1e-6, 1e-3, 0.05):
+            c = crit.C + gap
+            model = branch_switch(label, c, crit)
+            assert model.branch is Branch.REAL_K and model.delta1 > 0.0
+            assert crit.C + kc * (model.delta1 / c) ** 2 == pytest.approx(c, rel=1e-14)
 
     def test_seed_converges_quickly_below_C(self):
         crit = find_critical(QuantumLabel(1, 2))
@@ -278,6 +328,76 @@ class TestGammaBounds:
         with pytest.raises(BoundsViolationError, match="gamma"):
             sheet(lab, c, st.coords._replace(gamma=1e-12))
 
+    @pytest.mark.parametrize("c, deltas", [
+        (2.0, (TWO_PI - math.pi - 0.1, TWO_PI * 2)),   # c > 0: delta1 below 2*pi*n1 - pi
+        (-2.0, (TWO_PI, TWO_PI * 2 + math.pi + 0.1)),  # c < 0: delta2 above 2*pi*n2 + pi
+        (0.0, (TWO_PI + 1e-6, TWO_PI * 2)),            # c = 0: delta_j = 2*pi*n_j exactly
+    ])
+    def test_real_sheet_rejects_a_delta_outside_its_window(self, c, deltas):
+        lab = QuantumLabel(1, 2)
+        with pytest.raises(BoundsViolationError, match="delta bound broken"):
+            bethe3.continuation._real_sheet(lab, c, RealCoords(*deltas, lab.p))
+
+    @pytest.mark.parametrize("alpha", [0.0, 2.5 + 1e-9])
+    def test_dimer_sheet_rejects_alpha_outside_its_window(self, alpha):
+        # 0 < alpha <= -c/2 on the (1, n2) sheet
+        lab, c = QuantumLabel(1, 2), -5.0
+        with pytest.raises(BoundsViolationError, match=r"\(1,n2\) sheet broken"):
+            bethe3.continuation._dimer_sheet(lab, c, ComplexCoords(alpha, -2.0, lab.p))
+
+
+def _chart_residual(label, st):
+    """inf-norm residual of a canonical label's state in the chart it solves in."""
+    cont = bethe3.continuation
+    if st.branch is Branch.REAL_K:
+        chart = cont.REAL
+    else:
+        chart = cont.FAMILY1 if label.n1 == 1 else (
+            cont.FAMILY0_BETA if label.n2 >= 2 else cont.FAMILY0_ETA)
+    chart.sheet(label, st.c, st.coords)
+    return max(abs(v) for v in chart.residual(chart.to_x(st.coords, st.c), label, st.c))
+
+
+class TestThreshold:
+    """At the threshold C the square-root model is the root: within 1e-13 of C
+    it meets RESIDUAL_TOL on both sides, and at C it is the threshold root."""
+
+    LABELS = [(1, 1), (1, 2), (1, 3), (1, 5), (1, 9), (1, 40), (0, 0), (0, 1), (0, 3)]
+
+    @pytest.mark.parametrize("lab", LABELS)
+    def test_model_meets_tolerance_next_to_C(self, lab):
+        label = QuantumLabel(*lab)
+        crit = critical_point(label)
+        for gap in (1e-13, 3e-14, -3e-14, -1e-13):
+            c = crit.C + gap
+            st = build_state(label, c, branch_switch(label, c, crit))
+            assert st.branch is (Branch.REAL_K if gap > 0 else Branch.COMPLEX_K)
+            assert _chart_residual(label, st) < RESIDUAL_TOL, (lab, gap)
+
+    @pytest.mark.parametrize("lab", LABELS)
+    def test_solve_state_at_C(self, lab):
+        label = QuantumLabel(*lab)
+        crit = critical_point(label)
+        st = solve_state(label, crit.C)
+        assert st.branch is Branch.REAL_K and st.coords.delta1 == 0.0
+        if lab[0] == 1:
+            assert st.coords.delta2 == pytest.approx(crit.C * crit.u0, rel=1e-15)
+        else:
+            assert st.coords.delta2 == TWO_PI * lab[1]
+        assert _chart_residual(label, st) < 1e-14
+        for gap in (9e-14, -9e-14):  # still within 1e-13: no corrector solve
+            near = solve_state(label, crit.C + gap)
+            assert _chart_residual(label, near) < RESIDUAL_TOL, (lab, gap)
+        # E is continuous with the march on both sides
+        for gap in (1e-9, -1e-9):
+            assert abs(solve_state(label, crit.C + gap).energy - st.energy) < 2e-8, (lab, gap)
+
+    def test_diagonal_threshold_root_has_all_gaps_zero(self):
+        st = solve_state(QuantumLabel(1, 1), -6.0)
+        assert st.momenta == (0j, 0j, 0j) and st.energy == 0.0
+        partner = solve_state(QuantumLabel(2, 1), find_critical(QuantumLabel(1, 2)).C)
+        assert partner.label == QuantumLabel(2, 1) and partner.coords.delta2 == 0.0
+
 
 class TestNegativeOnlyRange:
     def test_trace_crossing_C_without_zero(self):
@@ -325,10 +445,10 @@ class TestSpectrum:
         assert len(spectrum([a, a], -5.0).states) == 1
 
     def test_per_label_failure_collection(self):
-        # asking for a state exactly at its critical point fails but the
-        # batch still returns the others
-        result = spectrum([QuantumLabel(1, 1), QuantumLabel(2, 2)], -6.0)
-        assert QuantumLabel(1, 1) in result.failures
+        # the trimer's eta reaches the subnormal floor before c = -1000; that
+        # label fails but the batch still returns the others
+        result = spectrum([QuantumLabel(0, 0), QuantumLabel(2, 2)], -1000.0)
+        assert QuantumLabel(0, 0) in result.failures
         assert len(result.states) == 1
         assert result.states[0].label == QuantumLabel(2, 2)
 
@@ -573,8 +693,8 @@ class TestStepControl:
 
 
 class TestTracePredictor:
-    """The cubic predictor on equally spaced trace grids, and the complex
-    march that calls branch_switch only where its seed can be used."""
+    """The cubic predictor on equally spaced trace grids, and the march that
+    calls the square-root model branch_switch only next to the threshold."""
 
     # the 21 labels of the trace_sweep benchmark: complex below c = 0, a fold
     # at C(1, n2), and real for all c
@@ -599,19 +719,16 @@ class TestTracePredictor:
         # without the seed window the predictor calls it on every complex step
         assert len(calls) <= 0.2 * complex_samples, (len(calls), complex_samples)
 
-    def test_seed_window_skips_only_unusable_seeds(self):
-        windows = {(0, 0): -0.03, (0, 1): -0.09, (0, 4): -0.09, (1, 1): -6.015}
-        for lab in [(0, 0), (0, 1), (0, 4), (1, 1), (1, 2), (1, 3), (1, 9), (1, 40)]:
-            label = QuantumLabel(*lab)
-            marcher = bethe3.continuation._Marcher(label)
-            bound = marcher.seed_c
-            if lab in windows:
-                assert bound == pytest.approx(windows[lab], rel=1e-15)
-            below = [float(np.nextafter(bound, -np.inf))]
-            below += [float(c) for c in np.linspace(bound - 3.0, bound, 301)[:-1]]
-            for c in below:
-                seed = branch_switch(label, c, marcher.critical)
-                assert seed.alpha >= bethe3.continuation.FOLD_ALPHA_SMALL, (lab, c)
+    def test_trace_leaves_asymptotics_unloaded(self):
+        # the march takes its threshold model from branch_switch; the printed
+        # expansions in bethe3.asymptotics stay oracles that it never imports
+        probe = ("import sys, bethe3\n"
+                 "bethe3.trace_root(bethe3.QuantumLabel(0, 2), -1, 1, 0.05)\n"
+                 "print('bethe3.asymptotics' in sys.modules)")
+        src = os.path.dirname(os.path.dirname(bethe3.__file__))
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+        assert out.strip() == "False"
 
     def test_integer_samples_equal_solve_state(self):
         # the trace takes the cubic, solve_state's adaptive march the secant

@@ -1,4 +1,5 @@
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -207,3 +208,35 @@ class TestPartner:
             st = solve_state(QuantumLabel(n1, n2), 0.0)
             p = TWO_PI * st.label.np
             assert abs(st.momenta.total - p) < 1e-10
+
+
+class _StandIn(NamedTuple):
+    """Coordinates with given momenta and coordinate energy, for the checks
+    build_state makes on what a chart hands it."""
+
+    m: Momenta
+    e: float
+
+    def momenta(self):
+        return self.m
+
+    def energy(self):
+        return self.e
+
+
+class TestBuildStateChecks:
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coupling(self, c):
+        with pytest.raises(ValueError, match="coupling must be finite"):
+            build_state(QuantumLabel(0, 0), c, RealCoords(0.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("coords, message", [
+        (_StandIn(Momenta(0j, 0j, 1 + 0j), 1.0), "momentum sum"),
+        (_StandIn(Momenta(-1 + 0j, 0j, 1 + 0j), 3.0), "energy formulas disagree"),
+        (_StandIn(Momenta(1 + 1j, -1 - 1j, 0j), 0.0), "imaginary energy defect"),
+    ])
+    def test_identity_checks(self, coords, message):
+        # label (0,0) has p = 0; sum(k^2) is 2 and 4i in the last two
+        with pytest.raises(ValueError, match=message):
+            build_state(QuantumLabel(0, 0), -1.0, coords)
+

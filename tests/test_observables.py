@@ -144,6 +144,27 @@ class TestNorm:
             assert norm_squared(st) == pytest.approx(gaudin_norm(st), rel=1e-12), (n1, n2, c)
 
 
+class TestSumChecks:
+    """The raises of norm_squared and potential_expectation on sums that no
+    solved state produces, fed in through obs._sums (norm, coincidence,
+    and the two sums of term magnitudes)."""
+
+    @pytest.mark.parametrize("norm, message", [
+        (-1.0 + 0j, "norm must be positive"),
+        (0j, "norm must be positive"),
+        (1.0 + 1e-3j, "norm imaginary defect"),
+    ])
+    def test_norm(self, norm, message, monkeypatch):
+        monkeypatch.setattr(obs, "_sums", lambda m, c: (norm, 1.0 + 0j, 0.0, 1.0))
+        with pytest.raises(ValueError, match=message):
+            norm_squared(solved(2, 2, -3.0))
+
+    def test_coincidence_imaginary_defect(self, monkeypatch):
+        monkeypatch.setattr(obs, "_sums", lambda m, c: (1.0 + 0j, 1.0 + 1e-3j, 1.0, 1.0))
+        with pytest.raises(ValueError, match="coincidence integral imaginary defect"):
+            potential_expectation(solved(2, 2, -3.0), norm=6.0)
+
+
 class TestPotential:
     def test_zero_coupling_exact(self):
         st = solve_state(QuantumLabel(2, 3), 0.0)

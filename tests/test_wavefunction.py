@@ -132,6 +132,18 @@ class TestBoundaryConditions:
         assert jump_residual(st, 0.3, 0.8) == pytest.approx(0.0, abs=1e-14)
         assert periodicity_residual(st, 0.3, 0.8) == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("x_pair, x_third", [(-0.1, 0.5), (1.1, 0.5), (0.5, -1e-9), (0.5, 2.0)])
+    def test_jump_point_outside_the_cell_rejected(self, x_pair, x_third):
+        st = solve_state(QuantumLabel(2, 2), -3.0)
+        with pytest.raises(ValueError, match="inside the unit cell"):
+            jump_residual(st, x_pair, x_third)
+
+    @pytest.mark.parametrize("x2, x3", [(-0.1, 0.5), (0.6, 0.4), (0.2, 1.1)])
+    def test_periodicity_point_unordered_rejected(self, x2, x3):
+        st = solve_state(QuantumLabel(2, 2), -3.0)
+        with pytest.raises(ValueError, match="need 0 <= x2 <= x3 <= 1"):
+            periodicity_residual(st, x2, x3)
+
     def test_perturbed_state_sensitivity(self):
         st = solve_state(QuantumLabel(2, 2), -3.0)
         defects = []
@@ -170,6 +182,12 @@ class TestDimerTrimer:
     def test_real_branch_rejected(self):
         st = solve_state(QuantumLabel(2, 2), -3.0)
         with pytest.raises(ClassificationError):
+            dimer_prefactor(st)
+
+    def test_prefactor_pole(self):
+        # 2*alpha + c = 0: alpha = 1 at c = -2 (a valid state, not a root)
+        st = build_state(QuantumLabel(1, 1), -2.0, ComplexCoords(1.0, 0.0, 0.0))
+        with pytest.raises(ZeroDivisionError, match="dimer prefactor pole"):
             dimer_prefactor(st)
 
     def test_prefactor_limits(self):
