@@ -12,12 +12,13 @@ continues to the complex branch below it, chosen by one rule on every chart
 model is the root.  Elsewhere the predictor is the cubic through the last
 four accepted points when they and the next point are equally spaced (the
 uniform part of a trace_root grid), else the secant through the last two.
-Four Charts (two unknowns, residual, closed-form
-Jacobian, guard) cover the real branch and the complex families, and a
-single march loop runs them all.  The diagonal labels n1 = n2 need no chart
-of their own: the real equations are symmetric under delta1 <-> delta2
-there, and the complex families hold (1,1) and (0,0) as their gamma = 0
-members, so the corrector keeps delta1 == delta2 and gamma == 0 exactly.
+Four Charts (a coordinate type shifted into two unknowns, a residual that is
+its own sheet test, a closed-form Jacobian) cover the real branch and the
+complex families, and a single march loop runs them all.  The diagonal
+labels n1 = n2 need no chart of their own: the real equations are symmetric
+under delta1 <-> delta2 there, and the complex families hold (1,1) and
+(0,0) as their gamma = 0 members, so the corrector keeps delta1 == delta2
+and gamma == 0 exactly.
 Every residual is single-valued on its sheet (the real branch in its
 theta-sum form, family 0 with principal arguments while gamma <= 0), so a
 root fixes its own branch: the march is a function of the label and the
@@ -174,23 +175,24 @@ class Chart(NamedTuple):
     """The two unknowns x of the real branch or of one complex family, and
     their corrector pieces.
 
-    residual, jacobian and guard are pure functions of (x, label, c), called
-    by newton_solve with args = (label, c).  sheet runs at every returned
-    sample.  Labels with n1 = n2 share these charts (see the module docstring).
+    x = (co[0] + shift*c, co[1]) for coords co, and a root x at c is the
+    sample coords(x[0] - shift*c, x[1], p); solving in beta = alpha + c/2 or
+    eta = alpha + c keeps their exponentially small values exact deep in the
+    attractive regime.  residual and jacobian are pure functions of
+    (x, label, c), called by newton_solve with args = (label, c); the
+    residual raises ConstraintViolationError off the chart's sheet, and sheet
+    runs at every returned sample.  Labels with n1 = n2 share these charts.
     The residual and jacobian lambdas look up their eq.* function by module
     attribute at every call, never binding it at import: the benchmark's
     tracer and the tests count residual evaluations by replacing those
     attributes of bethe3.equations.
     """
 
-    branch: Branch
-    to_x: Callable        # (coords, c) -> x
-    to_coords: Callable   # (x, c, p) -> RealCoords | ComplexCoords
+    coords: type          # RealCoords or ComplexCoords
     residual: Callable    # (x, label, c) -> residuals
     jacobian: Callable    # (x, label, c) -> rows of d(residual)/dx
-    guard: Callable       # (x, label, c) -> x on the valid sheet
     sheet: Callable       # (label, c, coords), raises BoundsViolationError off the sheet
-    shift: float = 0.0    # complex charts: x[0] = alpha + shift*c
+    shift: float = 0.0    # x[0] = co[0] + shift*c
 
 
 def _real_sheet(lab: QuantumLabel, c: float, coords: RealCoords) -> None:
@@ -209,7 +211,7 @@ def _real_sheet(lab: QuantumLabel, c: float, coords: RealCoords) -> None:
             )
 
 
-# the internal beta/eta guards are strict; the public alpha view may
+# the residuals' beta/eta sheet tests are strict; the public alpha view may
 # saturate at the sheet edge once |beta| drops below eps*|c|
 def _dimer_sheet(lab: QuantumLabel, c: float, coords: ComplexCoords) -> None:
     if not 0.0 < coords.alpha <= -c / 2.0:
@@ -224,44 +226,29 @@ def _trimer_sheet(lab: QuantumLabel, c: float, coords: ComplexCoords) -> None:
             f"(0,n2) sheet broken at c={c}: alpha={coords.alpha}, gamma={coords.gamma}")
 
 
-def _shifted(frac: float) -> dict:
-    """Converters for the complex unknowns (alpha + frac*c, gamma); solving in
-    beta = alpha + c/2 or eta = alpha + c keeps their exponentially small
-    values exact deep in the attractive regime."""
-    return dict(to_x=lambda co, c: (co.alpha + frac * c, co.gamma),
-                to_coords=lambda x, c, p: ComplexCoords(x[0] - frac * c, x[1], p),
-                shift=frac)
-
-
 REAL = Chart(  # every real label in (delta1, delta2), n1 = n2 included
-    Branch.REAL_K,
-    to_x=lambda co, c: (co.delta1, co.delta2),
-    to_coords=lambda x, c, p: RealCoords(x[0], x[1], p),
+    RealCoords,
     residual=lambda x, lab, c: eq.residual_real_thetasum(x[0], x[1], c, lab.n1, lab.n2),
     jacobian=lambda x, lab, c: eq.jacobian_real_thetasum(x[0], x[1], c),
-    guard=lambda x, lab, c: x[0] >= 0.0 and x[1] >= 0.0,  # the gaps' domain
     sheet=_real_sheet,
 )
 FAMILY1 = Chart(  # (1, n2) in (beta, gamma); (1,1) keeps gamma = 0
-    Branch.COMPLEX_K, **_shifted(0.5),
+    ComplexCoords,
     residual=lambda x, lab, c: eq.family1_residual_beta(x[0], x[1], c, lab.n2),
     jacobian=lambda x, lab, c: eq.family1_jacobian_beta(x[0], x[1], c),
-    guard=lambda x, lab, c: c / 2.0 < x[0] < 0.0,
-    sheet=_dimer_sheet,
+    sheet=_dimer_sheet, shift=0.5,
 )
 FAMILY0_ETA = Chart(  # (0,0), (0,1) in (eta, gamma)
-    Branch.COMPLEX_K, **_shifted(1.0),
+    ComplexCoords,
     residual=lambda x, lab, c: eq.family0_residual_eta(x[0], x[1], c, lab.n2),
     jacobian=lambda x, lab, c: eq.family0_jacobian_eta(x[0], x[1], c),
-    guard=lambda x, lab, c: -c + 2.0 * x[0] > 0.0 and (x[0] != 0.0 or x[1] != 0.0),
-    sheet=_trimer_sheet,
+    sheet=_trimer_sheet, shift=1.0,
 )
 FAMILY0_BETA = Chart(  # (0, n2 >= 2) in (beta, gamma)
-    Branch.COMPLEX_K, **_shifted(0.5),
+    ComplexCoords,
     residual=lambda x, lab, c: eq.family0_residual_beta(x[0], x[1], c, lab.n2),
     jacobian=lambda x, lab, c: eq.family0_jacobian_beta(x[0], x[1], c),
-    guard=lambda x, lab, c: x[0] > 0.0,
-    sheet=_trimer_sheet,
+    sheet=_trimer_sheet, shift=0.5,
 )
 
 
@@ -287,10 +274,11 @@ class _Marcher:
         cubic through all four when they and cn are equally spaced, else the
         secant through the last two."""
         c, x, c1, x1, c2, x2, c3, x3 = hist
-        crit = self.critical
-        if crit is not None and (x[0] - chart.shift * c < FOLD_ALPHA_SMALL
+        crit, shift = self.critical, chart.shift
+        if crit is not None and (x[0] - shift * c < FOLD_ALPHA_SMALL
                                  or -0.1 < cn - crit.C < 0.1):
-            return chart.to_x(branch_switch(self.lab, cn, crit), cn)
+            model = branch_switch(self.lab, cn, crit)
+            return (model[0] + shift * cn, model[1])
         if x1 is None or c1 == c:
             return x
         h = cn - c
@@ -303,7 +291,7 @@ class _Marcher:
                    4.0 * (x[1] + x2[1]) - 6.0 * x1[1] - x3[1])
         else:
             lin = (x[0] + (x[0] - x1[0]) * frac, x[1] + (x[1] - x1[1]) * frac)
-        if chart.branch is Branch.REAL_K:
+        if chart.coords is RealCoords:
             return lin
         # the complex unknowns that decay exponentially deep in the attractive
         # regime (beta or eta, and gamma of (0,1)) are predicted multiplicatively
@@ -357,9 +345,8 @@ class _Marcher:
         the benchmark's tracer and the tests' newton_counter replace them by
         module attribute (bethe3.equations, bethe3.continuation).
         """
-        lab, p, real, shift = self.lab, self.p, chart.branch is Branch.REAL_K, chart.shift
-        residual, jacobian, guard = chart.residual, chart.jacobian, chart.guard
-        to_coords, sheet = chart.to_coords, chart.sheet
+        coords, residual, jacobian, sheet, shift = chart
+        lab, p, real = self.lab, self.p, coords is RealCoords
         predict = self._predict
         out = []
         hist = (c, x, None, None, None, None, None, None)
@@ -378,7 +365,7 @@ class _Marcher:
                     cn = tgt
                 guess = predict(chart, hist, cn)
                 try:
-                    res = eq.newton_solve(residual, jacobian, guess, RESIDUAL_TOL, guard, (lab, cn))
+                    res = eq.newton_solve(residual, jacobian, guess, RESIDUAL_TOL, (lab, cn))
                 except (eq.NoConvergenceError, eq.ConstraintViolationError) as exc:
                     h = step / STEP_GROWTH ** 2
                     floor = isinstance(exc, eq.ResidualFloorError)
@@ -387,7 +374,7 @@ class _Marcher:
                             f"predicted beta/eta {guess[0]:.3e} is below the smallest normal "
                             f"double {sys.float_info.min:.3e}: {exc}",)
                     if floor or h < MIN_STEP:
-                        exc.args = (f"{chart.branch.value}-branch corrector failed for label "
+                        exc.args = (f"{coords.branch.value}-branch corrector failed for label "
                                     f"{lab} at c={cn} (last good c={c}): {exc}",)
                         raise
                     continue
@@ -402,9 +389,9 @@ class _Marcher:
                         h if h < BASE_STEP else BASE_STEP)
                 x, c = root, cn
                 hist = (c, x) + hist[:6]
-            coords = to_coords(x, c, p)
-            sheet(lab, c, coords)
-            out.append(build_state(lab, c, coords))
+            co = coords(x[0] - shift * c, x[1], p)
+            sheet(lab, c, co)
+            out.append(build_state(lab, c, co))
         return out
 
     def solve_targets(self, targets: list[float]) -> list[StateSolution]:
@@ -433,9 +420,9 @@ class _Marcher:
         neg_complex = [t for t in neg if t < c_crit]
         if neg_complex:
             c = max(c_crit - FOLD_MIN_SPAN, neg_complex[0])
-            guess = chart.to_x(branch_switch(lab, c, crit), c)
-            x = eq.newton_solve(chart.residual, chart.jacobian, guess, RESIDUAL_TOL,
-                                chart.guard, (lab, c)).root
+            model = branch_switch(lab, c, crit)
+            x = eq.newton_solve(chart.residual, chart.jacobian, (model[0] + chart.shift * c, model[1]),
+                                RESIDUAL_TOL, (lab, c)).root
             states += self.march(chart, neg_complex, c, x, c_crit)
         by_c = {st.c: st for st in states}
         return [by_c[float(t)] for t in targets]
@@ -486,20 +473,18 @@ def _grid(critical: CriticalPoint | None, c_min: float, c_max: float, step: floa
     k_lo = math.ceil(c_min / step - 1e-9)
     k_hi = math.floor(c_max / step + 1e-9)
     pts = {round(k * step, 12) for k in range(k_lo, k_hi + 1)}
+    if critical is not None:
+        h = step / 2.0
+        while h >= FOLD_MIN_SPAN:
+            pts.update(t for t in (critical.C - h, critical.C + h) if c_min <= t <= c_max)
+            h /= 2.0
+        # the grid and its refinement stop FOLD_MIN_SPAN short of C; the
+        # requested ends and c = 0 are added after, and solved wherever they lie
+        pts = {t for t in pts if abs(t - critical.C) >= FOLD_MIN_SPAN}
     pts.update((c_min, c_max))
     if c_min <= 0.0 <= c_max:
         pts.add(0.0)
-    if critical is None:
-        return sorted(pts)
-    h = step / 2.0
-    while h >= FOLD_MIN_SPAN:
-        for side in (critical.C - h, critical.C + h):
-            if c_min <= side <= c_max:
-                pts.add(side)
-        h /= 2.0
-    # exclude grid points inside the fold window, but never the exact
-    # reference point c = 0 (the free solution is exact there)
-    return sorted(t for t in pts if t == 0.0 or abs(t - critical.C) >= FOLD_MIN_SPAN)
+    return sorted(pts)
 
 
 def trace_root(
@@ -511,7 +496,9 @@ def trace_root(
     """Trace a labeled root over [c_min, c_max] on a step grid.
 
     The grid is refined geometrically near the critical coupling so the
-    square-root fold is resolved down to FOLD_MIN_SPAN.  Non-canonical labels
+    square-root fold is resolved down to FOLD_MIN_SPAN; grid points closer to
+    C than that are left out, but c_min, c_max and c = 0 (when in range) are
+    always samples, at C itself too.  Non-canonical labels
     are traced through their canonical partner and mapped by symmetry.  A step
     that puts more than MAX_GRID_POINTS samples on the range raises
     ValueError before any solve.

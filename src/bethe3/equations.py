@@ -39,10 +39,14 @@ Every residual the corrector solves has its closed-form Jacobian next to it,
 built from d(theta)/d(dk) = -2c/(c^2 + dk^2) and the derivatives of log|z|
 and arg z; the test suite checks each against central differences.
 newton_solve is a damped Newton for these two-unknown systems.  It
-calls residual, jacobian and guard as f(x, label, c), so the march hands it a
-Chart's pieces as they are.  It reports the contraction of its first
-iteration (the march sizes its steps from it) and raises ResidualFloorError
-when the residual stalls above the tolerance.
+calls residual and jacobian as f(x, label, c), so the march hands it a
+Chart's pieces as they are.  Each residual is its own sheet test: it raises
+ConstraintViolationError off its sheet (a negative gap; beta outside
+(c/2, 0) for n1 = 1; 2*alpha + c <= 0, or alpha + c = gamma = 0, for n1 = 0),
+NaN included, and newton_solve reads that at a line-search candidate as the
+sheet edge.  It reports the contraction of its first iteration (the march
+sizes its steps from it) and raises ResidualFloorError when the residual
+stalls above the tolerance.
 """
 from __future__ import annotations
 
@@ -107,10 +111,12 @@ class ResidualPoint(NamedTuple):
 
 
 def residual_real_thetasum(d1: float, d2: float, c: float, n1: int, n2: int) -> tuple[float, float]:
-    """Theta-sum form of the coupled real-branch equations (stateless).
+    """Theta-sum form of the coupled real-branch equations at gaps >= 0 (stateless).
 
     theta is inlined off c = 0, where it is -2*atan2 with no special case.
     """
+    if not (d1 >= 0.0 and d2 >= 0.0):
+        raise ConstraintViolationError(f"gaps must be >= 0, got ({d1}, {d2})")
     if c == 0.0:  # theta's dk = c = 0 convention
         t1, t2, t3 = theta(d1, c), theta(d2, c), theta(d1 + d2, c)
     else:
@@ -130,7 +136,7 @@ def jacobian_real_thetasum(d1: float, d2: float, c: float):
 
 
 def residual_real(d1: float, d2: float, c: float, label: QuantumLabel) -> ResidualPoint:
-    """Coupled theta-sum residuals for (delta1, delta2) at coupling c under a label."""
+    """Coupled theta-sum residuals at gaps (delta1, delta2) >= 0 (else ConstraintViolationError)."""
     return ResidualPoint(residual_real_thetasum(d1, d2, c, label.n1, label.n2))
 
 
@@ -173,10 +179,12 @@ def _family0_residual(a2, s2, t2, u, v, g, n2):
 
     log(u^2 + 9g^2) is taken as 2*log(hypot(u, 3g)), which stays finite when u
     and g both fall to ~1e-300 (and at gamma = 0, the (0,0) state); both
-    arguments are principal.
+    arguments are principal.  It diverges at u = g = 0, which raises, as does s2 <= 0.
     """
-    if s2 <= 0.0:
+    if not s2 > 0.0:
         raise ConstraintViolationError(f"2*alpha + c must stay positive, got {s2}")
+    if u == 0.0 and g == 0.0:
+        raise ConstraintViolationError("alpha + c = gamma = 0: log|alpha + c + 3i*gamma| diverges")
     ra = a2 + 2.0 * (math.log(s2) - math.log(t2)) \
         + 2.0 * (math.log(math.hypot(u, 3.0 * g)) - math.log(math.hypot(v, 3.0 * g)))
     rg = -3.0 * g + 3.0 * math.atan2(v, -3.0 * g) - 3.0 * math.atan2(u, -3.0 * g) - TWO_PI * n2
@@ -228,8 +236,8 @@ def residual_complex(
 
     Dispatches to the n1 = 0 or n1 = 1 family of equations, in the shifted
     unknown of the label's continuation chart: eta for (0,0) and (0,1), beta
-    otherwise.  Raises ConstraintViolationError when a log factor would
-    change sign.
+    otherwise.  Raises ConstraintViolationError off the family's sheet: where
+    a log factor would change sign or, on n1 = 0, diverge.
 
     Conditioning: the equations depend on the exponentially small parts
     eta = alpha + c (trimers) or beta = alpha + c/2 (dimers), recovered here
@@ -277,28 +285,25 @@ def newton_solve(
     jacobian,
     guess,
     tol: float = RESIDUAL_TOL,
-    guard=None,
     args: tuple = (None, None),
 ) -> NewtonResult:
     """Damped Newton for two unknowns with a closed-form Jacobian.
 
-    residual(x, *args) gives the two residuals at the pair of unknowns x,
-    jacobian(x, *args) the rows of d(residual)/dx, and guard(x, *args) -> bool
-    marks the valid sheet (steps never cross it; False wherever residual
-    raises ConstraintViolationError).  args is (label, c) for a Chart's
-    pieces, which the march passes directly; the default suits callables
-    of (x, *_) that ignore it.
-    Each Cramer step is halved until it stays on the sheet with a finite
-    residual whose max-norm does not grow.
-    Raises NoConvergenceError / ConstraintViolationError.  When that max-norm
-    has not decreased for NEWTON_STALL_ITER iterations in a row, the error is
-    ResidualFloorError if the full Newton step is rounding noise (below
-    NEWTON_FLOOR_STEP relative to x), else NoConvergenceError.
+    residual(x, *args) gives the two residuals at the pair of unknowns x and
+    raises ConstraintViolationError off its sheet, jacobian(x, *args) the rows
+    of d(residual)/dx.  args is (label, c) for a Chart's pieces, which the
+    march passes directly; the default suits callables of (x, *_) that ignore
+    it.  Each Cramer step is halved until the residual does not raise, is
+    finite and its max-norm does not grow; after NEWTON_MAX_HALVINGS halvings
+    the last candidate is taken, or the step is blocked if it is off the sheet.
+    Raises NoConvergenceError / ConstraintViolationError (the residual's own
+    from a guess off its sheet).  When the max-norm has not decreased for
+    NEWTON_STALL_ITER iterations in a row, the error is ResidualFloorError if
+    the full Newton step is rounding noise (below NEWTON_FLOOR_STEP relative
+    to x), else NoConvergenceError.
     """
     a0, a1 = args
     x = (float(guess[0]), float(guess[1]))
-    if guard is not None and not guard(x, a0, a1):
-        raise ConstraintViolationError(f"initial guess {x} violates constraints")
     r = residual(x, a0, a1)
     best, stalled, contraction = math.inf, 0, 0.0
     for it in range(1, NEWTON_MAX_ITER + 1):
@@ -340,22 +345,20 @@ def newton_solve(
                     f"residual stalled at |r|={best:.3e} above tol={tol:.1e}", x, r, it
                 )
         lam = 1.0
-        for _ in range(NEWTON_MAX_HALVINGS):
+        for halvings in range(NEWTON_MAX_HALVINGS + 1):
             x_new = (x[0] + lam * dx0, x[1] + lam * dx1)
-            if guard is None or guard(x_new, a0, a1):
+            try:
                 r_new = residual(x_new, a0, a1)
-                if (math.isfinite(r_new[0]) and abs(r_new[0]) <= rmax
-                        and math.isfinite(r_new[1]) and abs(r_new[1]) <= rmax):
+            except ConstraintViolationError as exc:  # off the sheet: halve
+                if halvings == NEWTON_MAX_HALVINGS:
+                    raise ConstraintViolationError(
+                        f"Newton step blocked by sign constraints near x={x}") from exc
+            else:
+                # the last candidate is kept even where its residual grows
+                if (math.isfinite(r_new[0]) and abs(r_new[0]) <= rmax and math.isfinite(r_new[1])
+                        and abs(r_new[1]) <= rmax) or halvings == NEWTON_MAX_HALVINGS:
                     break
             lam *= 0.5
-        else:
-            # keep the last guarded candidate if any; otherwise the step is blocked
-            x_new = (x[0] + lam * dx0, x[1] + lam * dx1)
-            if guard is not None and not guard(x_new, a0, a1):
-                raise ConstraintViolationError(
-                    f"Newton step blocked by sign constraints near x={x}"
-                )
-            r_new = residual(x_new, a0, a1)
         x, r = x_new, r_new
     raise NoConvergenceError(
         f"no convergence after {NEWTON_MAX_ITER} iterations (|r|={max(abs(v) for v in r):.3e})",

@@ -53,7 +53,7 @@ import math
 
 from .model import Momenta, StateSolution
 from .tolerances import MAX_GRID_POINTS, MAX_SUM_CONDITION, NEAR_DEGENERATE_EXPONENT, NORM_IMAG_RTOL
-from .wavefunction import PERMUTATIONS, amplitudes, psi_ordered
+from .wavefunction import PERMUTATIONS, DegenerateMomentaError, amplitudes, psi_ordered
 
 
 def _e2(z: complex, m: complex) -> complex:
@@ -157,6 +157,15 @@ def _sums(momenta: Momenta, c: float) -> tuple[complex, complex, float, float]:
     return norm, coincidence, norm_scale, coincidence_scale
 
 
+def _state_sums(state: StateSolution) -> tuple[complex, complex, float, float]:
+    """_sums of a state, whose two-body-pole and degenerate-momenta errors name its label."""
+    try:
+        return _sums(state.momenta, state.c)
+    except (ZeroDivisionError, DegenerateMomentaError) as exc:
+        exc.args = (f"{exc} for {state.label}",)
+        raise
+
+
 def _check_cancellation(what: str, state: StateSolution, total: complex, scale: float) -> None:
     """ValueError where a sum cancels below the digits double precision keeps:
     its terms' magnitudes add up to more than MAX_SUM_CONDITION times |sum|."""
@@ -176,7 +185,7 @@ def norm_squared(state: StateSolution) -> float:
     MAX_SUM_CONDITION (1e7) times the sum, both raise ValueError instead:
     (1,2) and (1,3) within about 6e-7 of their C, (1,1) within 0.035 of -6.
     """
-    norm, _, scale, _ = _sums(state.momenta, state.c)
+    norm, _, scale, _ = _state_sums(state)
     total = 6.0 * norm
     if not (math.isfinite(total.real) and math.isfinite(total.imag)):
         raise OverflowError(
@@ -203,7 +212,7 @@ def potential_expectation(state: StateSolution, norm: float | None = None) -> fl
     if state.c == 0.0:
         return 0.0
     n = norm_squared(state) if norm is None else norm
-    _, total, _, scale = _sums(state.momenta, state.c)
+    _, total, _, scale = _state_sums(state)
     _check_cancellation("coincidence sum", state, total, scale)
     if abs(total.imag) > NORM_IMAG_RTOL * max(1.0, abs(total.real)):
         raise ValueError(f"coincidence integral imaginary defect: {total}")

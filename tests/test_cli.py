@@ -56,6 +56,14 @@ class TestTrace:
             elif float(r["c"]) > 0:
                 assert r["branch"] == "real"
 
+    def test_range_ending_at_C_keeps_its_end(self, capsys):
+        # c = -6 is C(1,1): the requested end is a sample, the threshold root
+        code, out, _ = run_cli(["trace", "--label", "1,1", "--c-range", "-6..-5.9"], capsys)
+        assert code == EXIT_OK
+        rows = [json.loads(line) for line in out.strip().splitlines()]
+        assert float(rows[0]["c"]) == -6.0 and float(rows[-1]["c"]) == -5.9
+        assert float(rows[0]["delta1"]) == 0.0 and float(rows[0]["delta2"]) == 0.0
+
     def test_observables_flag(self, capsys):
         code, out, _ = run_cli(
             ["trace", "--label", "2,2", "--c-range", "-1..0", "--step", "0.5",
@@ -177,6 +185,7 @@ class TestObservablesFailure:
         failed, level = [json.loads(line) for line in out.strip().splitlines()]
         assert (failed["n1"], failed["n2"], float(failed["c"])) == (0, 0, -100.0)
         assert failed["error"].startswith("ZeroDivisionError: two-body pole")
+        assert failed["error"].endswith("for (0,0)")
         assert (level["n1"], level["n2"]) == (2, 2) and float(level["norm"]) > 0.0
 
     def test_trace_csv_keeps_other_samples(self, capsys):

@@ -148,7 +148,6 @@ class TestBranchSwitch:
             lambda x, *_: eq.family1_residual_beta(x[0], x[1], c, 2),
             lambda x, *_: eq.family1_jacobian_beta(x[0], x[1], c),
             [seed.alpha + c / 2.0, seed.gamma],
-            guard=lambda x, *_: c / 2.0 < x[0] < 0.0,
         )
         assert res.iterations <= 10
         assert -c / 2.0 + res.root[0] == pytest.approx(seed.alpha, rel=5e-3)
@@ -355,7 +354,12 @@ def _chart_residual(label, st):
         chart = cont.FAMILY1 if label.n1 == 1 else (
             cont.FAMILY0_BETA if label.n2 >= 2 else cont.FAMILY0_ETA)
     chart.sheet(label, st.c, st.coords)
-    return max(abs(v) for v in chart.residual(chart.to_x(st.coords, st.c), label, st.c))
+    return max(abs(v) for v in chart.residual(_unknowns(chart, st), label, st.c))
+
+
+def _unknowns(chart, st):
+    """A state's coordinates as its chart's unknowns x."""
+    return (st.coords[0] + chart.shift * st.c, st.coords[1])
 
 
 class TestThreshold:
@@ -391,6 +395,19 @@ class TestThreshold:
         # E is continuous with the march on both sides
         for gap in (1e-9, -1e-9):
             assert abs(solve_state(label, crit.C + gap).energy - st.energy) < 2e-8, (lab, gap)
+
+    @pytest.mark.parametrize("lab, below, above", [
+        ((1, 1), 0.0, 0.1), ((1, 2), 5e-7, 5e-7), ((2, 1), 0.0, 0.0), ((0, 2), 1e-7, 0.0)])
+    def test_trace_keeps_ends_next_to_C(self, lab, below, above):
+        # requested ends within FOLD_MIN_SPAN of C (or at C) are samples too
+        label = QuantumLabel(*lab)
+        C = critical_point(label).C
+        traj = trace_root(label, C - below, C + above)
+        cs = traj.couplings()
+        assert cs[0] == C - below and cs[-1] == C + above
+        for s in traj.samples:
+            canon = s if label.canonical() == label else partner_state(s)
+            assert _chart_residual(label.canonical(), canon) < RESIDUAL_TOL, (lab, s.c)
 
     def test_diagonal_threshold_root_has_all_gaps_zero(self):
         st = solve_state(QuantumLabel(1, 1), -6.0)
@@ -754,5 +771,5 @@ class TestTracePredictor:
         cont = bethe3.continuation
         for s in traj.samples:
             chart = cont.FAMILY1 if s.branch is Branch.COMPLEX_K else cont.REAL
-            r = chart.residual(chart.to_x(s.coords, s.c), label, s.c)
+            r = chart.residual(_unknowns(chart, s), label, s.c)
             assert max(abs(v) for v in r) < cont.RESIDUAL_TOL, (lab, s.c, r)

@@ -6,7 +6,7 @@ import pytest
 
 import bethe3.continuation as cont
 import bethe3.equations as eq
-from bethe3 import Branch, QuantumLabel, solve_state
+from bethe3 import QuantumLabel, RealCoords, solve_state
 from bethe3.asymptotics import delta_large_c, small_c_slope
 from bethe3.continuation import find_critical
 from bethe3.oracles import (
@@ -159,7 +159,7 @@ class TestResidualEqualDelta:
         d_bisect = 0.5 * (lo + hi)
         chart = cont.REAL
         res = eq.newton_solve(chart.residual, chart.jacobian, [2 * TWO_PI + 0.5, 2 * TWO_PI + 0.5],
-                              guard=chart.guard, args=(QuantumLabel(2, 2), 1.0))
+                              args=(QuantumLabel(2, 2), 1.0))
         assert res.root[0] == pytest.approx(d_bisect, abs=1e-10)
         assert res.root[1] == pytest.approx(d_bisect, abs=1e-10)
 
@@ -199,6 +199,19 @@ class TestResidualComplex:
         for alpha in (0.0, -1.0):
             with pytest.raises(eq.ConstraintViolationError, match="alpha must be > 0"):
                 eq.residual_complex(alpha, 0.0, -8.0, QuantumLabel(0, 2))
+
+    @pytest.mark.parametrize("label", [(0, 0), (0, 1)])
+    def test_eta_gamma_zero_raises_typed(self, label):
+        # alpha + c = gamma = 0, where log|alpha + c + 3i*gamma| diverges: a
+        # sheet error, not the bare "math domain error" of log(0)
+        c = -8.0
+        with pytest.raises(eq.ConstraintViolationError, match="alpha \\+ c = gamma = 0"):
+            eq.residual_complex(-c, 0.0, c, QuantumLabel(*label))
+
+    def test_real_negative_gap_raises(self):
+        for gaps in ((-1e-300, 5.0), (5.0, -0.5), (math.nan, 5.0)):
+            with pytest.raises(eq.ConstraintViolationError, match="gaps must be >= 0"):
+                eq.residual_real(*gaps, 1.0, QuantumLabel(2, 3))
 
     def test_n1zero_family_root(self):
         st = solve_state(QuantumLabel(0, 2), -9.0)
@@ -252,12 +265,17 @@ class TestNewton:
                             lambda x, *_: ((2.0 * x[0], 0.0), (0.0, 1.0)), [0.5, 0.0])
 
     def test_guard_blocks_boundary(self):
-        # root at -1 is outside the guarded region; the solve must not cross 0
-        with pytest.raises((eq.ConstraintViolationError, eq.NoConvergenceError)):
-            eq.newton_solve(
-                lambda x, *_: (x[0] + 1.0, x[1]), lambda x, *_: ((1.0, 0.0), (0.0, 1.0)),
-                [0.5, 0.0], guard=lambda x, *_: x[0] > 0.0,
-            )
+        # root at -1 lies off the residual's sheet x0 > 0; the solve probes past
+        # 0 but never crosses it, and ends blocked at the edge
+        visited = []
+
+        def fun(x, *_):
+            visited.append(x[0])
+            return (x[0] + 1.0, x[1]) if x[0] > 0.0 else off_sheet(x)
+
+        with pytest.raises(eq.ConstraintViolationError, match="blocked by sign constraints"):
+            eq.newton_solve(fun, lambda x, *_: ((1.0, 0.0), (0.0, 1.0)), [0.5, 0.0])
+        assert min(visited) <= 0.0
 
     def test_contraction_of_first_iteration(self):
         # x^2 = 2 from 1.5: |r0| = 0.25, one Newton step lands at 1.5 - 0.25/3
@@ -294,18 +312,21 @@ class TestNewton:
         assert err.value.iterations < 10
 
     def test_guard_blocks_every_halving_two_unknowns(self):
-        # the guess sits on the guard's edge x0 >= 0.5 and the Newton step
-        # points off it, so every halved step leaves the sheet
+        # the guess sits on the edge of the residual's sheet x0 >= 0.5 and the
+        # Newton step points off it, so every halved step leaves the sheet
+        def fun(x, *_):
+            return (x[0] + 1.0, x[1] - 3.0) if x[0] >= 0.5 else off_sheet(x)
+
         with pytest.raises(eq.ConstraintViolationError, match="blocked by sign constraints"):
-            eq.newton_solve(lambda x, *_: (x[0] + 1.0, x[1] - 3.0),
-                            lambda x, *_: ((1.0, 0.0), (0.0, 1.0)), [0.5, 0.5],
-                            guard=lambda x, *_: x[0] >= 0.5)
+            eq.newton_solve(fun, lambda x, *_: ((1.0, 0.0), (0.0, 1.0)), [0.5, 0.5])
 
     def test_guess_off_the_guard_raises(self):
-        with pytest.raises(eq.ConstraintViolationError, match="initial guess .* violates"):
-            eq.newton_solve(lambda x, *_: (x[0] - 1.0, x[1]),
-                            lambda x, *_: ((1.0, 0.0), (0.0, 1.0)), [-0.5, 0.0],
-                            guard=lambda x, *_: x[0] >= 0.0)
+        # the residual's own error propagates from an off-sheet guess
+        def fun(x, *_):
+            return (x[0] - 1.0, x[1]) if x[0] >= 0.0 else off_sheet(x)
+
+        with pytest.raises(eq.ConstraintViolationError, match=r"off the sheet at \(-0\.5, 0\.0\)"):
+            eq.newton_solve(fun, lambda x, *_: ((1.0, 0.0), (0.0, 1.0)), [-0.5, 0.0])
 
     def test_no_convergence_at_max_iterations(self):
         # a Jacobian 10x too large: every full step cuts |r| by only 0.9, so
@@ -319,11 +340,18 @@ class TestNewton:
         assert max(abs(v) for v in err.value.residual) == pytest.approx(0.9 ** 100, rel=1e-9)
 
     def test_scaled_tiny_unknown(self):
-        # root at 1e-9 with a log-singular residual: steps must not cross zero
-        fun = lambda x, *_: (math.log(x[0] / 1e-9), x[1])
-        res = eq.newton_solve(fun, lambda x, *_: ((1.0 / x[0], 0.0), (0.0, 1.0)), [3e-9, 0.0],
-                              guard=lambda x, *_: x[0] > 0.0)
+        # root at 1e-9 with a log-singular residual on the sheet x0 > 0: the
+        # full first step crosses zero, and the halved one must not
+        def fun(x, *_):
+            return (math.log(x[0] / 1e-9), x[1]) if x[0] > 0.0 else off_sheet(x)
+
+        res = eq.newton_solve(fun, lambda x, *_: ((1.0 / x[0], 0.0), (0.0, 1.0)), [3e-9, 0.0])
         assert res.root[0] == pytest.approx(1e-9, rel=1e-9)
+
+
+def off_sheet(x):
+    """What a residual does off its sheet."""
+    raise eq.ConstraintViolationError(f"off the sheet at {x}")
 
 
 # every corrector chart with a label it serves and the sign of its shifted unknown
@@ -343,7 +371,7 @@ def test_closed_form_jacobian_matches_fd_oracle(chart, label, sign, c):
     every_chart = {v for v in vars(cont).values() if isinstance(v, cont.Chart)}
     assert every_chart == {row[0] for row in CHARTS}
     lab = QuantumLabel(*label)
-    if chart.branch is Branch.REAL_K:
+    if chart.coords is RealCoords:
         points = [(0.7, 5.0), (6.5, 13.0)]
     else:
         points = [(sign * v, g) for v in (1e-200, 1e-30, 1e-3, 0.9) for g in (-1.7, 1e-3, 0.0)]
@@ -357,23 +385,48 @@ def test_closed_form_jacobian_matches_fd_oracle(chart, label, sign, c):
             assert worst <= 1e-5 * max(abs(v) for v in scaled), (x, row, fd_row)
 
 
+# each chart's sheet edges in its unknowns x, from the model's conditions (gaps
+# >= 0; 0 < alpha < -c/2 for n1 = 1; 2*alpha + c > 0 for n1 = 0):
+# (index of the unknown, edge as a function of c, side of the sheet, edge on it)
+SHEET_EDGES = {
+    cont.REAL: [(0, lambda c: 0.0, 1.0, True), (1, lambda c: 0.0, 1.0, True)],
+    cont.FAMILY1: [(0, lambda c: c / 2.0, 1.0, False), (0, lambda c: 0.0, -1.0, False)],
+    cont.FAMILY0_ETA: [(0, lambda c: c / 2.0, 1.0, False)],
+    cont.FAMILY0_BETA: [(0, lambda c: 0.0, 1.0, False)],
+}
+
+
 @pytest.mark.parametrize("c", [-5.0, -40.0, -1000.0])
 @pytest.mark.parametrize("chart, label, sign", CHARTS)
 def test_residual_raises_only_off_the_guard(chart, label, sign, c):
-    # newton_solve evaluates a residual only where its chart's guard holds, so
-    # each guard must repeat its residual's sign test: probe both sides of every
-    # edge (delta, beta, eta at 0; beta, eta at c/2), down to the adjacent double
+    # the residual is its chart's only guard (newton_solve halves a step whose
+    # candidate raises): on both sides of every sheet edge, down to the
+    # adjacent double, it is finite on the sheet and raises
+    # ConstraintViolationError off it; so does a NaN edge unknown, and on
+    # n1 = 0 the point alpha + c = gamma = 0, where its log diverges
     lab = QuantumLabel(*label)
-    firsts = [v for edge in (0.0, c / 2.0) for v in (
-        edge - 0.01, math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf),
-        edge + 0.01)]
-    points = [(v, g) for v in firsts for g in (-1.7, 0.0, 5.0)]
-    for x in points:
-        try:
-            chart.residual(x, lab, c)
-        except ValueError as exc:  # ConstraintViolationError, or log(0) at eta = gamma = 0
-            assert not chart.guard(x, lab, c), (x, exc)
-    assert {chart.guard(x, lab, c) for x in points} == {True, False}
+
+    def check(x, on_sheet):
+        if on_sheet:
+            assert all(map(math.isfinite, chart.residual(x, lab, c))), x
+        else:
+            with pytest.raises(eq.ConstraintViolationError):
+                chart.residual(x, lab, c)
+
+    others = (5.0,) if chart.coords is RealCoords else (-1.7, 0.0, 5.0)
+    for i, edge_of, side, closed in SHEET_EDGES[chart]:
+        edge = edge_of(c)
+        for v, on_sheet in ((edge - side * 0.01, False), (math.nextafter(edge, -side * math.inf), False),
+                            (edge, closed), (math.nextafter(edge, side * math.inf), True),
+                            (edge + side * 0.01, True), (math.nan, False)):
+            for other in others:
+                check((v, other) if i == 0 else (other, v), on_sheet)
+    if chart in (cont.FAMILY0_ETA, cont.FAMILY0_BETA):
+        pole = (chart.shift - 1.0) * c  # x[0] at alpha + c = 0
+        check((pole, 0.0), False)
+        for x in ((math.nextafter(pole, -math.inf), 0.0), (math.nextafter(pole, math.inf), 0.0),
+                  (pole, math.nextafter(0.0, math.inf))):
+            check(x, True)
 
 
 class TestImplicitDerivative:

@@ -16,7 +16,7 @@ from bethe3 import (
 import bethe3.observables as obs
 from bethe3.observables import _Exponent, _sums, _symmetric_table
 from bethe3.verify import simplex_triples
-from bethe3.wavefunction import PERMUTATIONS, amplitudes
+from bethe3.wavefunction import PERMUTATIONS, DegenerateMomentaError, amplitudes
 
 from conftest import (
     coincidence_term,
@@ -198,6 +198,17 @@ class TestPotential:
         st = solved(0, 0, -250.0)
         with pytest.raises((ZeroDivisionError, OverflowError)):
             norm_squared(st)
+
+    def test_pole_and_degenerate_errors_name_the_state(self):
+        # norm, <V> (with and without a norm) and the grid name the label
+        deep, threshold = solved(0, 0, -40.0), solved(1, 1, -6.0)
+        calls = [norm_squared, potential_expectation, lambda st: potential_expectation(st, norm=1.0),
+                 lambda st: density_grid(st, 8)]
+        for call in calls:
+            with pytest.raises(ZeroDivisionError, match=r"^two-body pole: .* at c=-40\.0 for \(0,0\)$"):
+                call(deep)
+            with pytest.raises(DegenerateMomentaError, match=r"^coinciding momenta .* for \(1,1\)$"):
+                call(threshold)
 
     def test_returns_toward_zero_deep_attractive(self):
         # the (n,n) real family's potential dips and returns toward zero
