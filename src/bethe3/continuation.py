@@ -33,8 +33,8 @@ floor or the subnormal floor of beta/eta is reported at once (_Marcher.march).
 The returned samples are exactly the requested grid; only the internal
 steps adapt.
 
-Partner labels (n1 > n2) are never re-solved: the canonical trajectory is
-traced and mapped through the conjugation symmetry sample by sample.
+A partner label (n1 > n2) marches its canonical partner's charts and builds
+each sample once, in its own frame, through the conjugation map partner_coords.
 """
 from __future__ import annotations
 
@@ -51,6 +51,7 @@ from .model import (
     RealCoords,
     StateSolution,
     build_state,
+    partner_coords,
     partner_state,
 )
 from .tolerances import (
@@ -257,30 +258,38 @@ FAMILY0_BETA = Chart(  # (0, n2 >= 2) in (beta, gamma)
 # ---------------------------------------------------------------------------
 
 
+def _name_failure(exc: Exception, coords: type, lab: QuantumLabel, c: float, last_good: float):
+    """Prefix a corrector error with its branch, label, failing c and last good c."""
+    exc.args = (f"{coords.branch.value}-branch corrector failed for label {lab} "
+                f"at c={c} (last good c={last_good}): {exc}",)
+
+
 class _Marcher:
-    """Marches one canonical label outward on both sides of c = 0."""
+    """Marches one label outward on both sides of c = 0 on its canonical partner's charts."""
 
     def __init__(self, label: QuantumLabel):
+        self.label = label
         self.lab = lab = label.canonical()
         self.p = TWO_PI * lab.np
         self.critical = critical_point(lab)
 
-    def _predict(self, chart: Chart, hist: tuple, cn: float):
+    def _predict(self, chart: Chart, hist: tuple, cn: float, use_model: bool):
         """Guess at cn from hist = (c, x, c1, x1, c2, x2, c3, x3), the last four
         accepted points of this march, newest first (None where there are
-        fewer).  One rule on every chart: the model branch_switch while the
-        last small unknown x[0] - shift*c (delta1 on REAL, alpha on a complex
-        chart) is below FOLD_ALPHA_SMALL or cn is within 0.1 of C, else the
+        fewer), and whether the guess is the model's.  One rule on every
+        chart: while use_model holds, the model branch_switch where the last
+        small unknown x[0] - shift*c (delta1 on REAL, alpha on a complex
+        chart) is below FOLD_ALPHA_SMALL or cn is within 0.1 of C; else the
         cubic through all four when they and cn are equally spaced, else the
         secant through the last two."""
         c, x, c1, x1, c2, x2, c3, x3 = hist
         crit, shift = self.critical, chart.shift
-        if crit is not None and (x[0] - shift * c < FOLD_ALPHA_SMALL
-                                 or -0.1 < cn - crit.C < 0.1):
+        if use_model and crit is not None and (x[0] - shift * c < FOLD_ALPHA_SMALL
+                                               or -0.1 < cn - crit.C < 0.1):
             model = branch_switch(self.lab, cn, crit)
-            return (model[0] + shift * cn, model[1])
+            return (model[0] + shift * cn, model[1]), True
         if x1 is None or c1 == c:
-            return x
+            return x, False
         h = cn - c
         frac = h / (c - c1)
         # equal spacing: every gap within 1e-9*|h| of h, the last one via frac
@@ -292,7 +301,7 @@ class _Marcher:
         else:
             lin = (x[0] + (x[0] - x1[0]) * frac, x[1] + (x[1] - x1[1]) * frac)
         if chart.coords is RealCoords:
-            return lin
+            return lin, False
         # the complex unknowns that decay exponentially deep in the attractive
         # regime (beta or eta, and gamma of (0,1)) are predicted multiplicatively
         # while their sign holds, and so is any whose cubic or secant would flip
@@ -304,7 +313,7 @@ class _Marcher:
                 guess.append(a * (a / b) ** frac)
             else:
                 guess.append(s)
-        return guess
+        return guess, False
 
     def march(self, chart: Chart, targets: list[float], c: float, x, fold_c) -> list[StateSolution]:
         """March the accepted point x at c through targets (ascending |c - c0|).
@@ -332,7 +341,11 @@ class _Marcher:
         The predictor (_predict) sees the last four accepted points of this
         call; near the threshold it takes the square-root model instead, and
         elsewhere a retried step breaks their equal spacing, so the retry and
-        every step until three equal ones follow it take the secant.  Every
+        every step until three equal ones follow it take the secant.  Once a
+        model guess is rejected with a predictor error above STEP_CORRECTION,
+        the model is off for the rest of the call: C(1, n2) + 4 falls like
+        1/n2^2, so for large n2 the model holds only far inside the 0.1
+        window, and its error there does not shrink with the step.  Every
         step is clipped to the next target, and while heading for the fold at
         fold_c (None: no fold ahead) to at most half the remaining distance:
         always on the real branch, while alpha = x[0] - shift*c is small on
@@ -346,8 +359,8 @@ class _Marcher:
         module attribute (bethe3.equations, bethe3.continuation).
         """
         coords, residual, jacobian, sheet, shift = chart
-        lab, p, real = self.lab, self.p, coords is RealCoords
-        predict = self._predict
+        label, lab, p, real = self.label, self.lab, self.p, coords is RealCoords
+        predict, use_model = self._predict, True
         out = []
         hist = (c, x, None, None, None, None, None, None)
         h = BASE_STEP
@@ -363,7 +376,7 @@ class _Marcher:
                 cn = c + sign * step
                 if sign * (tgt - cn) < snap:
                     cn = tgt
-                guess = predict(chart, hist, cn)
+                guess, modelled = predict(chart, hist, cn, use_model)
                 try:
                     res = eq.newton_solve(residual, jacobian, guess, RESIDUAL_TOL, (lab, cn))
                 except (eq.NoConvergenceError, eq.ConstraintViolationError) as exc:
@@ -374,16 +387,16 @@ class _Marcher:
                             f"predicted beta/eta {guess[0]:.3e} is below the smallest normal "
                             f"double {sys.float_info.min:.3e}: {exc}",)
                     if floor or h < MIN_STEP:
-                        exc.args = (f"{coords.branch.value}-branch corrector failed for label "
-                                    f"{lab} at c={cn} (last good c={c}): {exc}",)
+                        _name_failure(exc, coords, lab, cn, c)
                         raise
                     continue
                 root = res.root
-                f = math.sqrt(max(res.contraction / STEP_CONTRACTION,
-                                  abs(root[0] - guess[0]) / STEP_CORRECTION,
-                                  abs(root[1] - guess[1]) / STEP_CORRECTION))
+                err = max(abs(root[0] - guess[0]), abs(root[1] - guess[1]))
+                f = math.sqrt(max(res.contraction / STEP_CONTRACTION, err / STEP_CORRECTION))
                 if f > STEP_GROWTH and step / f >= MIN_STEP:
                     h = step / f
+                    if modelled and err > STEP_CORRECTION:
+                        use_model = False
                     continue
                 h = max(step / f if f > 1.0 / STEP_GROWTH else step * STEP_GROWTH,
                         h if h < BASE_STEP else BASE_STEP)
@@ -391,14 +404,14 @@ class _Marcher:
                 hist = (c, x) + hist[:6]
             co = coords(x[0] - shift * c, x[1], p)
             sheet(lab, c, co)
-            out.append(build_state(lab, c, co))
+            out.append(build_state(label, c, co if label is lab else partner_coords(co)))
         return out
 
     def solve_targets(self, targets: list[float]) -> list[StateSolution]:
         """Solve at every requested c (any order); returns states in input order.
         A negative target within 1e-13 of C, where the Jacobian is singular,
         takes the model's state: the threshold root at C itself."""
-        lab, crit = self.lab, self.critical
+        label, lab, crit = self.label, self.lab, self.critical
         c_crit = crit.C if crit else -math.inf
         chart = FAMILY1 if lab.n1 == 1 else FAMILY0_BETA if lab.n2 >= 2 else FAMILY0_ETA
         states, pos, neg = [], [], []
@@ -406,7 +419,9 @@ class _Marcher:
             if t < 0.0 and abs(t - c_crit) < 1e-13:
                 coords = branch_switch(lab, t, crit)
                 (REAL if coords.branch is Branch.REAL_K else chart).sheet(lab, t, coords)
-                states.append(build_state(lab, float(t), coords))
+                if label is not lab:
+                    coords = partner_coords(coords)
+                states.append(build_state(label, float(t), coords))
             else:
                 (pos if t >= 0.0 else neg).append(t)
         pos.sort()
@@ -421,9 +436,13 @@ class _Marcher:
         if neg_complex:
             c = max(c_crit - FOLD_MIN_SPAN, neg_complex[0])
             model = branch_switch(lab, c, crit)
-            x = eq.newton_solve(chart.residual, chart.jacobian, (model[0] + chart.shift * c, model[1]),
-                                RESIDUAL_TOL, (lab, c)).root
-            states += self.march(chart, neg_complex, c, x, c_crit)
+            guess = (model[0] + chart.shift * c, model[1])
+            try:
+                res = eq.newton_solve(chart.residual, chart.jacobian, guess, RESIDUAL_TOL, (lab, c))
+            except (eq.NoConvergenceError, eq.ConstraintViolationError) as exc:
+                _name_failure(exc, chart.coords, lab, c, c_crit)
+                raise
+            states += self.march(chart, neg_complex, c, res.root, c_crit)
         by_c = {st.c: st for st in states}
         return [by_c[float(t)] for t in targets]
 
@@ -498,17 +517,14 @@ def trace_root(
     The grid is refined geometrically near the critical coupling so the
     square-root fold is resolved down to FOLD_MIN_SPAN; grid points closer to
     C than that are left out, but c_min, c_max and c = 0 (when in range) are
-    always samples, at C itself too.  Non-canonical labels
-    are traced through their canonical partner and mapped by symmetry.  A step
+    always samples, at C itself too.  Non-canonical labels march their
+    canonical partner's chart, each sample built in their own frame.  A step
     that puts more than MAX_GRID_POINTS samples on the range raises
     ValueError before any solve.
     """
     _require_finite(c_min=c_min, c_max=c_max, step=step)
-    lab = label.canonical()
-    marcher = _Marcher(lab)
+    marcher = _Marcher(label)
     samples = marcher.solve_targets(_grid(marcher.critical, c_min, c_max, step))
-    if lab != label:
-        samples = [partner_state(s) for s in samples]
     traj = Trajectory(label=label, samples=samples, critical=marcher.critical)
     _validate_trajectory(traj)
     return traj
@@ -529,12 +545,7 @@ def _validate_trajectory(traj: Trajectory) -> None:
 def solve_state(label: QuantumLabel, c: float) -> StateSolution:
     """Solve a single labeled state at coupling c (continuation from c = 0)."""
     _require_finite(c=c)
-    lab = label.canonical()
-    marcher = _Marcher(lab)
-    state = marcher.solve_targets([float(c)])[0]
-    if lab != label:
-        state = partner_state(state)
-    return state
+    return _Marcher(label).solve_targets([float(c)])[0]
 
 
 class SpectrumResult(NamedTuple):

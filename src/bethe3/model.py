@@ -203,14 +203,15 @@ def build_state(label: QuantumLabel, c: float, coords: BranchCoords) -> StateSol
     return tuple.__new__(StateSolution, (label, c, coords, m, e_coord))
 
 
+def partner_coords(coords: BranchCoords) -> BranchCoords:
+    """Conjugate partner's coords (k -> -conj k): (delta2, delta1, -p) or (alpha, -gamma, -p)."""
+    a, b, p = coords
+    return RealCoords(b, a, -p) if coords.branch is Branch.REAL_K else ComplexCoords(a, -b, -p)
+
+
 def partner_state(state: StateSolution) -> StateSolution:
     """Degenerate partner: label swapped, momenta negated and re-canonicalized.
 
     Diagonal labels return an equivalent state (same momenta set, p = 0).
     """
-    co = state.coords
-    if isinstance(co, RealCoords):
-        coords = RealCoords(co.delta2, co.delta1, -co.p)
-    else:
-        coords = ComplexCoords(co.alpha, -co.gamma, -co.p)
-    return build_state(state.label.partner(), state.c, coords)
+    return build_state(state.label.partner(), state.c, partner_coords(state.coords))

@@ -50,10 +50,11 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 
 from .model import Momenta, StateSolution
 from .tolerances import MAX_GRID_POINTS, MAX_SUM_CONDITION, NEAR_DEGENERATE_EXPONENT, NORM_IMAG_RTOL
-from .wavefunction import PERMUTATIONS, DegenerateMomentaError, amplitudes, psi_ordered
+from .wavefunction import PERMUTATIONS, amplitudes, labelled, psi_ordered
 
 
 def _e2(z: complex, m: complex) -> complex:
@@ -157,15 +158,6 @@ def _sums(momenta: Momenta, c: float) -> tuple[complex, complex, float, float]:
     return norm, coincidence, norm_scale, coincidence_scale
 
 
-def _state_sums(state: StateSolution) -> tuple[complex, complex, float, float]:
-    """_sums of a state, whose two-body-pole and degenerate-momenta errors name its label."""
-    try:
-        return _sums(state.momenta, state.c)
-    except (ZeroDivisionError, DegenerateMomentaError) as exc:
-        exc.args = (f"{exc} for {state.label}",)
-        raise
-
-
 def _check_cancellation(what: str, state: StateSolution, total: complex, scale: float) -> None:
     """ValueError where a sum cancels below the digits double precision keeps:
     its terms' magnitudes add up to more than MAX_SUM_CONDITION times |sum|."""
@@ -185,7 +177,7 @@ def norm_squared(state: StateSolution) -> float:
     MAX_SUM_CONDITION (1e7) times the sum, both raise ValueError instead:
     (1,2) and (1,3) within about 6e-7 of their C, (1,1) within 0.035 of -6.
     """
-    norm, _, scale, _ = _state_sums(state)
+    norm, _, scale, _ = labelled(_sums, state)
     total = 6.0 * norm
     if not (math.isfinite(total.real) and math.isfinite(total.imag)):
         raise OverflowError(
@@ -212,7 +204,7 @@ def potential_expectation(state: StateSolution, norm: float | None = None) -> fl
     if state.c == 0.0:
         return 0.0
     n = norm_squared(state) if norm is None else norm
-    _, total, _, scale = _state_sums(state)
+    _, total, _, scale = labelled(_sums, state)
     _check_cancellation("coincidence sum", state, total, scale)
     if abs(total.imag) > NORM_IMAG_RTOL * max(1.0, abs(total.real)):
         raise ValueError(f"coincidence integral imaginary defect: {total}")
@@ -254,18 +246,18 @@ def density_grid(state: StateSolution, resolution: int) -> TernaryGrid:
     below 8, or is above 1413 where the n(n+1)/2 points pass MAX_GRID_POINTS,
     raises ValueError before any array is built.
     """
-    import numpy as np
-
     n = resolution
-    if not (isinstance(n, (int, np.integer)) and n >= 8 and n * (n + 1) // 2 <= MAX_GRID_POINTS):
+    if not (isinstance(n, numbers.Integral) and n >= 8 and n * (n + 1) // 2 <= MAX_GRID_POINTS):
         raise ValueError(
             f"resolution must be an integer >= 8 with n(n+1)/2 <= {MAX_GRID_POINTS}, got {n!r}")
+    norm = norm_squared(state)  # before numpy: a state past the depth limit fails cheaply
+    import numpy as np
+
     ii, jj = np.nonzero(np.add.outer(np.arange(n), np.arange(n)) < n)
     r12 = ii / (n - 1)
     r23 = jj / (n - 1)
     r31 = 1.0 - r12 - r23
     r31[np.abs(r31) < 1e-14] = 0.0
-    norm = norm_squared(state)
     x2 = r12
     x3 = r12 + r23
     values = psi_ordered(state, np.zeros_like(x2), x2, x3)

@@ -62,12 +62,22 @@ def amplitudes(m: Momenta, c: float) -> dict:
     }
 
 
+def labelled(fn, state: StateSolution):
+    """fn(state.momenta, state.c), whose two-body-pole and degenerate-momenta
+    errors name the state's label."""
+    try:
+        return fn(state.momenta, state.c)
+    except (ZeroDivisionError, DegenerateMomentaError) as exc:
+        exc.args = (f"{exc} for {state.label}",)
+        raise
+
+
 def _six_term_sum(state: StateSolution, x1, x2, x3, axis: int | None):
     """sum_P a(P) w(P) exp(i k_P . x) with w = 1, or i k_{P[axis]} for d/dx_axis."""
+    k = state.momenta
+    a = labelled(amplitudes, state)
     import numpy as np
 
-    k = state.momenta
-    a = amplitudes(state.momenta, state.c)
     x1, x2, x3 = np.asarray(x1), np.asarray(x2), np.asarray(x3)
     total = np.zeros(np.broadcast(x1, x2, x3).shape, dtype=complex)
     for perm in PERMUTATIONS:

@@ -409,6 +409,8 @@ def test_solver_commands_leave_numpy_out():
         ["spectrum", "--labels", "0,0", "1,1", "--c", "-5", "--partners", "--observables"],
         ["trace", "--label", "0,0", "--c-range", "-2..1", "--step", "0.5", "--observables"],
     ]
+    # numpy takes longer to import than the interpreter takes to start
+    assert run_in_fresh_python([]) == "False"
     assert run_in_fresh_python(argvs) == "0 0 0 False"
 
 
@@ -418,6 +420,18 @@ def test_solver_commands_leave_numpy_out():
 ])
 def test_array_commands_load_numpy_on_demand(argv):
     assert run_in_fresh_python([argv]) == "0 True"
+
+
+def test_failing_density_leaves_numpy_out():
+    # the norm fails past the depth limit before the grid imports numpy
+    probe = ("import sys, bethe3\n"
+             "st = bethe3.solve_state(bethe3.QuantumLabel(0, 0), -40.0)\n"
+             "try:\n"
+             "    bethe3.density_grid(st, 12)\n"
+             "except ZeroDivisionError:\n"
+             "    print('numpy' in sys.modules)")
+    assert fresh_python(probe) == "False"
+    assert run_in_fresh_python([["density", "--label", "0,0", "--c", "-40"]]) == f"{EXIT_SOLVER} False"
 
 
 def test_closed_pipe_exits_quietly():

@@ -709,6 +709,71 @@ class TestStepControl:
         assert newton_counter.calls == 0
 
 
+class TestLargeLabelsNextToC:
+    """(1, n2) labels with C(1, n2) within 1e-5 of -4: the square-root model
+    holds only far inside its 0.1 window, so the march drops it after the
+    first model guess that is rejected for its predictor error."""
+
+    @pytest.mark.parametrize("n2", [300, 400, 700, 3000])
+    @pytest.mark.parametrize("c", [-5.0, -50.0])
+    def test_solve_counts(self, n2, c, newton_counter):
+        # with the model kept for the whole window, (1,400) at -5 took 1.08M
+        # solves, and (1,700) and (1,3000) hit the residual floor on the way
+        label = QuantumLabel(1, n2)
+        st = solve_state(label, c)
+        assert st.branch is Branch.COMPLEX_K and st.c == c
+        if c == -5.0:  # at -50 the public alpha no longer holds beta's digits
+            assert _chart_residual(label, st) < RESIDUAL_TOL
+        assert newton_counter.calls <= 70, (n2, c, newton_counter.calls)
+
+    def test_trace_solve_count(self, newton_counter):
+        # 743,604 solves with the model kept for the whole window
+        traj = trace_root(QuantumLabel(1, 400), -6.0, 1.0, 0.05)
+        assert traj.branch_changes() == 1
+        assert newton_counter.calls <= 400, newton_counter.calls
+
+    def test_first_complex_solve_error_names_label_and_c(self):
+        # (1,5000) stops at the residual floor in the first complex solve,
+        # which starts from the model next to C
+        C = find_critical(QuantumLabel(1, 5000)).C
+        with pytest.raises(eq.ResidualFloorError) as err:
+            solve_state(QuantumLabel(1, 5000), -50.0)
+        assert re.fullmatch(rf"complex-branch corrector failed for label \(1,5000\) at c=-\S+ "
+                            rf"\(last good c={re.escape(str(C))}\): residual floor .*",
+                            str(err.value)), str(err.value)
+
+
+class TestPartnerFrame:
+    """A partner label marches its canonical partner's chart and builds each
+    sample once in its own frame: bit-identical to partner_state applied to
+    the canonical result, without calling it."""
+
+    @staticmethod
+    def _no_partner_state(monkeypatch):
+        def forbidden(state):
+            raise AssertionError("partner_state called by the march")
+
+        monkeypatch.setattr(bethe3.continuation, "partner_state", forbidden)
+
+    @pytest.mark.parametrize("lab", [(5, 0), (2, 1), (3, 1)])
+    def test_trace_equals_mapped_canonical_trace(self, lab, monkeypatch):
+        label = QuantumLabel(*lab)
+        ref = [partner_state(s) for s in trace_root(label.canonical(), -12.0, 12.0, 0.05).samples]
+        self._no_partner_state(monkeypatch)
+        got = trace_root(label, -12.0, 12.0, 0.05).samples
+        assert all(s.label == label for s in got)
+        # repr is exact for floats and tells -0.0 from 0.0
+        assert repr(got) == repr(ref)
+
+    @pytest.mark.parametrize("lab", [(5, 0), (2, 1), (3, 1)])
+    def test_states_equal_mapped_canonical_states(self, lab, monkeypatch):
+        label = QuantumLabel(*lab)
+        cs = [critical_point(label).C, 0.0, -40.0, 40.0]
+        ref = [partner_state(solve_state(label.canonical(), c)) for c in cs]
+        self._no_partner_state(monkeypatch)
+        assert repr([solve_state(label, c) for c in cs]) == repr(ref)
+
+
 class TestTracePredictor:
     """The cubic predictor on equally spaced trace grids, and the march that
     calls the square-root model branch_switch only next to the threshold."""

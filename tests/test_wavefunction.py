@@ -144,6 +144,17 @@ class TestBoundaryConditions:
         with pytest.raises(ValueError, match="need 0 <= x2 <= x3 <= 1"):
             periodicity_residual(st, x2, x3)
 
+    def test_pole_and_degenerate_errors_name_the_state(self):
+        # every entry point reaches the amplitudes through one labelled call
+        deep, threshold = solve_state(QuantumLabel(0, 0), -40.0), solve_state(QuantumLabel(1, 1), -6.0)
+        calls = [lambda st: jump_residual(st, 0.3, 0.7), lambda st: periodicity_residual(st, 0.3, 0.7),
+                 lambda st: psi((0.1, 0.2, 0.3), st)]
+        for call in calls:
+            with pytest.raises(ZeroDivisionError, match=r"^two-body pole: .* at c=-40\.0 for \(0,0\)$"):
+                call(deep)
+            with pytest.raises(DegenerateMomentaError, match=r"^coinciding momenta .* at c=-6\.0: .* for \(1,1\)$"):
+                call(threshold)
+
     def test_perturbed_state_sensitivity(self):
         st = solve_state(QuantumLabel(2, 2), -3.0)
         defects = []
