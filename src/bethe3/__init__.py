@@ -21,7 +21,6 @@ from .equations import (
     ResidualFloorError,
     ResidualPoint,
     newton_solve,
-    residual_complex,
     residual_real,
     theta,
 )
@@ -33,6 +32,7 @@ from .continuation import (
     branch_switch,
     critical_point,
     find_critical,
+    residual_complex,
     solve_state,
     spectrum,
     trace_root,

@@ -3,7 +3,7 @@
 Machine-readable output only (json-lines or csv), deterministic for given
 arguments.  Numeric fields are serialized with 17 significant digits.  Exit
 codes: 0 success (also when the reader closes the output pipe early), 2 solver
-failure, 3 verification failure, 64 usage error.
+failure, 3 verification failure, 64 usage error or unwritable output.
 
 Roots are solved to the fixed residual tolerance 1e-12.
 """
@@ -317,16 +317,21 @@ def main(argv: list[str] | None = None) -> int:
         ns = parse_args(sys.argv[1:] if argv is None else argv)
         with _open_out(ns.out) as stream:
             try:
-                return ns.run(ns, stream)
+                status = ns.run(ns, stream)
             except (ValueError, RuntimeError, ArithmeticError) as exc:  # exit 2, never a traceback
                 _report_error(stream, ns.format, f"{type(exc).__name__}: {exc}")
-                return EXIT_SOLVER
+                status = EXIT_SOLVER
+            stream.flush()  # a write error surfaces here, not at interpreter exit
+        return status
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except BrokenPipeError:  # the reader closed the pipe early, as `| head` does
+    except OSError as exc:  # writing or closing the output; devnull keeps stdout from failing at exit
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_OK
+        if isinstance(exc, BrokenPipeError):  # the reader closed the pipe early, as `| head` does
+            return EXIT_OK
+        print(f"output error: cannot write: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -14,11 +14,13 @@ four accepted points when they and the next point are equally spaced (the
 uniform part of a trace_root grid), else the secant through the last two.
 Four Charts (a coordinate type shifted into two unknowns, a residual that is
 its own sheet test, a closed-form Jacobian) cover the real branch and the
-complex families, and a single march loop runs them all.  The diagonal
-labels n1 = n2 need no chart of their own: the real equations are symmetric
-under delta1 <-> delta2 there, and the complex families hold (1,1) and
-(0,0) as their gamma = 0 members, so the corrector keeps delta1 == delta2
-and gamma == 0 exactly.
+complex families, and a single march loop runs them all; complex_chart maps
+a label to its complex chart for the march and for residual_complex, the
+public residual at a label's own (alpha, gamma).  The diagonal labels
+n1 = n2 need no chart of their own: the real equations are symmetric under
+delta1 <-> delta2 there, and the complex families hold (1,1) and (0,0) as
+their gamma = 0 members, so the corrector keeps delta1 == delta2 and
+gamma == 0 exactly.
 Every residual is single-valued on its sheet (the real branch in its
 theta-sum form, family 0 with principal arguments while gamma <= 0), so a
 root fixes its own branch: the march is a function of the label and the
@@ -45,7 +47,6 @@ from typing import Callable, NamedTuple
 from . import equations as eq
 from .model import (
     TWO_PI,
-    Branch,
     ComplexCoords,
     QuantumLabel,
     RealCoords,
@@ -253,14 +254,41 @@ FAMILY0_BETA = Chart(  # (0, n2 >= 2) in (beta, gamma)
 )
 
 
+def complex_chart(label: QuantumLabel) -> Chart | None:
+    """The chart of a label's complex family, read from its canonical partner:
+    FAMILY1 for (1, n2), FAMILY0_ETA for (0,0) and (0,1), FAMILY0_BETA for
+    (0, n2 >= 2), None when both n_j >= 2 (real for all c)."""
+    lab = label.canonical()
+    return (None if lab.n1 > 1 else FAMILY1 if lab.n1 == 1
+            else FAMILY0_BETA if lab.n2 >= 2 else FAMILY0_ETA)
+
+
+def residual_complex(alpha: float, gamma: float, c: float, label: QuantumLabel) -> eq.ResidualPoint:
+    """The complex-branch residuals at a label's own (alpha, gamma): its
+    complex_chart's residual at x = (alpha + shift*c, gamma), a partner's gamma
+    negated into the canonical frame as partner_coords does.  Raises
+    ConstraintViolationError for c >= 0, alpha <= 0, no complex branch, or off
+    the chart's sheet.  Once beta or eta nears eps*|alpha|, forming it from
+    alpha loses accuracy like eps*|c|/eta; the march solves in x itself."""
+    if c >= 0:
+        raise eq.ConstraintViolationError(f"complex branch requires c < 0, got {c}")
+    if alpha <= 0:
+        raise eq.ConstraintViolationError(f"alpha must be > 0, got {alpha}")
+    chart, lab = complex_chart(label), label.canonical()
+    if chart is None:
+        raise eq.ConstraintViolationError(f"label {label} has no complex branch (both n_j >= 2)")
+    x = (alpha + chart.shift * c, gamma if lab is label else -gamma)
+    return eq.ResidualPoint(chart.residual(x, lab, c))
+
+
 # ---------------------------------------------------------------------------
 # Marching engine
 # ---------------------------------------------------------------------------
 
 
-def _name_failure(exc: Exception, coords: type, lab: QuantumLabel, c: float, last_good: float):
-    """Prefix a corrector error with its branch, label, failing c and last good c."""
-    exc.args = (f"{coords.branch.value}-branch corrector failed for label {lab} "
+def _name_failure(exc: Exception, coords: type, label: QuantumLabel, c: float, last_good: float):
+    """Prefix a corrector error with its branch, the requested label, failing c and last good c."""
+    exc.args = (f"{coords.branch.value}-branch corrector failed for label {label} "
                 f"at c={c} (last good c={last_good}): {exc}",)
 
 
@@ -350,7 +378,7 @@ class _Marcher:
         fold_c (None: no fold ahead) to at most half the remaining distance:
         always on the real branch, while alpha = x[0] - shift*c is small on
         the complex one.
-        Errors name the label, the failing c and the last good c.
+        Errors name the requested label, the failing c and the last good c.
 
         The chart's pieces are bound to locals once per march, and the
         hoisting stops there: eq.newton_solve, build_state and the eq.*
@@ -387,7 +415,7 @@ class _Marcher:
                             f"predicted beta/eta {guess[0]:.3e} is below the smallest normal "
                             f"double {sys.float_info.min:.3e}: {exc}",)
                     if floor or h < MIN_STEP:
-                        _name_failure(exc, coords, lab, cn, c)
+                        _name_failure(exc, coords, label, cn, c)
                         raise
                     continue
                 root = res.root
@@ -413,15 +441,14 @@ class _Marcher:
         takes the model's state: the threshold root at C itself."""
         label, lab, crit = self.label, self.lab, self.critical
         c_crit = crit.C if crit else -math.inf
-        chart = FAMILY1 if lab.n1 == 1 else FAMILY0_BETA if lab.n2 >= 2 else FAMILY0_ETA
+        chart = complex_chart(lab)
         states, pos, neg = [], [], []
         for t in targets:
             if t < 0.0 and abs(t - c_crit) < 1e-13:
                 coords = branch_switch(lab, t, crit)
-                (REAL if coords.branch is Branch.REAL_K else chart).sheet(lab, t, coords)
-                if label is not lab:
-                    coords = partner_coords(coords)
-                states.append(build_state(label, float(t), coords))
+                (REAL if type(coords) is RealCoords else chart).sheet(lab, t, coords)
+                states.append(build_state(label, float(t),
+                                          coords if label is lab else partner_coords(coords)))
             else:
                 (pos if t >= 0.0 else neg).append(t)
         pos.sort()
@@ -440,7 +467,7 @@ class _Marcher:
             try:
                 res = eq.newton_solve(chart.residual, chart.jacobian, guess, RESIDUAL_TOL, (lab, c))
             except (eq.NoConvergenceError, eq.ConstraintViolationError) as exc:
-                _name_failure(exc, chart.coords, lab, c, c_crit)
+                _name_failure(exc, chart.coords, label, c, c_crit)
                 raise
             states += self.march(chart, neg_complex, c, res.root, c_crit)
         by_c = {st.c: st for st in states}

@@ -30,10 +30,10 @@ so it never meets the cut.  Both families hold their gamma = 0 members:
 (1,1) and (0,0) are the roots with gamma = 0, where the r_gamma rows vanish
 identically.
 
-Internally the solvers work in shifted correction variables
-(beta = alpha + c/2, eta = alpha + c) to avoid the catastrophic cancellation
-of -c - 2*alpha (or alpha + c) deep in the attractive regime; the public
-functions accept plain (alpha, gamma).
+The family residuals take shifted unknowns (beta = alpha + c/2,
+eta = alpha + c), free of the catastrophic cancellation of -c - 2*alpha or
+alpha + c deep in the attractive regime; bethe3.continuation picks a label's
+family (complex_chart) and reads it at plain (alpha, gamma) (residual_complex).
 
 Every residual the corrector solves has its closed-form Jacobian next to it,
 built from d(theta)/d(dk) = -2c/(c^2 + dk^2) and the derivatives of log|z|
@@ -224,44 +224,6 @@ def family0_residual_eta(e: float, g: float, c: float, n2: int) -> tuple[float, 
 
 def family0_jacobian_eta(e: float, g: float, c: float):
     return _family0_jacobian(-c + 2.0 * e, -3.0 * c + 2.0 * e, e, -2.0 * c + e, g)
-
-
-def residual_complex(
-    alpha: float,
-    gamma: float,
-    c: float,
-    label: QuantumLabel,
-) -> ResidualPoint:
-    """Two real residuals for the complex branch at (alpha, gamma) (principal arguments).
-
-    Dispatches to the n1 = 0 or n1 = 1 family of equations, in the shifted
-    unknown of the label's continuation chart: eta for (0,0) and (0,1), beta
-    otherwise.  Raises ConstraintViolationError off the family's sheet: where
-    a log factor would change sign or, on n1 = 0, diverge.
-
-    Conditioning: the equations depend on the exponentially small parts
-    eta = alpha + c (trimers) or beta = alpha + c/2 (dimers), recovered here
-    by subtraction from alpha; once those drop toward eps*|alpha| the
-    evaluation loses accuracy like eps*|c|/eta.  The continuation solvers
-    avoid this by working in the shifted unknowns directly.
-    """
-    if c >= 0:
-        raise ConstraintViolationError(f"complex branch requires c < 0, got {c}")
-    if alpha <= 0:
-        raise ConstraintViolationError(f"alpha must be > 0, got {alpha}")
-    lab = label.canonical()
-    if lab.n1 == 1:
-        ra, rg = family1_residual_beta(alpha + c / 2.0, gamma, c, lab.n2)
-    elif lab.n1 == 0:
-        if lab.n2 >= 2:
-            ra, rg = family0_residual_beta(alpha + c / 2.0, gamma, c, lab.n2)
-        else:
-            ra, rg = family0_residual_eta(alpha + c, gamma, c, lab.n2)
-    else:
-        raise ConstraintViolationError(
-            f"label {label} has no complex branch (both n_j >= 2)"
-        )
-    return ResidualPoint((ra, rg))
 
 
 # ---------------------------------------------------------------------------

@@ -16,13 +16,14 @@ Conventions (dimensionless throughout, box length 1):
 
 Labels, momenta, coordinates and states are immutable named tuples: fields
 are read by name, and equality and hashing are those of the plain tuple of
-field values.  Labels reject negative components and coordinates coerce
-their fields to float in __new__.
+field values.  Labels take integer components >= 0 (not bool or float) and
+coordinates coerce their fields to float in __new__.
 """
 from __future__ import annotations
 
 import math
 from enum import Enum
+from numbers import Integral
 from typing import NamedTuple
 
 from .tolerances import ENERGY_AGREEMENT_RTOL, IDENTITY_TOL
@@ -47,6 +48,10 @@ class QuantumLabel(NamedTuple("_Label", [("n1", int), ("n2", int)])):
     __slots__ = ()
 
     def __new__(cls, n1: int, n2: int) -> "QuantumLabel":
+        if type(n1) is not int or type(n2) is not int:  # numpy integers become int
+            if not all(isinstance(n, Integral) and not isinstance(n, bool) for n in (n1, n2)):
+                raise ValueError(f"label components must be integers, got ({n1!r}, {n2!r})")
+            n1, n2 = int(n1), int(n2)
         if n1 < 0 or n2 < 0:
             raise ValueError(f"label components must be >= 0, got ({n1}, {n2})")
         return super().__new__(cls, n1, n2)

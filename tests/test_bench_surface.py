@@ -1,0 +1,53 @@
+"""The library calls that bench/run.py and bench/checks.py make, each once on
+small states, with the fields they read: a change that breaks the benchmark's
+harness fails here, not only when the benchmark runs."""
+import io
+import json
+import math
+from contextlib import redirect_stdout
+
+import numpy as np
+
+import bethe3
+import bethe3.cli
+
+
+def test_benchmark_call_surface():
+    lib = bethe3
+    # bench/run.py: the ops, through the module attributes it looks up
+    traj = lib.continuation.trace_root(lib.QuantumLabel(2, 1), -8.0, 1.0, 0.5)
+    res = lib.continuation.spectrum([lib.QuantumLabel(1, 2)], -8.0, include_partners=True)
+    assert not res.failures and len(res.states) == 2
+    failed = lib.continuation.spectrum([lib.QuantumLabel(0, 0)], -800.0, include_partners=True)
+    assert failed.failures and all(isinstance(m, str) for m in failed.failures.values())
+    assert "; ".join(failed.failures.values())
+    state = traj.samples[0]
+    n = lib.observables.norm_squared(state)
+    v = lib.observables.potential_expectation(state, norm=n)
+    assert n > 0.0 and v < 0.0
+    grid = lib.observables.density_grid(state, 8)
+    d = grid.density
+    assert d.size == 36 and np.all(np.isfinite(d)) and d.min() >= 0.0
+    assert math.isfinite(float((d * grid.r12).sum()) + float((d * grid.r23).sum()) + d.max())
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        assert lib.cli.main(["critical", "--n2", "1..2"]) == 0
+    assert [json.loads(line)["n2"] for line in buf.getvalue().splitlines()] == [1, 2]
+
+    # bench/checks.py: the gate's reads of every returned state
+    branches = set()
+    for s in traj.samples + res.states:
+        m, co = s.momenta, s.coords
+        assert abs(m.total - s.label.p) < 1e-10 and abs(s.energy - m.energy()) < 1e-9
+        branches.add(s.branch.value)
+        if s.branch.value == "real":
+            r = lib.residual_real(co.delta1, co.delta2, s.c, s.label).residual
+        else:
+            canon = s if s.label.canonical() == s.label else lib.partner_state(s)
+            r = lib.residual_complex(canon.coords.alpha, canon.coords.gamma, s.c,
+                                     canon.label).residual
+        assert max(abs(r[0]), abs(r[1])) < 1e-9, (s.label, s.c)
+        worst = max(lib.jump_residual(s, 0.3, 0.7), lib.jump_residual(s, 0.8, 0.2),
+                    lib.periodicity_residual(s, 0.25, 0.6))
+        assert worst < 1e-9, (s.label, s.c)
+    assert branches == {"real", "complex"}

@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -323,6 +324,45 @@ class TestUsage:
         assert code == EXIT_USAGE
         assert stdout == ""
         assert err.startswith("usage error: cannot open --out") and err.count("\n") == 1
+
+    def test_write_error_exits_64(self, tmp_path, monkeypatch, capsys):
+        # a full disk: one stderr line naming the error, exit 64, and stdout
+        # moved to devnull (here the fd of a file standing in for it)
+        class FullStream:
+            def __init__(self, fd):
+                self.fd = fd
+
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+            def flush(self):
+                pass
+
+            def fileno(self):
+                return self.fd
+
+        with open(tmp_path / "stdout", "w") as stand_in:
+            monkeypatch.setattr(sys, "stdout", FullStream(stand_in.fileno()))
+            code = main(["critical", "--n2", "1..3"])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err == "output error: cannot write: [Errno 28] No space left on device\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("to_file", [True, False])
+    def test_dev_full_exits_64(self, to_file):
+        import bethe3
+
+        src = os.path.dirname(os.path.dirname(bethe3.__file__))
+        argv = [sys.executable, "-m", "bethe3.cli", "critical", "--n2", "1..3"]
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                argv + ["--out", "/dev/full"] if to_file else argv,
+                stdout=subprocess.DEVNULL if to_file else full, stderr=subprocess.PIPE,
+                text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+            )
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr == "output error: cannot write: [Errno 28] No space left on device\n"
 
     def test_negative_range_spelled_plainly(self, capsys):
         code, _, _ = run_cli(

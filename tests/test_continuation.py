@@ -25,7 +25,9 @@ from bethe3 import (
     spectrum,
     trace_root,
 )
-from bethe3.continuation import RESIDUAL_TOL, fold_coefficients, u0_equation
+from bethe3.continuation import (
+    RESIDUAL_TOL, complex_chart, fold_coefficients, residual_complex, u0_equation,
+)
 from bethe3.oracles import log_form_residual
 from bethe3.asymptotics import alpha_dimer, alpha_trimer, delta_small_c, small_c_slope
 
@@ -347,12 +349,7 @@ class TestGammaBounds:
 
 def _chart_residual(label, st):
     """inf-norm residual of a canonical label's state in the chart it solves in."""
-    cont = bethe3.continuation
-    if st.branch is Branch.REAL_K:
-        chart = cont.REAL
-    else:
-        chart = cont.FAMILY1 if label.n1 == 1 else (
-            cont.FAMILY0_BETA if label.n2 >= 2 else cont.FAMILY0_ETA)
+    chart = bethe3.continuation.REAL if st.branch is Branch.REAL_K else complex_chart(label)
     chart.sheet(label, st.c, st.coords)
     return max(abs(v) for v in chart.residual(_unknowns(chart, st), label, st.c))
 
@@ -496,9 +493,8 @@ class TestRandomizedSweep:
                     r = eq.residual_real_thetasum(
                         st.coords.delta2, st.coords.delta1, c, lab.n1, lab.n2
                     )
-            else:
-                g = st.coords.gamma if label == lab else -st.coords.gamma
-                r = eq.residual_complex(st.coords.alpha, g, c, lab).residual
+            else:  # in the label's own frame, partners included
+                r = residual_complex(st.coords.alpha, st.coords.gamma, c, label).residual
             assert max(abs(r[0]), abs(r[1])) < 1e-10, (label, c)
 
     def test_deep_public_residual_within_conditioning(self):
@@ -506,7 +502,7 @@ class TestRandomizedSweep:
         # ~eps*|c|/eta ~ 1e-8; the reconstructed residual stays inside that
         for (lab, c, bound) in [((0, 1), -20.0, 1e-6), ((1, 2), -20.0, 1e-6)]:
             st = solve_state(QuantumLabel(*lab), c)
-            r = eq.residual_complex(st.coords.alpha, st.coords.gamma, c, QuantumLabel(*lab)).residual
+            r = residual_complex(st.coords.alpha, st.coords.gamma, c, QuantumLabel(*lab)).residual
             assert max(abs(r[0]), abs(r[1])) < bound
 
 
@@ -534,7 +530,7 @@ class TestSolveState:
                     st.coords.delta1, st.coords.delta2, c, *lab
                 )
             else:
-                r = eq.residual_complex(
+                r = residual_complex(
                     st.coords.alpha, st.coords.gamma, c, QuantumLabel(*lab)
                 ).residual
             assert max(abs(r[0]), abs(r[1])) < 1e-10
@@ -554,7 +550,9 @@ class TestSolveState:
         assert st.coords.alpha == pytest.approx(ref, rel=1e-12)
         assert abs(st.momenta.total - TWO_PI * label.np) < 1e-10
 
-    @pytest.mark.parametrize("lab, c", [((0, 0), -800.0), ((1, 2), -1500.0)])
+    @pytest.mark.parametrize("lab, c", [
+        ((0, 0), -800.0), ((1, 2), -1500.0), ((1, 0), -800.0), ((2, 1), -1500.0),
+    ])
     def test_subnormal_floor_error_names_label_and_c(self, lab, c):
         # beta/eta reach the subnormal floor (~1e-308) on the way to c; the
         # contract is a state or a typed error naming label, c and last good c

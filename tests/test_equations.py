@@ -167,7 +167,7 @@ class TestResidualEqualDelta:
 class TestResidualComplex:
     def test_gamma_zero_exact_for_11(self):
         st = solve_state(QuantumLabel(1, 1), -8.0)
-        point = eq.residual_complex(st.coords.alpha, 0.0, -8.0, QuantumLabel(1, 1))
+        point = cont.residual_complex(st.coords.alpha, 0.0, -8.0, QuantumLabel(1, 1))
         assert point.residual[0] == pytest.approx(0.0, abs=1e-11)
         assert point.residual[1] == 0.0
 
@@ -181,24 +181,24 @@ class TestResidualComplex:
 
     def test_root_satisfies_both_equations(self):
         st = solve_state(QuantumLabel(1, 3), -9.0)
-        point = eq.residual_complex(st.coords.alpha, st.coords.gamma, -9.0, QuantumLabel(1, 3))
+        point = cont.residual_complex(st.coords.alpha, st.coords.gamma, -9.0, QuantumLabel(1, 3))
         assert max(abs(point.residual[0]), abs(point.residual[1])) < 1e-10
 
     def test_constraint_violations_raise(self):
         with pytest.raises(eq.ConstraintViolationError):
-            eq.residual_complex(10.0, 0.0, -8.0, QuantumLabel(1, 1))  # alpha > -c/2
+            cont.residual_complex(10.0, 0.0, -8.0, QuantumLabel(1, 1))  # alpha > -c/2
         with pytest.raises(eq.ConstraintViolationError):
-            eq.residual_complex(1.0, 0.0, -8.0, QuantumLabel(0, 0))  # 2a+c < 0
+            cont.residual_complex(1.0, 0.0, -8.0, QuantumLabel(0, 0))  # 2a+c < 0
         with pytest.raises(eq.ConstraintViolationError):
-            eq.residual_complex(1.0, 0.0, -8.0, QuantumLabel(2, 2))  # no branch
+            cont.residual_complex(1.0, 0.0, -8.0, QuantumLabel(2, 2))  # no branch
 
     def test_domain_checks_raise(self):
         for c in (0.0, 3.0):
             with pytest.raises(eq.ConstraintViolationError, match="requires c < 0"):
-                eq.residual_complex(1.0, 0.0, c, QuantumLabel(1, 2))
+                cont.residual_complex(1.0, 0.0, c, QuantumLabel(1, 2))
         for alpha in (0.0, -1.0):
             with pytest.raises(eq.ConstraintViolationError, match="alpha must be > 0"):
-                eq.residual_complex(alpha, 0.0, -8.0, QuantumLabel(0, 2))
+                cont.residual_complex(alpha, 0.0, -8.0, QuantumLabel(0, 2))
 
     @pytest.mark.parametrize("label", [(0, 0), (0, 1)])
     def test_eta_gamma_zero_raises_typed(self, label):
@@ -206,16 +206,32 @@ class TestResidualComplex:
         # sheet error, not the bare "math domain error" of log(0)
         c = -8.0
         with pytest.raises(eq.ConstraintViolationError, match="alpha \\+ c = gamma = 0"):
-            eq.residual_complex(-c, 0.0, c, QuantumLabel(*label))
+            cont.residual_complex(-c, 0.0, c, QuantumLabel(*label))
 
     def test_real_negative_gap_raises(self):
         for gaps in ((-1e-300, 5.0), (5.0, -0.5), (math.nan, 5.0)):
             with pytest.raises(eq.ConstraintViolationError, match="gaps must be >= 0"):
                 eq.residual_real(*gaps, 1.0, QuantumLabel(2, 3))
 
+    @pytest.mark.parametrize("lab", [(2, 1), (1, 0), (3, 0), (5, 1)])
+    def test_partner_reads_its_own_frame(self, lab):
+        # a partner's gamma is mapped to the canonical frame first; read in
+        # the canonical frame it was off by whole turns (-4 pi for (2,1))
+        st = solve_state(QuantumLabel(*lab), -8.0)
+        point = cont.residual_complex(st.coords.alpha, st.coords.gamma, -8.0, QuantumLabel(*lab))
+        assert max(abs(point.residual[0]), abs(point.residual[1])) <= 1e-10
+
+    def test_complex_chart_per_family(self):
+        charts = {(1, 1): cont.FAMILY1, (1, 4): cont.FAMILY1, (4, 1): cont.FAMILY1,
+                  (0, 0): cont.FAMILY0_ETA, (0, 1): cont.FAMILY0_ETA, (1, 0): cont.FAMILY0_ETA,
+                  (0, 2): cont.FAMILY0_BETA, (5, 0): cont.FAMILY0_BETA,
+                  (2, 2): None, (3, 2): None}
+        for lab, chart in charts.items():
+            assert cont.complex_chart(QuantumLabel(*lab)) is chart, lab
+
     def test_n1zero_family_root(self):
         st = solve_state(QuantumLabel(0, 2), -9.0)
-        point = eq.residual_complex(st.coords.alpha, st.coords.gamma, -9.0, QuantumLabel(0, 2))
+        point = cont.residual_complex(st.coords.alpha, st.coords.gamma, -9.0, QuantumLabel(0, 2))
         assert max(abs(point.residual[0]), abs(point.residual[1])) < 1e-10
 
 

@@ -39,9 +39,13 @@ class TestNpRule:
                 assert a == -b != 0
 
     def test_negative_labels_rejected(self):
-        for n1, n2 in ((-1, 2), (-1, 0), (0, -1)):
-            with pytest.raises(ValueError):
+        # and components that are not integers: a float label once died in
+        # np_from_label with a bare KeyError, and True printed as (True,2)
+        for n1, n2 in ((-1, 2), (-1, 0), (0, -1), (1.5, 2), (2, 1.0), (True, 2)):
+            with pytest.raises(ValueError, match=rf"\({n1}, {n2}\)"):
                 QuantumLabel(n1, n2)
+        label = QuantumLabel(np.int64(1), 2)
+        assert label == QuantumLabel(1, 2) and type(label.n1) is int and str(label) == "(1,2)"
 
 
 class TestValueTypes:
