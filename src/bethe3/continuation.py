@@ -11,7 +11,9 @@ continues to the complex branch below it, chosen by one rule on every chart
 (_Marcher._predict), and the step is refined geometrically; at C itself the
 model is the root.  Elsewhere the predictor is the cubic through the last
 four accepted points when they and the next point are equally spaced (the
-uniform part of a trace_root grid), else the secant through the last two.
+uniform part of a trace_root grid), else the secant through the last two;
+complex unknowns that are small or would flip sign are extrapolated in
+log|x| instead, by the cubic where the four points share one sign.
 Four Charts (a coordinate type shifted into two unknowns, a residual that is
 its own sheet test, a closed-form Jacobian) cover the real branch and the
 complex families, and a single march loop runs them all; complex_chart maps
@@ -183,7 +185,9 @@ class Chart(NamedTuple):
     attractive regime.  residual and jacobian are pure functions of
     (x, label, c), called by newton_solve with args = (label, c); the
     residual raises ConstraintViolationError off the chart's sheet, and sheet
-    runs at every returned sample.  Labels with n1 = n2 share these charts.
+    runs at every returned sample.  The march unpacks a chart into locals once
+    per march; its residual, jacobian and sheet still run at every solve and
+    every sample.  Labels with n1 = n2 share these charts.
     The residual and jacobian lambdas look up their eq.* function by module
     attribute at every call, never binding it at import: the benchmark's
     tracer and the tests count residual evaluations by replacing those
@@ -198,19 +202,27 @@ class Chart(NamedTuple):
 
 
 def _real_sheet(lab: QuantumLabel, c: float, coords: RealCoords) -> None:
-    """The published delta windows, enforced exactly on returned samples."""
+    """The published delta windows, enforced exactly on returned samples:
+    delta_j in [2 pi n_j - pi, 2 pi (n_j + 1)] for c > 0, in
+    [2 pi (n_j - 1), 2 pi n_j + pi] for c < 0 and at 2 pi n_j for c = 0, each
+    widened by 1e-9."""
     slack = 1e-9
-    for d, n in ((coords.delta1, lab.n1), (coords.delta2, lab.n2)):
-        if c > 0:
-            lo, hi = TWO_PI * n - math.pi, TWO_PI * (n + 1)
-        elif c < 0:
-            lo, hi = TWO_PI * (n - 1), TWO_PI * n + math.pi
-        else:
-            lo = hi = TWO_PI * n
-        if not (lo - slack <= d <= hi + slack):
-            raise BoundsViolationError(
-                f"delta bound broken for {lab} at c={c}: delta={d}, window=({lo}, {hi})"
-            )
+    n1, n2 = lab
+    if c > 0:
+        lo1, hi1 = TWO_PI * n1 - math.pi, TWO_PI * (n1 + 1)
+        lo2, hi2 = TWO_PI * n2 - math.pi, TWO_PI * (n2 + 1)
+    elif c < 0:
+        lo1, hi1 = TWO_PI * (n1 - 1), TWO_PI * n1 + math.pi
+        lo2, hi2 = TWO_PI * (n2 - 1), TWO_PI * n2 + math.pi
+    else:
+        lo1 = hi1 = TWO_PI * n1
+        lo2 = hi2 = TWO_PI * n2
+    d1, d2 = coords[0], coords[1]
+    ok1 = lo1 - slack <= d1 <= hi1 + slack
+    if ok1 and lo2 - slack <= d2 <= hi2 + slack:
+        return
+    d, lo, hi = (d2, lo2, hi2) if ok1 else (d1, lo1, hi1)
+    raise BoundsViolationError(f"delta bound broken for {lab} at c={c}: delta={d}, window=({lo}, {hi})")
 
 
 # the residuals' beta/eta sheet tests are strict; the public alpha view may
@@ -301,16 +313,15 @@ class _Marcher:
         self.p = TWO_PI * lab.np
         self.critical = critical_point(lab)
 
-    def _predict(self, chart: Chart, hist: tuple, cn: float, use_model: bool):
-        """Guess at cn from hist = (c, x, c1, x1, c2, x2, c3, x3), the last four
-        accepted points of this march, newest first (None where there are
-        fewer), and whether the guess is the model's.  One rule on every
+    def _predict(self, chart: Chart, cn: float, use_model: bool, c, x, c1, x1, c2, x2, c3, x3):
+        """Guess at cn from the last four accepted points of this march,
+        (c, x), (c1, x1), (c2, x2) and (c3, x3), newest first (None where there
+        are fewer), and whether the guess is the model's.  One rule on every
         chart: while use_model holds, the model branch_switch where the last
         small unknown x[0] - shift*c (delta1 on REAL, alpha on a complex
         chart) is below FOLD_ALPHA_SMALL or cn is within 0.1 of C; else the
         cubic through all four when they and cn are equally spaced, else the
         secant through the last two."""
-        c, x, c1, x1, c2, x2, c3, x3 = hist
         crit, shift = self.critical, chart.shift
         if use_model and crit is not None and (x[0] - shift * c < FOLD_ALPHA_SMALL
                                                or -0.1 < cn - crit.C < 0.1):
@@ -322,8 +333,9 @@ class _Marcher:
         frac = h / (c - c1)
         # equal spacing: every gap within 1e-9*|h| of h, the last one via frac
         tol = 1e-9 * abs(h)
-        if x3 is not None and -1e-9 <= frac - 1.0 <= 1e-9 and (
-                -tol <= c1 - c2 - h <= tol and -tol <= c2 - c3 - h <= tol):
+        cubic = x3 is not None and -1e-9 <= frac - 1.0 <= 1e-9 and (
+            -tol <= c1 - c2 - h <= tol and -tol <= c2 - c3 - h <= tol)
+        if cubic:
             lin = (4.0 * (x[0] + x2[0]) - 6.0 * x1[0] - x3[0],
                    4.0 * (x[1] + x2[1]) - 6.0 * x1[1] - x3[1])
         else:
@@ -331,16 +343,24 @@ class _Marcher:
         if chart.coords is RealCoords:
             return lin, False
         # the complex unknowns that decay exponentially deep in the attractive
-        # regime (beta or eta, and gamma of (0,1)) are predicted multiplicatively
-        # while their sign holds, and so is any whose cubic or secant would flip
-        # its sign (signs compared directly: a*b underflows below 1e-154)
+        # regime (beta or eta, and gamma of (0,1)) are predicted in log|x| while
+        # their sign holds, and so is any whose cubic or secant would flip its
+        # sign: by the cubic in L = log|x| where the four points are equally
+        # spaced and share that sign, exp(4 L - 6 L1 + 4 L2 - L3) formed from
+        # neighbour ratios, else by the ratio rule a*(a/b)**frac, the secant in
+        # log|x| (signs compared directly: a*b underflows below 1e-154)
         guess = []
-        for a, b, s in zip(x, x1, lin):
-            same_sign = a != 0.0 and b != 0.0 and (a > 0.0) == (b > 0.0)
-            if same_sign and (abs(a) < 1e-2 or (s > 0.0) != (a > 0.0)):
-                guess.append(a * (a / b) ** frac)
-            else:
+        for i, s in enumerate(lin):
+            a, b = x[i], x1[i]
+            pos = a > 0.0
+            if not (a != 0.0 and b != 0.0 and (b > 0.0) == pos
+                    and (abs(a) < 1e-2 or (s > 0.0) != pos)):
                 guess.append(s)
+            elif cubic and x2[i] != 0.0 and x3[i] != 0.0 and (x2[i] > 0.0) == pos == (x3[i] > 0.0):
+                r = (a / b) * (x2[i] / b)
+                guess.append(a * r * r * r * (x2[i] / x3[i]))
+            else:
+                guess.append(a * (a / b) ** frac)
         return guess, False
 
     def march(self, chart: Chart, targets: list[float], c: float, x, fold_c) -> list[StateSolution]:
@@ -380,18 +400,24 @@ class _Marcher:
         the complex one.
         Errors name the requested label, the failing c and the last good c.
 
-        The chart's pieces are bound to locals once per march, and the
-        hoisting stops there: eq.newton_solve, build_state and the eq.*
+        Once per march the chart's pieces, the partner and real flags and the
+        fold limit FOLD_MIN_SPAN/4 are bound to locals, and the last four
+        accepted points are kept in locals, not in a history tuple.  Once per
+        sample the canonical coords are built with tuple.__new__ (their values
+        are floats already), and every check still runs on every sample: the
+        chart's sheet, build_state's identities and the corrector's own.
+        The hoisting stops there: eq.newton_solve, build_state and the eq.*
         residuals inside the chart lambdas are looked up at call time, since
         the benchmark's tracer and the tests' newton_counter replace them by
         module attribute (bethe3.equations, bethe3.continuation).
         """
         coords, residual, jacobian, sheet, shift = chart
         label, lab, p, real = self.label, self.lab, self.p, coords is RealCoords
-        predict, use_model = self._predict, True
+        partner, predict, use_model = label is not lab, self._predict, True
         out = []
-        hist = (c, x, None, None, None, None, None, None)
+        c1 = x1 = c2 = x2 = c3 = x3 = None
         h = BASE_STEP
+        fold_room, shrunk = FOLD_MIN_SPAN / 4.0, 1.0 / STEP_GROWTH
         for tgt in targets:
             snap = 1e-12 * max(1.0, abs(tgt))
             while c != tgt:
@@ -400,11 +426,16 @@ class _Marcher:
                 if h < step:
                     step = h
                 if fold_c is not None and (real or x[0] - shift * c < FOLD_ALPHA_SMALL):
-                    step = min(step, max(0.5 * abs(c - fold_c), FOLD_MIN_SPAN / 4.0))
+                    # step = min(step, max(room, fold_room)), with no builtin calls
+                    room = 0.5 * abs(c - fold_c)
+                    if fold_room > room:
+                        room = fold_room
+                    if room < step:
+                        step = room
                 cn = c + sign * step
                 if sign * (tgt - cn) < snap:
                     cn = tgt
-                guess, modelled = predict(chart, hist, cn, use_model)
+                guess, modelled = predict(chart, cn, use_model, c, x, c1, x1, c2, x2, c3, x3)
                 try:
                     res = eq.newton_solve(residual, jacobian, guess, RESIDUAL_TOL, (lab, cn))
                 except (eq.NoConvergenceError, eq.ConstraintViolationError) as exc:
@@ -418,21 +449,29 @@ class _Marcher:
                         _name_failure(exc, coords, label, cn, c)
                         raise
                     continue
-                root = res.root
-                err = max(abs(root[0] - guess[0]), abs(root[1] - guess[1]))
-                f = math.sqrt(max(res.contraction / STEP_CONTRACTION, err / STEP_CORRECTION))
+                root, _, _, kappa = res
+                err, err1 = abs(root[0] - guess[0]), abs(root[1] - guess[1])
+                if err1 > err:
+                    err = err1
+                kappa, over = kappa / STEP_CONTRACTION, err / STEP_CORRECTION
+                f = math.sqrt(over if over > kappa else kappa)
                 if f > STEP_GROWTH and step / f >= MIN_STEP:
                     h = step / f
                     if modelled and err > STEP_CORRECTION:
                         use_model = False
                     continue
-                h = max(step / f if f > 1.0 / STEP_GROWTH else step * STEP_GROWTH,
-                        h if h < BASE_STEP else BASE_STEP)
+                # h = max(grown, min(h, BASE_STEP)), keeping grown on a tie as max() does
+                if h > BASE_STEP:
+                    h = BASE_STEP
+                grown = step / f if f > shrunk else step * STEP_GROWTH
+                if not h > grown:
+                    h = grown
+                c3, x3, c2, x2, c1, x1 = c2, x2, c1, x1, c, x
                 x, c = root, cn
-                hist = (c, x) + hist[:6]
-            co = coords(x[0] - shift * c, x[1], p)
+            # x[0] - shift*c, x[1] and p are floats already: no float() round trip
+            co = tuple.__new__(coords, (x[0] - shift * c, x[1], p))
             sheet(lab, c, co)
-            out.append(build_state(label, c, co if label is lab else partner_coords(co)))
+            out.append(build_state(label, c, partner_coords(co) if partner else co))
         return out
 
     def solve_targets(self, targets: list[float]) -> list[StateSolution]:

@@ -263,15 +263,21 @@ def newton_solve(
     NEWTON_STALL_ITER iterations in a row, the error is ResidualFloorError if
     the full Newton step is rounding noise (below NEWTON_FLOOR_STEP relative
     to x), else NoConvergenceError.
+
+    The unknowns and residuals are carried as scalars, the full step is tried
+    before any halving, and the |r| of an accepted step opens the next
+    iteration, so a solve that converges in one step evaluates the residual
+    twice and the Jacobian once, with no other per-iteration work than the
+    checks above.
     """
     a0, a1 = args
-    x = (float(guess[0]), float(guess[1]))
-    r = residual(x, a0, a1)
+    x0, x1 = float(guess[0]), float(guess[1])
+    x = (x0, x1)
+    r0, r1 = r = residual(x, a0, a1)
+    e0, e1 = abs(r0), abs(r1)
     best, stalled, contraction = math.inf, 0, 0.0
     for it in range(1, NEWTON_MAX_ITER + 1):
-        rmax, r1 = abs(r[0]), abs(r[1])
-        if r1 > rmax:
-            rmax = r1
+        rmax = e1 if e1 > e0 else e0
         if rmax < tol:
             # tuple.__new__ skips the named tuple's keyword-argument __new__
             return tuple.__new__(NewtonResult, (x, tuple(r), it - 1, contraction))
@@ -280,15 +286,15 @@ def newton_solve(
         try:
             # rows scaled to unit max-norm keep det finite at 1/eta ~ 1e160
             (a, b), (c, d) = jacobian(x, a0, a1)
-            s0, s1 = abs(a), abs(c)
-            if abs(b) > s0:
-                s0 = abs(b)
-            if abs(d) > s1:
-                s1 = abs(d)
-            a, b, r0 = a / s0, b / s0, r[0] / s0
-            c, d, r1 = c / s1, d / s1, r[1] / s1
+            s0, s1, t0, t1 = abs(a), abs(c), abs(b), abs(d)
+            if t0 > s0:
+                s0 = t0
+            if t1 > s1:
+                s1 = t1
+            a, b, q0 = a / s0, b / s0, r0 / s0
+            c, d, q1 = c / s1, d / s1, r1 / s1
             det = a * d - b * c
-            dx0, dx1 = (b * r1 - d * r0) / det, (c * r0 - a * r1) / det
+            dx0, dx1 = (b * q1 - d * q0) / det, (c * q0 - a * q1) / det
         except ZeroDivisionError as exc:
             raise NoConvergenceError(f"singular Jacobian at {x}: {exc}", x, r, it) from exc
         if rmax < best:
@@ -298,30 +304,33 @@ def newton_solve(
             if stalled == NEWTON_STALL_ITER:
                 # a full step of rounding size marks the floor of the residual
                 # evaluation; a larger one, a minimum of |r| away from any root
-                if (abs(dx0) <= NEWTON_FLOOR_STEP * abs(x[0])
-                        and abs(dx1) <= NEWTON_FLOOR_STEP * abs(x[1])):
+                if abs(dx0) <= NEWTON_FLOOR_STEP * abs(x0) and abs(dx1) <= NEWTON_FLOOR_STEP * abs(x1):
                     raise ResidualFloorError(
                         f"residual floor |r|={best:.3e} reached above tol={tol:.1e}", x, r, it
                     )
                 raise NoConvergenceError(
                     f"residual stalled at |r|={best:.3e} above tol={tol:.1e}", x, r, it
                 )
-        lam = 1.0
-        for halvings in range(NEWTON_MAX_HALVINGS + 1):
-            x_new = (x[0] + lam * dx0, x[1] + lam * dx1)
+        # the full step first, then halvings of it
+        x, lam, halvings = (x0 + dx0, x1 + dx1), 1.0, 0
+        while True:
             try:
-                r_new = residual(x_new, a0, a1)
+                r0, r1 = r = residual(x, a0, a1)
             except ConstraintViolationError as exc:  # off the sheet: halve
                 if halvings == NEWTON_MAX_HALVINGS:
                     raise ConstraintViolationError(
-                        f"Newton step blocked by sign constraints near x={x}") from exc
+                        f"Newton step blocked by sign constraints near x={(x0, x1)}") from exc
             else:
-                # the last candidate is kept even where its residual grows
-                if (math.isfinite(r_new[0]) and abs(r_new[0]) <= rmax and math.isfinite(r_new[1])
-                        and abs(r_new[1]) <= rmax) or halvings == NEWTON_MAX_HALVINGS:
+                # below a finite rmax a residual is finite; the last candidate
+                # is kept even where its residual grows
+                e0, e1 = abs(r0), abs(r1)
+                if (e0 <= rmax and e1 <= rmax and (rmax < math.inf or math.isfinite(e0)
+                                                   and math.isfinite(e1))) or halvings == NEWTON_MAX_HALVINGS:
                     break
             lam *= 0.5
-        x, r = x_new, r_new
+            halvings += 1
+            x = (x0 + lam * dx0, x1 + lam * dx1)
+        x0, x1 = x
     raise NoConvergenceError(
         f"no convergence after {NEWTON_MAX_ITER} iterations (|r|={max(abs(v) for v in r):.3e})",
         x, r, NEWTON_MAX_ITER,

@@ -104,13 +104,16 @@ class Momenta(NamedTuple):
         return max(abs(self.k1.imag), abs(self.k2.imag), abs(self.k3.imag)) < IDENTITY_TOL
 
 
-def k_from_deltas(p: float, d1: float, d2: float) -> Momenta:
-    """Real-branch momenta from (p, delta1, delta2), deltas >= 0."""
+def _real_k(p: float, d1: float, d2: float) -> tuple[float, float, float]:
+    """Real-branch momenta k1 <= k2 <= k3 as floats, deltas >= 0."""
     if d1 < 0 or d2 < 0:
         raise ValueError(f"deltas must be >= 0, got ({d1}, {d2})")
-    k1 = (p - 2.0 * d1 - d2) / 3.0
-    k2 = (p + d1 - d2) / 3.0
-    k3 = (p + d1 + 2.0 * d2) / 3.0
+    return (p - 2.0 * d1 - d2) / 3.0, (p + d1 - d2) / 3.0, (p + d1 + 2.0 * d2) / 3.0
+
+
+def k_from_deltas(p: float, d1: float, d2: float) -> Momenta:
+    """Real-branch momenta from (p, delta1, delta2), deltas >= 0."""
+    k1, k2, k3 = _real_k(p, d1, d2)
     return tuple.__new__(Momenta, (complex(k1), complex(k2), complex(k3)))
 
 
@@ -124,13 +127,18 @@ def deltas_from_k(m: Momenta) -> tuple[float, float, float]:
     return (k1 + k2 + k3, k2 - k1, k3 - k2)
 
 
-def k_from_alpha_gamma(p: float, alpha: float, gamma: float) -> Momenta:
-    """Complex-branch momenta: k1 = i*alpha + gamma + p/3, k2 = conj(k1), k3 real."""
+def _complex_k(p: float, alpha: float, gamma: float) -> tuple[float, float]:
+    """Complex-branch Re k1 = Re k2 and k3 as floats, alpha >= 0."""
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
     q = p / 3.0
-    return tuple.__new__(Momenta, (complex(gamma + q, alpha), complex(gamma + q, -alpha),
-                                   complex(-2.0 * gamma + q, 0.0)))
+    return gamma + q, -2.0 * gamma + q
+
+
+def k_from_alpha_gamma(p: float, alpha: float, gamma: float) -> Momenta:
+    """Complex-branch momenta: k1 = i*alpha + gamma + p/3, k2 = conj(k1), k3 real."""
+    r, k3 = _complex_k(p, alpha, gamma)
+    return tuple.__new__(Momenta, (complex(r, alpha), complex(r, -alpha), complex(k3, 0.0)))
 
 
 class RealCoords(NamedTuple("_Real", [("delta1", float), ("delta2", float), ("p", float)])):
@@ -187,24 +195,45 @@ class StateSolution(NamedTuple):
 
 
 def build_state(label: QuantumLabel, c: float, coords: BranchCoords) -> StateSolution:
-    """Assemble a StateSolution, enforcing the conservation and energy identities."""
+    """Assemble a StateSolution, enforcing the conservation and energy identities.
+
+    Every call runs every check: c finite, the coordinates' sign check,
+    sum(k) = 2*pi*np, and sum(k^2) = coords.energy() in real and imaginary
+    part.  For RealCoords and ComplexCoords the imaginary parts of both sums
+    cancel exactly (all momenta are real, or a conjugate pair gives
+    alpha - alpha and +-2*alpha*Re(k1)), so the sums are formed from the real
+    parts in float arithmetic, with the same verdicts for finite coordinates,
+    and the complex momenta are built once from those floats.  Other
+    coordinates are checked on their momenta() in complex arithmetic.
+    """
     if not math.isfinite(c):
         raise ValueError(f"coupling must be finite, got {c}")
-    k1, k2, k3 = m = coords.momenta()
     p = TWO_PI * _NP_FROM_MOD3[(label.n1 - label.n2) % 3]  # label.np, inlined
-    if abs(k1 + k2 + k3 - p) > IDENTITY_TOL:
-        raise ValueError(
-            f"momentum sum {m.total} != 2*pi*np = {p} for label {label}"
-        )
+    kind = type(coords)
+    if kind is RealCoords:
+        d1, d2, q = coords
+        k1, k2, k3 = _real_k(q, d1, d2)
+        total, e_sum, e_imag = k1 + k2 + k3, k1 * k1 + k2 * k2 + k3 * k3, 0.0
+        m = tuple.__new__(Momenta, (complex(k1), complex(k2), complex(k3)))
+    elif kind is ComplexCoords:
+        alpha, gamma, q = coords
+        r, k3 = _complex_k(q, alpha, gamma)
+        t = r * r - alpha * alpha  # Re k1^2 = Re k2^2
+        total, e_sum, e_imag = r + r + k3, t + t + k3 * k3, 0.0
+        m = tuple.__new__(Momenta, (complex(r, alpha), complex(r, -alpha), complex(k3, 0.0)))
+    else:
+        k1, k2, k3 = m = coords.momenta()
+        total = k1 + k2 + k3
+        e_sum = k1 * k1 + k2 * k2 + k3 * k3
+        e_sum, e_imag = e_sum.real, e_sum.imag
+    if abs(total - p) > IDENTITY_TOL:
+        raise ValueError(f"momentum sum {m.total} != 2*pi*np = {p} for label {label}")
     e_coord = coords.energy()
-    e_sum = k1 * k1 + k2 * k2 + k3 * k3  # formed once: energy and imaginary defect
-    scale = max(1.0, abs(e_coord))
-    if abs(e_coord - e_sum.real) > ENERGY_AGREEMENT_RTOL * scale:
-        raise ValueError(
-            f"energy formulas disagree: coords {e_coord} vs sum(k^2) {e_sum.real}"
-        )
-    if abs(e_sum.imag) > ENERGY_AGREEMENT_RTOL * scale:
-        raise ValueError(f"imaginary energy defect {abs(e_sum.imag)}")
+    tol = ENERGY_AGREEMENT_RTOL * max(1.0, abs(e_coord))
+    if abs(e_coord - e_sum) > tol:
+        raise ValueError(f"energy formulas disagree: coords {e_coord} vs sum(k^2) {e_sum}")
+    if abs(e_imag) > tol:
+        raise ValueError(f"imaginary energy defect {abs(e_imag)}")
     return tuple.__new__(StateSolution, (label, c, coords, m, e_coord))
 
 
