@@ -475,30 +475,29 @@ class _Marcher:
         return out
 
     def solve_targets(self, targets: list[float]) -> list[StateSolution]:
-        """Solve at every requested c (any order); returns states in input order.
+        """Solve at every requested c, given strictly ascending (trace_root's
+        grid, solve_state's one c); returns the states in that order, put
+        together from the marches away from c = 0 without a lookup by c.
         A negative target within 1e-13 of C, where the Jacobian is singular,
         takes the model's state: the threshold root at C itself."""
         label, lab, crit = self.label, self.lab, self.critical
         c_crit = crit.C if crit else -math.inf
         chart = complex_chart(lab)
-        states, pos, neg = [], [], []
+        at_crit, pos, neg = [], [], []
         for t in targets:
             if t < 0.0 and abs(t - c_crit) < 1e-13:
                 coords = branch_switch(lab, t, crit)
                 (REAL if type(coords) is RealCoords else chart).sheet(lab, t, coords)
-                states.append(build_state(label, float(t),
-                                          coords if label is lab else partner_coords(coords)))
+                at_crit.append(build_state(label, float(t),
+                                           coords if label is lab else partner_coords(coords)))
             else:
                 (pos if t >= 0.0 else neg).append(t)
-        pos.sort()
-        neg.sort(reverse=True)
+        neg.reverse()
         x0 = (TWO_PI * lab.n1, TWO_PI * lab.n2)
-        sides = [(pos, None)]
-        if neg:
-            sides.append(([t for t in neg if t > c_crit], c_crit if crit else None))
-        for side, fold_c in sides:
-            states += self.march(REAL, side, 0.0, x0, fold_c)
+        above = self.march(REAL, pos, 0.0, x0, None)
+        real_below = self.march(REAL, [t for t in neg if t > c_crit], 0.0, x0, c_crit if crit else None)
         neg_complex = [t for t in neg if t < c_crit]
+        complex_below = []
         if neg_complex:
             c = max(c_crit - FOLD_MIN_SPAN, neg_complex[0])
             model = branch_switch(lab, c, crit)
@@ -508,9 +507,9 @@ class _Marcher:
             except (eq.NoConvergenceError, eq.ConstraintViolationError) as exc:
                 _name_failure(exc, chart.coords, label, c, c_crit)
                 raise
-            states += self.march(chart, neg_complex, c, res.root, c_crit)
-        by_c = {st.c: st for st in states}
-        return [by_c[float(t)] for t in targets]
+            complex_below = self.march(chart, neg_complex, c, res.root, c_crit)
+        # the sides below c = 0 were marched downward
+        return complex_below[::-1] + at_crit + real_below[::-1] + above
 
 
 # ---------------------------------------------------------------------------

@@ -30,11 +30,19 @@ a tensor Gauss-Legendre quadrature oracle checks it.
 The 108 exponents of the 36 pairs take only 9 values d_ij = k_i - conj(k_j),
 so a state's norm is read from one 3x3 table: entry (i, j) holds d_ij, |d_ij|
 and, at z = i d_ij, e_2(z), e_2(-z) and e_2'(z), from e^z - 1 and
-e^{-z} - 1, which share their trigonometric factors.  As
-d_ji = -conj(d_ij), entry (j, i) is entry (i, j) with every piece
-conjugated, so only the diagonal and upper entries are evaluated.  Each
-pair only combines three entries; all 36 are summed, so the imaginary part
-of the total stays a check on the arithmetic.
+e^{-z} - 1, which share their trigonometric factors.  Only distinct
+exponents are evaluated, and every entry equals its direct evaluation:
+d_ji = -conj(d_ij), so entry (j, i) is entry (i, j) with every piece
+conjugated; a zero d_ij (the three d_ii of real momenta, d_12 and d_33 of a
+conjugate pair k_2 = conj(k_1) with k_3 real) is one constant entry; and for
+such a pair d_22 = -d_11 and d_32 = -d_13 swap e^z - 1 with e^{-z} - 1.  A
+state then costs 3 sets of transcendentals (real momenta) or 2 (a conjugate
+pair), not 6.  The table's pieces are read into flat lists once per state,
+and the 36 pairs run from the index tuple _PAIRS through one inlined
+kernel.  Every pair's exponents sum to sum(k) - conj(sum(k)), so that sum
+is checked once per state, against 1e-9 max(1, the smallest over the pairs
+of their largest |a_m|), no looser than a check per pair.  All 36 terms are
+summed, so the imaginary part of the total stays a check on the arithmetic.
 
 The coincidence-plane integral for <V> reduces to the single-variable
 D(b) = e_2(ib) = (e^{ib} - 1 - ib)/(ib)^2 per pair, with b = k_{P3} - conj(k_{Q3}).
@@ -48,7 +56,9 @@ memo the second call would rebuild the whole table.
 """
 from __future__ import annotations
 
+import collections
 import functools
+import itertools
 import math
 import numbers
 
@@ -74,87 +84,124 @@ def _de2(z: complex, m: complex, e2: complex) -> complex:
     return (m / z - 2.0 * e2) / z
 
 
-class _Exponent:
-    """One exponent a with every piece T reads for it, at z = i a: e_2(z),
-    e_2(-z) and e_2'(z).  e^z - 1 and e^{-z} - 1 are formed without
-    cancellation at small |z| (complex expm1) and share cos y, sin y and
-    2 sin^2(y/2) (y = Im z)."""
+def _expm1_pair(z: complex) -> tuple[complex, complex]:
+    """e^z - 1 and e^{-z} - 1 without cancellation at small |z| (complex
+    expm1), sharing cos y, sin y and 2 sin^2(y/2) (y = Im z)."""
+    x, y = z.real, z.imag
+    cos_y, sin_y, half = math.cos(y), math.sin(y), 2.0 * math.sin(y / 2.0) ** 2
+    return (complex(math.expm1(x) * cos_y - half, math.exp(x) * sin_y),
+            complex(math.expm1(-x) * cos_y - half, math.exp(-x) * -sin_y))
 
-    __slots__ = ("a", "mag", "z", "e2", "e2_neg", "de2")
 
-    def __init__(self, a: complex) -> None:
+class _Exponent(collections.namedtuple("_Exponent", "a mag z e2 e2_neg de2")):
+    """One exponent a with every piece T reads for it, at z = i a: |a|, z,
+    e_2(z), e_2(-z) and e_2'(z)."""
+
+    __slots__ = ()
+
+    def __new__(cls, a: complex) -> _Exponent:
         z = 1j * a
-        x, y = z.real, z.imag
-        cos_y, sin_y, half = math.cos(y), math.sin(y), 2.0 * math.sin(y / 2.0) ** 2
-        m = complex(math.expm1(x) * cos_y - half, math.exp(x) * sin_y)
-        m_neg = complex(math.expm1(-x) * cos_y - half, math.exp(-x) * -sin_y)
-        self.a, self.mag, self.z = a, abs(a), z
-        self.e2, self.e2_neg = _e2(z, m), _e2(-z, m_neg)
-        self.de2 = _de2(z, m, self.e2)
+        m, m_neg = _expm1_pair(z)
+        e2 = _e2(z, m)
+        return tuple.__new__(cls, (a, abs(a), z, e2, _e2(-z, m_neg), _de2(z, m, e2)))
 
     def conjugate(self) -> _Exponent:
         """The entry of -conj(a), whose z is conj(z): every piece conjugated."""
-        t = _Exponent.__new__(_Exponent)
-        t.a, t.mag, t.z = -self.a.conjugate(), self.mag, self.z.conjugate()
-        t.e2, t.e2_neg, t.de2 = self.e2.conjugate(), self.e2_neg.conjugate(), self.de2.conjugate()
-        return t
+        a, mag, z, e2, e2_neg, de2 = self
+        return tuple.__new__(_Exponent, (-a.conjugate(), mag, z.conjugate(), e2.conjugate(),
+                                         e2_neg.conjugate(), de2.conjugate()))
 
 
-def _symmetric_table(k) -> list[list[_Exponent]]:
-    """3x3 table of _Exponent(d_ij), d_ij = k_i - conj(k_j): d_ji = -conj(d_ij),
-    so only the diagonal and the upper triangle are evaluated."""
-    table = [[None] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(i, 3):
-            table[i][j] = t = _Exponent(k[i] - k[j].conjugate())
-            if j != i:
-                table[j][i] = t.conjugate()
-    return table
+_ZERO = _Exponent(0j)
 
 
-def _simplex(t1: _Exponent, t2: _Exponent, t3: _Exponent) -> complex:
-    """T(a1, a2, a3) = (e_2(-z1) - e_2(z3))/z2 from the three exponents'
-    pieces, or e_2'(z3) for |a2| below NEAR_DEGENERATE_EXPONENT."""
-    m1, m2, m3 = t1.mag, t2.mag, t3.mag
-    s = abs(t1.a + t2.a + t3.a)
-    # s > 1e-9 * max(1, m1, m2, m3), without building the max on the common path
-    if s > 1e-9 and s > 1e-9 * m1 and s > 1e-9 * m2 and s > 1e-9 * m3:
-        raise ValueError(f"exponents must sum to zero, got sum {t1.a + t2.a + t3.a}")
-    if m2 < NEAR_DEGENERATE_EXPONENT:
-        return t3.de2
-    return (t1.e2_neg - t3.e2) / t2.z
+def _opposite_exponents(a: complex) -> tuple[_Exponent, _Exponent]:
+    """_Exponent(a) and _Exponent(-a) from one set of transcendentals: z
+    changes sign, so e^z - 1 and e^{-z} - 1 swap, e_2(z) and e_2(-z) swap,
+    and only e_2'(-z) is new."""
+    z = 1j * a
+    m, m_neg = _expm1_pair(z)
+    e2, e2_neg = _e2(z, m), _e2(-z, m_neg)
+    mag = abs(a)
+    return (tuple.__new__(_Exponent, (a, mag, z, e2, e2_neg, _de2(z, m, e2))),
+            tuple.__new__(_Exponent, (-a, mag, -z, e2_neg, e2, _de2(-z, m_neg, e2_neg))))
+
+
+def _symmetric_table(k) -> list[_Exponent]:
+    """The 9 entries _Exponent(d_ij), d_ij = k_i - conj(k_j), flat at 3i + j,
+    each equal to its direct evaluation, with only distinct exponents
+    evaluated: entry (j, i) is entry (i, j) conjugated, a zero d_ij is _ZERO,
+    and a conjugate pair k_2 = conj(k_1) with k_3 real (d_12 = d_33 = 0)
+    takes d_22 = -d_11 and d_32 = -d_13 from _opposite_exponents."""
+    k1, k2, k3 = k
+    c1, c2, c3 = k1.conjugate(), k2.conjugate(), k3.conjugate()
+    d12, d33 = k1 - c2, k3 - c3
+    if d12 or d33:
+        t11, t12, t13, t22, t23, t33 = [_Exponent(d) if d else _ZERO
+                                        for d in (k1 - c1, d12, k1 - c3, k2 - c2, k2 - c3, d33)]
+        t21, t32 = t12.conjugate(), t23.conjugate()
+    else:  # k_2 = conj(k_1), k_3 real
+        t11, t22 = _opposite_exponents(k1 - c1)
+        t13, t32 = _opposite_exponents(k1 - c3)
+        t12 = t21 = t33 = _ZERO
+        t23 = t32.conjugate()
+    return [t11, t12, t13, t21, t22, t23, t13.conjugate(), t32, t33]
 
 
 def simplex_integral_exponents(a1: complex, a2: complex, a3: complex) -> complex:
     """Ordered-simplex integral T(a1, a2, a3) of exp(i sum a_m x_m), whose
-    exponents must sum to ~0: the norm's kernel (see the module notes)."""
-    return _simplex(_Exponent(a1), _Exponent(a2), _Exponent(a3))
+    exponents must sum to ~0: the norm's kernel (see the module notes),
+    (e_2(-z1) - e_2(z3))/z2, or e_2'(z3) for |a2| below NEAR_DEGENERATE_EXPONENT."""
+    t1, t2, t3 = _Exponent(a1), _Exponent(a2), _Exponent(a3)
+    s = a1 + a2 + a3
+    if abs(s) > 1e-9 * max(1.0, t1.mag, t2.mag, t3.mag):
+        raise ValueError(f"exponents must sum to zero, got sum {s}")
+    if t2.mag < NEAR_DEGENERATE_EXPONENT:
+        return t3.de2
+    return (t1.e2_neg - t3.e2) / t2.z
+
+
+# (P, Q, and the flat table indices of (P1, Q1), (P2, Q2), (P3, Q3)) of the
+# 36 pairs, P and Q as indices into PERMUTATIONS
+_PAIRS = tuple((ip, iq, 3 * p[0] + q[0], 3 * p[1] + q[1], 3 * p[2] + q[2])
+               for ip, p in enumerate(PERMUTATIONS) for iq, q in enumerate(PERMUTATIONS))
 
 
 @functools.lru_cache(maxsize=1)
 def _sums(momenta: Momenta, c: float) -> tuple[complex, complex, float, float]:
     """(norm sum, coincidence sum, and the sum of |term| of each) of one state
     from one amplitudes call and one exponent table: the 36 pairs
-    a(P) conj(a(Q)) T_PQ, and the (P3, Q3) grouping
-    sum_ij e_2(i d_ij) A_i conj(A_j) with A_i = sum_{P3 = i} a(P)."""
+    a(P) conj(a(Q)) T_PQ, each T inlined from the table's flat pieces, and the
+    (P3, Q3) grouping sum_ij e_2(i d_ij) A_i conj(A_j) with
+    A_i = sum_{P3 = i} a(P)."""
     a = amplitudes(momenta, c)
-    table = _symmetric_table(momenta)
+    amp = [a[p] for p in PERMUTATIONS]
+    amp_conj = [x.conjugate() for x in amp]
+    _, mag, z, e2, e2_neg, de2 = zip(*_symmetric_table(momenta))
+    # every pair's exponents sum to total - conj(total): one check for all 36,
+    # against the smallest of their per-pair bounds
+    total = momenta.total
+    total -= total.conjugate()
+    s = abs(total)
+    if s > 1e-9 and s > 1e-9 * min(max(mag[i1], mag[i2], mag[i3]) for _, _, i1, i2, i3 in _PAIRS):
+        raise ValueError(f"exponents must sum to zero, got sum {total}")
+    near = NEAR_DEGENERATE_EXPONENT
     norm, norm_scale = 0j, 0.0
-    for p in PERMUTATIONS:
-        ap, row1, row2, row3 = a[p], table[p[0]], table[p[1]], table[p[2]]
-        for q in PERMUTATIONS:
-            term = ap * a[q].conjugate() * _simplex(row1[q[0]], row2[q[1]], row3[q[2]])
-            norm += term
-            norm_scale += abs(term)
+    for p, q, i1, i2, i3 in _PAIRS:
+        if mag[i2] < near:
+            term = amp[p] * amp_conj[q] * de2[i3]
+        else:
+            term = amp[p] * amp_conj[q] * ((e2_neg[i1] - e2[i3]) / z[i2])
+        norm += term
+        norm_scale += abs(term)
     A = [0j, 0j, 0j]
-    for p in PERMUTATIONS:
-        A[p[2]] += a[p]
+    for p, x in zip(PERMUTATIONS, amp):
+        A[p[2]] += x
     coincidence, coincidence_scale = 0j, 0.0
-    for row, Ai in zip(table, A):
-        for t, Aj in zip(row, A):
-            term = t.e2 * Ai * Aj.conjugate()
-            coincidence += term
-            coincidence_scale += abs(term)
+    for e, (Ai, Aj) in zip(e2, itertools.product(A, [x.conjugate() for x in A])):
+        term = e * Ai * Aj
+        coincidence += term
+        coincidence_scale += abs(term)
     return norm, coincidence, norm_scale, coincidence_scale
 
 

@@ -14,6 +14,7 @@ from bethe3 import (
     solve_state,
 )
 import bethe3.observables as obs
+from bethe3.model import Momenta
 from bethe3.observables import _Exponent, _sums, _symmetric_table
 from bethe3.verify import simplex_triples
 from bethe3.wavefunction import PERMUTATIONS, DegenerateMomentaError, amplitudes
@@ -338,6 +339,13 @@ class TestPairSumInternals:
         total = _sums(st.momenta, st.c)[0]
         assert abs(total.imag) < 1e-9 * abs(total.real)
 
+    def test_exponent_sum_checked_once_per_state(self):
+        # every pair's exponents sum to sum(k) - conj(sum(k)), here 2e-6j
+        k1, k2, k3 = solved(2, 3, -3.0).momenta
+        _sums.cache_clear()
+        with pytest.raises(ValueError, match="exponents must sum to zero"):
+            _sums(Momenta(k1, k2, k3 + 1e-6j), -3.0)
+
 
 def near_fold_12():
     """(1,2) at 4e-6 below C(1,2): the 36 O(1) norm terms cancel to ~1e-5."""
@@ -350,6 +358,8 @@ class TestExponentTable:
     @pytest.mark.parametrize("n1, n2, c", [
         (2, 2, -3.0), (2, 2, 3.0), (2, 3, -3.0), (2, 3, 3.0), (0, 0, -9.0), (0, 1, -12.0),
         (0, 2, -9.0), (1, 2, -7.0), (0, 0, 0.0), (2, 3, 0.0),
+        # zero exponents, which take the e_2' route
+        (1, 1, -5.0), (0, 0, -0.5), (2, 3, 1e-7),
     ])
     def test_matches_direct_pair_sums(self, n1, n2, c):
         st = solved(n1, n2, c)
@@ -359,17 +369,39 @@ class TestExponentTable:
                 ref = sum(pair_terms(s, term))
                 assert abs(got - ref) <= 1e-13 * abs(ref), (n1, n2, c, s.label)
 
-    @pytest.mark.parametrize("n1, n2, c", [(2, 3, -3.0), (0, 2, -9.0), (1, 2, -7.0), (1, 1, -5.0)])
+    @pytest.mark.parametrize("n1, n2, c", [
+        (2, 3, -3.0), (0, 2, -9.0), (1, 2, -7.0), (1, 1, -5.0), (0, 0, -9.0),
+        (2, 3, 0.0), (2, 3, 3.0), (2, 2, 0.0), (2, 2, 3.0),
+    ])
     def test_conjugate_entries_equal_direct_entries(self, n1, n2, c):
-        # d_ji = -conj(d_ij): the lower entries, built by conjugation, equal
-        # the entries evaluated at d_ji bit for bit
-        k = solved(n1, n2, c).momenta
-        table = _symmetric_table(k)
-        for i in range(3):
-            for j in range(3):
-                got, ref = table[i][j], _Exponent(k[i] - k[j].conjugate())
-                for name in _Exponent.__slots__:
-                    assert getattr(got, name) == getattr(ref, name), (i, j, name)
+        # every entry, whether conjugated, negated or the shared zero, equals
+        # the entry evaluated directly at its d_ij = k_i - conj(k_j)
+        st = solved(n1, n2, c)
+        for s in (st, partner_state(st)):
+            k = s.momenta
+            table = _symmetric_table(k)
+            for i in range(3):
+                for j in range(3):
+                    got, ref = table[3 * i + j], _Exponent(k[i] - k[j].conjugate())
+                    for name in _Exponent._fields:
+                        assert getattr(got, name) == getattr(ref, name), (s.label, i, j, name)
+
+    @pytest.mark.parametrize("n1, n2, c, evaluations", [
+        (2, 3, -3.0, 3), (2, 2, 3.0, 3), (1, 1, -5.0, 3), (0, 0, -9.0, 2), (1, 2, -7.0, 2),
+    ])
+    def test_distinct_exponents_evaluated_once(self, n1, n2, c, evaluations, monkeypatch):
+        # real momenta: d_12, d_13, d_23 (the three d_ii are zero); a conjugate
+        # pair with k_3 real: d_11 and d_13 (d_22 = -d_11, d_32 = -d_13)
+        calls = []
+
+        def counting(z):
+            calls.append(z)
+            return expm1_pair(z)
+
+        expm1_pair = obs._expm1_pair
+        monkeypatch.setattr(obs, "_expm1_pair", counting)
+        _symmetric_table(solved(n1, n2, c).momenta)
+        assert len(calls) == evaluations
 
     def test_near_fold_within_rounding_of_term_scale(self):
         # the sums cancel here, so the bound is the size of the terms, not of the sum
