@@ -18,14 +18,14 @@ import sys
 
 from .continuation import find_critical, solve_state, spectrum, trace_root
 from .model import QuantumLabel
-from .observables import density_grid, norm_squared, potential_expectation
 from .tolerances import BASE_STEP, MAX_GRID_POINTS
-from .verify import run_suite
 
 EXIT_OK = 0
 EXIT_SOLVER = 2
 EXIT_VERIFY = 3
 EXIT_USAGE = 64
+
+_SOLVER_ERRORS = (ValueError, RuntimeError, ArithmeticError)  # exit 2, never a traceback
 
 
 class UsageError(Exception):
@@ -148,6 +148,8 @@ def _state_record(state, with_observables: bool) -> dict:
         E=state.energy,
     )
     if with_observables:
+        from .observables import norm_squared, potential_expectation
+
         n = norm_squared(state)
         rec.update(norm=n, V=potential_expectation(state, norm=n))
     return rec
@@ -197,7 +199,7 @@ def _spectrum(ns, stream) -> int:
     result = spectrum(ns.labels, ns.c, include_partners=ns.partners)
     ok = _write_states(writer, ns, stream, result.states)
     for label, msg in result.failures.items():
-        _report_error(stream, ns.format, msg, label)
+        _report_error(stream, ns.format, msg, label, ns.c)
     return EXIT_SOLVER if result.failures or not ok else EXIT_OK
 
 
@@ -211,9 +213,15 @@ def _critical(ns, stream) -> int:
 
 
 def _density(ns, stream) -> int:
+    from .observables import density_grid
+
     writer = _Writer(stream, ns.format, ["r12", "r23", "r31", "density"])
-    state = solve_state(ns.labels[0], ns.c)
-    grid = density_grid(state, ns.resolution)
+    label = ns.labels[0]
+    try:
+        grid = density_grid(solve_state(label, ns.c), ns.resolution)
+    except _SOLVER_ERRORS as exc:
+        _report_error(stream, ns.format, f"{type(exc).__name__}: {exc}", label, ns.c)
+        return EXIT_SOLVER
     points = zip(grid.r12.tolist(), grid.r23.tolist(), grid.r31.tolist(), grid.density.tolist())
     for r12, r23, r31, density in points:
         writer.write({"r12": r12, "r23": r23, "r31": r31, "density": density})
@@ -221,6 +229,8 @@ def _density(ns, stream) -> int:
 
 
 def _verify(ns, stream) -> int:
+    from .verify import run_suite
+
     try:
         results = run_suite(ns.suite)
     except KeyError as exc:  # before the csv header: a usage error writes no output
@@ -318,7 +328,7 @@ def main(argv: list[str] | None = None) -> int:
         with _open_out(ns.out) as stream:
             try:
                 status = ns.run(ns, stream)
-            except (ValueError, RuntimeError, ArithmeticError) as exc:  # exit 2, never a traceback
+            except _SOLVER_ERRORS as exc:
                 _report_error(stream, ns.format, f"{type(exc).__name__}: {exc}")
                 status = EXIT_SOLVER
             stream.flush()  # a write error surfaces here, not at interpreter exit

@@ -556,7 +556,14 @@ def _grid(critical: CriticalPoint | None, c_min: float, c_max: float, step: floa
                          f"on [{c_min}, {c_max}]")
     k_lo = math.ceil(c_min / step - 1e-9)
     k_hi = math.floor(c_max / step + 1e-9)
-    pts = {round(k * step, 12) for k in range(k_lo, k_hi + 1)}
+    whole, dot, frac = repr(step).partition(".")
+    if dot and whole.isdigit() and frac.isdigit() and len(frac) <= 12:
+        # step is the decimal m / 10**d: each point k*m / 10**d is one
+        # correctly rounded division, the double nearest the decimal grid
+        m, scale = int(whole + frac), 10 ** len(frac)
+        pts = {k * m / scale for k in range(k_lo, k_hi + 1)}
+    else:
+        pts = {round(k * step, 12) for k in range(k_lo, k_hi + 1)}
     if critical is not None:
         h = step / 2.0
         while h >= FOLD_MIN_SPAN:

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from numbers import Integral
 from typing import NamedTuple
 
 from .tolerances import ENERGY_AGREEMENT_RTOL, IDENTITY_TOL
@@ -49,6 +48,8 @@ class QuantumLabel(NamedTuple("_Label", [("n1", int), ("n2", int)])):
 
     def __new__(cls, n1: int, n2: int) -> "QuantumLabel":
         if type(n1) is not int or type(n2) is not int:  # numpy integers become int
+            from numbers import Integral
+
             if not all(isinstance(n, Integral) and not isinstance(n, bool) for n in (n1, n2)):
                 raise ValueError(f"label components must be integers, got ({n1!r}, {n2!r})")
             n1, n2 = int(n1), int(n2)

@@ -48,11 +48,10 @@ def suite_core() -> list[CheckResult]:
     out.append(_check("np-rule", ok, f"{len(cases)} labels"))
 
     worst = 0.0
-    for _ in range(1000):
-        k = np.sort(rng.uniform(-30, 30, 3))
-        p, d1, d2 = deltas_from_k(k_from_deltas(k.sum(), k[1] - k[0], k[2] - k[1]))
+    for k1, k2, k3 in np.sort(rng.uniform(-30, 30, (1000, 3)), axis=1).tolist():
+        p, d1, d2 = deltas_from_k(k_from_deltas(k1 + k2 + k3, k2 - k1, k3 - k2))
         m = k_from_deltas(p, d1, d2)
-        worst = max(worst, max(abs(m.k1.real - k[0]), abs(m.k2.real - k[1]), abs(m.k3.real - k[2])))
+        worst = max(worst, abs(m.k1.real - k1), abs(m.k2.real - k2), abs(m.k3.real - k3))
     out.append(_check("delta-roundtrip", worst < 1e-13, f"max defect {worst:.2e}"))
 
     st = solve_state(QuantumLabel(1, 2), -2.0)

@@ -10,6 +10,14 @@ import numpy as np
 
 import bethe3
 import bethe3.cli
+from test_cli import fresh_python
+
+# the attributes bench/run.py and bench/checks.py look up on the package
+BENCH_LOOKUPS = (
+    "continuation.trace_root", "continuation.spectrum", "observables.norm_squared",
+    "observables.potential_expectation", "observables.density_grid", "jump_residual",
+    "periodicity_residual", "partner_state", "residual_real", "residual_complex",
+)
 
 
 def test_benchmark_call_surface():
@@ -51,3 +59,15 @@ def test_benchmark_call_surface():
                     lib.periodicity_residual(s, 0.25, 0.6))
         assert worst < 1e-9, (s.label, s.c)
     assert branches == {"real", "complex"}
+
+
+def test_benchmark_lookups_after_bare_import():
+    # this process has imported every submodule already, so only a fresh
+    # interpreter sees whether a lazy name resolves from a bare import
+    probe = ("import sys, bethe3\n"
+             "for path in " + repr(BENCH_LOOKUPS) + ":\n"
+             "    fn = bethe3\n"
+             "    for part in path.split('.'):\n"
+             "        fn = getattr(fn, part)\n"
+             "    print(path, fn is getattr(sys.modules[fn.__module__], fn.__name__))")
+    assert fresh_python(probe).splitlines() == [f"{path} True" for path in BENCH_LOOKUPS]

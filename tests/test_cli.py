@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from bethe3 import cli
+from bethe3 import cli, observables
 from bethe3.cli import EXIT_OK, EXIT_SOLVER, EXIT_USAGE, EXIT_VERIFY, main
 
 
@@ -130,6 +130,8 @@ class TestSpectrum:
         code, out, _ = run_cli(["spectrum", "--label", "0,0", "--c", "-1000"], capsys)
         assert code == EXIT_SOLVER
         assert "error" in out
+        rec = json.loads(out)
+        assert (rec["n1"], rec["n2"], float(rec["c"])) == (0, 0, -1000.0)
 
     def test_threshold_state_observables_error_record(self, capsys):
         # at C(1,1) = -6 the state is the threshold root, all momenta 0, whose
@@ -167,11 +169,13 @@ class TestDensity:
         def divide_by_zero(*args, **kwargs):
             raise ZeroDivisionError("float division by zero")
 
-        monkeypatch.setattr(cli, "density_grid", divide_by_zero)
-        monkeypatch.setattr(cli, "norm_squared", divide_by_zero)
+        monkeypatch.setattr(observables, "density_grid", divide_by_zero)
+        monkeypatch.setattr(observables, "norm_squared", divide_by_zero)
         code, out, _ = run_cli(args, capsys)
         assert code == EXIT_SOLVER
-        assert json.loads(out.strip().splitlines()[-1])["error"].startswith("ZeroDivisionError")
+        rec = json.loads(out.strip().splitlines()[-1])
+        assert rec["error"].startswith("ZeroDivisionError")
+        assert rec["n1"] in (0, 1) and float(rec["c"]) == -5.0
 
 
 class TestObservablesFailure:
@@ -208,7 +212,7 @@ class TestCsvErrors:
             ["spectrum", "--labels", "0,0", "2,2", "--c", "-1000", "--format", "csv"], capsys
         )
         assert code == EXIT_SOLVER
-        assert "error: label (0,0): ConstraintViolationError" in err
+        assert "error: label (0,0) at c=-1000.0: ConstraintViolationError" in err
         lines = out.strip().splitlines()
         assert len(lines) == 2 and lines[1].startswith("2,2,")
 
@@ -234,14 +238,14 @@ class TestCsvErrors:
         def divide_by_zero(*args, **kwargs):
             raise ZeroDivisionError("float division by zero")
 
-        monkeypatch.setattr(cli, "density_grid", divide_by_zero)
+        monkeypatch.setattr(observables, "density_grid", divide_by_zero)
         code, out, err = run_cli(
             ["density", "--label", "0,0", "--c", "-5", "--resolution", "8", "--format", "csv"],
             capsys,
         )
         assert code == EXIT_SOLVER
         assert out == "r12,r23,r31,density\n"
-        assert err.startswith("error: ZeroDivisionError")
+        assert err.startswith("error: label (0,0) at c=-5.0: ZeroDivisionError")
 
 
 class TestVerify:
@@ -452,6 +456,52 @@ def test_solver_commands_leave_numpy_out():
     # numpy takes longer to import than the interpreter takes to start
     assert run_in_fresh_python([]) == "False"
     assert run_in_fresh_python(argvs) == "0 0 0 False"
+
+
+LAZY_MODULES = ("bethe3.observables", "bethe3.wavefunction", "bethe3.verify")
+
+# bethe3.__all__: the solver's names and those imported on first access
+EXPORTS = [
+    "BoundsViolationError", "Branch", "BranchCoords", "ClassificationError", "ComplexCoords",
+    "ConstraintViolationError", "CriticalPoint", "DegenerateMomentaError", "Momenta",
+    "NoConvergenceError", "QuantumLabel", "RealCoords", "ResidualFloorError", "ResidualPoint",
+    "SpectrumResult", "StateSolution", "TernaryGrid", "Trajectory", "amplitudes",
+    "branch_switch", "build_state", "critical_point", "deltas_from_k", "density_grid",
+    "dimer_prefactor", "find_critical", "jump_residual", "k_from_alpha_gamma", "k_from_deltas",
+    "newton_solve", "norm_squared", "np_from_label", "partner_state", "periodicity_residual",
+    "potential_expectation", "psi", "psi_ordered", "residual_complex", "residual_real",
+    "simplex_integral_exponents", "solve_state", "spectrum", "theta", "trace_root",
+]
+
+
+def test_solver_commands_leave_observables_out():
+    # import bethe3 and the solver commands never compile wavefunction,
+    # observables or verify
+    argvs = [
+        ["critical", "--n2", "1..3"],
+        ["trace", "--label", "1,2", "--c-range", "-2..1", "--step", "0.5"],
+        ["spectrum", "--labels", "0,0", "1,1", "--c", "-5", "--partners"],
+    ]
+    assert run_in_fresh_python([], LAZY_MODULES) == "False False False"
+    assert run_in_fresh_python(argvs, LAZY_MODULES) == "0 0 0 False False False"
+
+
+def test_lazy_names_resolve_to_submodule_objects():
+    # __all__ is what `import *` takes, and each name resolves on first access
+    probe = ("import bethe3\n"
+             "from bethe3 import density_grid\n"
+             "ok = [bethe3.psi is bethe3.wavefunction.psi,\n"
+             "      density_grid is bethe3.observables.density_grid,\n"
+             "      bethe3.observables.norm_squared is bethe3.norm_squared,\n"
+             "      set(bethe3.__all__) | {'observables', 'wavefunction'} <= set(dir(bethe3))]\n"
+             "namespace = {}\n"
+             "exec('from bethe3 import *', namespace)\n"
+             "print(*ok, sorted(k for k in namespace if k != '__builtins__'))")
+    assert fresh_python(probe) == f"True True True True {EXPORTS}"
+    import bethe3
+
+    with pytest.raises(AttributeError, match="no attribute 'nowhere'"):
+        bethe3.nowhere
 
 
 @pytest.mark.parametrize("argv", [

@@ -709,6 +709,28 @@ class TestStepControl:
         assert newton_counter.calls == 0
 
 
+class TestGrid:
+    """A decimal step's points are the doubles nearest the decimal grid,
+    which for |c| <= 1000 are the points round(k * step, 12) always gave."""
+
+    STEPS = [0.001, 0.002, 0.005, 0.01, 0.02, 0.025, 0.03, 0.05, 0.07, 0.1, 0.125, 0.15, 0.2,
+             0.25, 0.3, 0.4, 0.5, 0.7, 1.0, 1.5, 2.0, 2.5, 1 / 3]
+
+    @pytest.mark.parametrize("step", STEPS)
+    def test_points_match_rounded_multiples(self, step):
+        for c_min, c_max in [(-1000.0, -995.3), (-12.3, 12.2), (0.0, 7.77), (-3.3, 0.0),
+                             (333.3, 345.6), (994.1, 1000.0)]:
+            k_lo, k_hi = math.ceil(c_min / step - 1e-9), math.floor(c_max / step + 1e-9)
+            want = {round(k * step, 12) for k in range(k_lo, k_hi + 1)} | {c_min, c_max}
+            if c_min <= 0.0 <= c_max:
+                want.add(0.0)
+            assert bethe3.continuation._grid(None, c_min, c_max, step) == sorted(want)
+
+    def test_far_point_is_exact(self):
+        # round(-99999 * 0.1, 12) is -9999.900000000001, an ulp off
+        assert -9999.9 in bethe3.continuation._grid(None, -10000.0, -9999.0, 0.1)
+
+
 class TestLargeLabelsNextToC:
     """(1, n2) labels with C(1, n2) within 1e-5 of -4: the square-root model
     holds only far inside its 0.1 window, so the march drops it after the
