@@ -634,8 +634,9 @@ def spectrum(
     _require_finite(c=c)
     states: list[StateSolution] = []
     failures: dict[QuantumLabel, str] = {}
+    done: set[QuantumLabel] = set()  # labels in states, solved or added as partners
     for label in labels:
-        if label in failures or any(st.label == label for st in states):
+        if label in failures or label in done:
             continue
         try:
             st = solve_state(label, c)
@@ -643,7 +644,10 @@ def spectrum(
             failures[label] = f"{type(exc).__name__}: {exc}"
             continue
         states.append(st)
+        done.add(st.label)
         if include_partners and not label.is_diagonal:
-            states.append(partner_state(st))
+            partner = partner_state(st)
+            states.append(partner)
+            done.add(partner.label)
     states.sort(key=lambda s: s.energy)
     return SpectrumResult(states=states, failures=failures)

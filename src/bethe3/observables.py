@@ -28,27 +28,31 @@ log10(1/|a2|) digits.  simplex_integral_exponents evaluates the same kernel;
 a tensor Gauss-Legendre quadrature oracle checks it.
 
 The 108 exponents of the 36 pairs take only 9 values d_ij = k_i - conj(k_j),
-so a state's norm is read from one 3x3 table: entry (i, j) holds d_ij, |d_ij|
-and, at z = i d_ij, e_2(z), e_2(-z) and e_2'(z), from e^z - 1 and
-e^{-z} - 1, which share their trigonometric factors.  Only distinct
-exponents are evaluated, and every entry equals its direct evaluation:
-d_ji = -conj(d_ij), so entry (j, i) is entry (i, j) with every piece
-conjugated; a zero d_ij (the three d_ii of real momenta, d_12 and d_33 of a
-conjugate pair k_2 = conj(k_1) with k_3 real) is one constant entry; and for
-such a pair d_22 = -d_11 and d_32 = -d_13 swap e^z - 1 with e^{-z} - 1.  A
-state then costs 3 sets of transcendentals (real momenta) or 2 (a conjugate
-pair), not 6.  The table's pieces are read into flat lists once per state,
-and the 36 pairs run from the index tuple _PAIRS through one inlined
-kernel.  Every pair's exponents sum to sum(k) - conj(sum(k)), so that sum
-is checked once per state, against 1e-9 max(1, the smallest over the pairs
-of their largest |a_m|), no looser than a check per pair.  All 36 terms are
+so a state's norm is read from one 3x3 table: entry (i, j) holds |d_ij|
+and, at z = i d_ij, z, e_2(z), e_2(-z) and e_2'(z), from e^z - 1 and
+e^{-z} - 1, which share their trigonometric factors.  Each entry is a plain
+tuple of these pieces, from _entry (which simplex_integral_exponents also
+uses) or _opposite_entries, and the table is returned as five flat 9-entry
+columns (index 3i + j), one per piece.  Only
+distinct exponents are evaluated, and every entry equals its direct
+evaluation: d_ji = -conj(d_ij), so entry (j, i) is entry (i, j) with every
+piece but |d_ij| conjugated; a zero d_ij (the three d_ii of real momenta,
+d_12 and d_33 of a conjugate pair k_2 = conj(k_1) with k_3 real) is one
+constant entry; and for such a pair d_22 = -d_11 and d_32 = -d_13 swap
+e^z - 1 with e^{-z} - 1.  A state then costs 3 sets of transcendentals
+(real momenta) or 2 (a conjugate pair), not 6.  The 36 pairs run from the
+index tuple _PAIRS through one inlined kernel that reads the columns.
+Every pair's exponents sum to sum(k) - conj(sum(k)), so that sum is
+checked once per state, against 1e-9 max(1, the smallest over the pairs of
+their largest |a_m|), no looser than a check per pair.  All 36 terms are
 summed, so the imaginary part of the total stays a check on the arithmetic.
 
 The coincidence-plane integral for <V> reduces to the single-variable
 D(b) = e_2(ib) = (e^{ib} - 1 - ib)/(ib)^2 per pair, with b = k_{P3} - conj(k_{Q3}).
 It depends on (P3, Q3) alone, so the 36-term sum is grouped exactly into 9:
-sum_ij e_2(i d_ij) A_i conj(A_j) with A_i = sum over P3 = i of a(P).  The
-e_2(i d_ij) are the .e2 pieces of the norm's table, so one amplitudes call
+sum_ij e_2(i d_ij) A_i conj(A_j) with A_i = sum over P3 = i of a(P), read
+from the amplitudes tuple at the fixed positions of PERMUTATIONS.  The
+e_2(i d_ij) are the e2 column of the norm's table, so one amplitudes call
 and one table serve both sums.  That pair of sums is memoised for the last
 state evaluated: callers take norm_squared and then
 potential_expectation(state, norm=n) of the same state, and without the
@@ -56,9 +60,7 @@ memo the second call would rebuild the whole table.
 """
 from __future__ import annotations
 
-import collections
 import functools
-import itertools
 import math
 import numbers
 
@@ -93,72 +95,73 @@ def _expm1_pair(z: complex) -> tuple[complex, complex]:
             complex(math.expm1(-x) * cos_y - half, math.exp(-x) * -sin_y))
 
 
-class _Exponent(collections.namedtuple("_Exponent", "a mag z e2 e2_neg de2")):
-    """One exponent a with every piece T reads for it, at z = i a: |a|, z,
-    e_2(z), e_2(-z) and e_2'(z)."""
-
-    __slots__ = ()
-
-    def __new__(cls, a: complex) -> _Exponent:
-        z = 1j * a
-        m, m_neg = _expm1_pair(z)
-        e2 = _e2(z, m)
-        return tuple.__new__(cls, (a, abs(a), z, e2, _e2(-z, m_neg), _de2(z, m, e2)))
-
-    def conjugate(self) -> _Exponent:
-        """The entry of -conj(a), whose z is conj(z): every piece conjugated."""
-        a, mag, z, e2, e2_neg, de2 = self
-        return tuple.__new__(_Exponent, (-a.conjugate(), mag, z.conjugate(), e2.conjugate(),
-                                         e2_neg.conjugate(), de2.conjugate()))
+def _entry(a: complex) -> tuple[float, complex, complex, complex, complex]:
+    """The pieces T reads for one exponent a, at z = i a: |a|, z, e_2(z),
+    e_2(-z) and e_2'(z)."""
+    z = 1j * a
+    m, m_neg = _expm1_pair(z)
+    e2 = _e2(z, m)
+    return abs(a), z, e2, _e2(-z, m_neg), _de2(z, m, e2)
 
 
-_ZERO = _Exponent(0j)
+_ZERO = _entry(0j)
 
 
-def _opposite_exponents(a: complex) -> tuple[_Exponent, _Exponent]:
-    """_Exponent(a) and _Exponent(-a) from one set of transcendentals: z
-    changes sign, so e^z - 1 and e^{-z} - 1 swap, e_2(z) and e_2(-z) swap,
-    and only e_2'(-z) is new."""
+def _opposite_entries(a: complex) -> tuple[tuple, tuple]:
+    """_entry(a) and _entry(-a) from one set of transcendentals: z changes
+    sign, so e^z - 1 and e^{-z} - 1 swap, e_2(z) and e_2(-z) swap, and only
+    e_2'(-z) is new."""
     z = 1j * a
     m, m_neg = _expm1_pair(z)
     e2, e2_neg = _e2(z, m), _e2(-z, m_neg)
     mag = abs(a)
-    return (tuple.__new__(_Exponent, (a, mag, z, e2, e2_neg, _de2(z, m, e2))),
-            tuple.__new__(_Exponent, (-a, mag, -z, e2_neg, e2, _de2(-z, m_neg, e2_neg))))
+    return (mag, z, e2, e2_neg, _de2(z, m, e2)), (mag, -z, e2_neg, e2, _de2(-z, m_neg, e2_neg))
 
 
-def _symmetric_table(k) -> list[_Exponent]:
-    """The 9 entries _Exponent(d_ij), d_ij = k_i - conj(k_j), flat at 3i + j,
-    each equal to its direct evaluation, with only distinct exponents
-    evaluated: entry (j, i) is entry (i, j) conjugated, a zero d_ij is _ZERO,
-    and a conjugate pair k_2 = conj(k_1) with k_3 real (d_12 = d_33 = 0)
-    takes d_22 = -d_11 and d_32 = -d_13 from _opposite_exponents."""
+def _symmetric_table(k) -> tuple[tuple, tuple, tuple, tuple, tuple]:
+    """The columns mag, z, e2, e2_neg, de2 of the 9 entries _entry(d_ij),
+    d_ij = k_i - conj(k_j), flat at 3i + j, each entry equal to its direct
+    evaluation, with only distinct exponents evaluated: entry (j, i) is entry
+    (i, j) with every piece but mag conjugated (d_ji = -conj(d_ij)), a zero
+    d_ij is _ZERO, and a conjugate pair k_2 = conj(k_1) with k_3 real
+    (d_12 = d_33 = 0) takes d_22 = -d_11 and d_32 = -d_13 from
+    _opposite_entries."""
     k1, k2, k3 = k
     c1, c2, c3 = k1.conjugate(), k2.conjugate(), k3.conjugate()
     d12, d33 = k1 - c2, k3 - c3
     if d12 or d33:
-        t11, t12, t13, t22, t23, t33 = [_Exponent(d) if d else _ZERO
-                                        for d in (k1 - c1, d12, k1 - c3, k2 - c2, k2 - c3, d33)]
-        t21, t32 = t12.conjugate(), t23.conjugate()
-    else:  # k_2 = conj(k_1), k_3 real
-        t11, t22 = _opposite_exponents(k1 - c1)
-        t13, t32 = _opposite_exponents(k1 - c3)
-        t12 = t21 = t33 = _ZERO
-        t23 = t32.conjugate()
-    return [t11, t12, t13, t21, t22, t23, t13.conjugate(), t32, t33]
+        ((m11, z11, p11, n11, q11), (m12, z12, p12, n12, q12), (m13, z13, p13, n13, q13),
+         (m22, z22, p22, n22, q22), (m23, z23, p23, n23, q23), (m33, z33, p33, n33, q33)) = [
+            _entry(d) if d else _ZERO for d in (k1 - c1, d12, k1 - c3, k2 - c2, k2 - c3, d33)]
+        return ((m11, m12, m13, m12, m22, m23, m13, m23, m33),
+                (z11, z12, z13, z12.conjugate(), z22, z23, z13.conjugate(), z23.conjugate(), z33),
+                (p11, p12, p13, p12.conjugate(), p22, p23, p13.conjugate(), p23.conjugate(), p33),
+                (n11, n12, n13, n12.conjugate(), n22, n23, n13.conjugate(), n23.conjugate(), n33),
+                (q11, q12, q13, q12.conjugate(), q22, q23, q13.conjugate(), q23.conjugate(), q33))
+    # k_2 = conj(k_1), k_3 real: entries 12, 21 and 33 are _ZERO, 23 is 32 conjugated
+    (m11, z11, p11, n11, q11), (m22, z22, p22, n22, q22) = _opposite_entries(k1 - c1)
+    (m13, z13, p13, n13, q13), (m32, z32, p32, n32, q32) = _opposite_entries(k1 - c3)
+    m0, z0, p0, n0, q0 = _ZERO
+    return ((m11, m0, m13, m0, m22, m32, m13, m32, m0),
+            (z11, z0, z13, z0, z22, z32.conjugate(), z13.conjugate(), z32, z0),
+            (p11, p0, p13, p0, p22, p32.conjugate(), p13.conjugate(), p32, p0),
+            (n11, n0, n13, n0, n22, n32.conjugate(), n13.conjugate(), n32, n0),
+            (q11, q0, q13, q0, q22, q32.conjugate(), q13.conjugate(), q32, q0))
 
 
 def simplex_integral_exponents(a1: complex, a2: complex, a3: complex) -> complex:
     """Ordered-simplex integral T(a1, a2, a3) of exp(i sum a_m x_m), whose
     exponents must sum to ~0: the norm's kernel (see the module notes),
     (e_2(-z1) - e_2(z3))/z2, or e_2'(z3) for |a2| below NEAR_DEGENERATE_EXPONENT."""
-    t1, t2, t3 = _Exponent(a1), _Exponent(a2), _Exponent(a3)
+    mag1, _, _, e2_neg1, _ = _entry(a1)
+    mag2, z2, _, _, _ = _entry(a2)
+    mag3, _, e2_3, _, de2_3 = _entry(a3)
     s = a1 + a2 + a3
-    if abs(s) > 1e-9 * max(1.0, t1.mag, t2.mag, t3.mag):
+    if abs(s) > 1e-9 * max(1.0, mag1, mag2, mag3):
         raise ValueError(f"exponents must sum to zero, got sum {s}")
-    if t2.mag < NEAR_DEGENERATE_EXPONENT:
-        return t3.de2
-    return (t1.e2_neg - t3.e2) / t2.z
+    if mag2 < NEAR_DEGENERATE_EXPONENT:
+        return de2_3
+    return (e2_neg1 - e2_3) / z2
 
 
 # (P, Q, and the flat table indices of (P1, Q1), (P2, Q2), (P3, Q3)) of the
@@ -171,13 +174,12 @@ _PAIRS = tuple((ip, iq, 3 * p[0] + q[0], 3 * p[1] + q[1], 3 * p[2] + q[2])
 def _sums(momenta: Momenta, c: float) -> tuple[complex, complex, float, float]:
     """(norm sum, coincidence sum, and the sum of |term| of each) of one state
     from one amplitudes call and one exponent table: the 36 pairs
-    a(P) conj(a(Q)) T_PQ, each T inlined from the table's flat pieces, and the
+    a(P) conj(a(Q)) T_PQ, each T inlined from the table's columns, and the
     (P3, Q3) grouping sum_ij e_2(i d_ij) A_i conj(A_j) with
     A_i = sum_{P3 = i} a(P)."""
-    a = amplitudes(momenta, c)
-    amp = [a[p] for p in PERMUTATIONS]
+    amp = amplitudes(momenta, c)
     amp_conj = [x.conjugate() for x in amp]
-    _, mag, z, e2, e2_neg, de2 = zip(*_symmetric_table(momenta))
+    mag, z, e2, e2_neg, de2 = _symmetric_table(momenta)
     # every pair's exponents sum to total - conj(total): one check for all 36,
     # against the smallest of their per-pair bounds
     total = momenta.total
@@ -194,11 +196,12 @@ def _sums(momenta: Momenta, c: float) -> tuple[complex, complex, float, float]:
             term = amp[p] * amp_conj[q] * ((e2_neg[i1] - e2[i3]) / z[i2])
         norm += term
         norm_scale += abs(term)
-    A = [0j, 0j, 0j]
-    for p, x in zip(PERMUTATIONS, amp):
-        A[p[2]] += x
+    # A_i by P3 = i: PERMUTATIONS 3 and 5 end in 0, 2 and 4 in 1, 0 and 1 in 2;
+    # the 9 terms e2[3i + j] A_i conj(A_j) run i-major
+    A0, A1, A2 = amp[3] + amp[5], amp[2] + amp[4], amp[0] + amp[1]
+    A_conj = (A0.conjugate(), A1.conjugate(), A2.conjugate()) * 3
     coincidence, coincidence_scale = 0j, 0.0
-    for e, (Ai, Aj) in zip(e2, itertools.product(A, [x.conjugate() for x in A])):
+    for e, Ai, Aj in zip(e2, (A0, A0, A0, A1, A1, A1, A2, A2, A2), A_conj):
         term = e * Ai * Aj
         coincidence += term
         coincidence_scale += abs(term)

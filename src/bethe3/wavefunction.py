@@ -11,16 +11,23 @@ two-body phase factors E_{jl} = (c - i(k_j - k_l)) / (c + i(k_j - k_l)):
     a(123) = 1          a(213) = -E21        a(132) = -E32
     a(321) = -E21*E31*E32   a(312) = E31*E32   a(231) = E21*E31
 
-Evaluation anywhere on the torus wraps coordinates mod 1 and sorts them
-(bosonic symmetry); the *_ordered functions evaluate the raw analytic form on
-the primary region, which is what the periodicity and jump residuals need.
+amplitudes returns the six a(P) as a tuple in PERMUTATIONS order.  Evaluation
+anywhere on the torus wraps coordinates mod 1 and sorts them (bosonic
+symmetry); the *_ordered functions evaluate the raw analytic form on the
+primary region, which is what the periodicity and jump residuals need.  At a
+point (real scalar coordinates) the sum is taken with cmath, so psi and the
+residuals run without numpy; arrays go through numpy, with the same arithmetic
+term by term.
 """
 from __future__ import annotations
+
+import cmath
 
 from .model import Branch, Momenta, StateSolution
 from .tolerances import DEGENERATE_MOMENTA_TOL
 
 PERMUTATIONS = ((0, 1, 2), (1, 0, 2), (0, 2, 1), (2, 1, 0), (2, 0, 1), (1, 2, 0))
+_REAL = (float, int)  # coordinate types summed with cmath, not numpy
 
 
 class DegenerateMomentaError(ValueError):
@@ -46,20 +53,13 @@ def _phase_factor(c: float, dk: complex) -> complex:
     return num / den
 
 
-def amplitudes(m: Momenta, c: float) -> dict:
-    """Six Bethe coefficients for a momentum triple at coupling c, keyed by
-    the momentum permutation."""
+def amplitudes(m: Momenta, c: float) -> tuple[complex, ...]:
+    """Six Bethe coefficients for a momentum triple at coupling c, in
+    PERMUTATIONS order: a(123), a(213), a(132), a(321), a(312), a(231)."""
     e21 = _phase_factor(c, m.k2 - m.k1)
     e31 = _phase_factor(c, m.k3 - m.k1)
     e32 = _phase_factor(c, m.k3 - m.k2)
-    return {
-        (0, 1, 2): 1.0 + 0.0j,
-        (1, 0, 2): -e21,
-        (0, 2, 1): -e32,
-        (2, 1, 0): -e21 * e31 * e32,
-        (2, 0, 1): e31 * e32,
-        (1, 2, 0): e21 * e31,
-    }
+    return (1.0 + 0.0j, -e21, -e32, -e21 * e31 * e32, e31 * e32, e21 * e31)
 
 
 def labelled(fn, state: StateSolution):
@@ -73,20 +73,25 @@ def labelled(fn, state: StateSolution):
 
 
 def _six_term_sum(state: StateSolution, x1, x2, x3, axis: int | None):
-    """sum_P a(P) w(P) exp(i k_P . x) with w = 1, or i k_{P[axis]} for d/dx_axis."""
+    """sum_P a(P) w(P) exp(i k_P . x) with w = 1, or i k_{P[axis]} for d/dx_axis:
+    a complex from cmath at real scalar x, else through numpy."""
     k = state.momenta
     a = labelled(amplitudes, state)
-    import numpy as np
+    point = isinstance(x1, _REAL) and isinstance(x2, _REAL) and isinstance(x3, _REAL)
+    if point:
+        exp, total = cmath.exp, 0j
+    else:
+        import numpy as np
 
-    x1, x2, x3 = np.asarray(x1), np.asarray(x2), np.asarray(x3)
-    total = np.zeros(np.broadcast(x1, x2, x3).shape, dtype=complex)
-    for perm in PERMUTATIONS:
+        x1, x2, x3 = np.asarray(x1), np.asarray(x2), np.asarray(x3)
+        exp, total = np.exp, np.zeros(np.broadcast(x1, x2, x3).shape, dtype=complex)
+    for perm, ap in zip(PERMUTATIONS, a):
         phase = k[perm[0]] * x1 + k[perm[1]] * x2 + k[perm[2]] * x3
-        weight = a[perm] if axis is None else a[perm] * (1j * k[perm[axis]])
-        total = total + weight * np.exp(1j * phase)
-    if total.shape == ():
-        return complex(total)
-    return total
+        weight = ap if axis is None else ap * (1j * k[perm[axis]])
+        total = total + weight * exp(1j * phase)
+    if point or total.shape != ():
+        return total
+    return complex(total)
 
 
 def psi_ordered(state: StateSolution, x1, x2, x3) -> complex | np.ndarray:
@@ -104,10 +109,8 @@ def grad_psi_ordered(state: StateSolution, x1, x2, x3, axis: int) -> complex | n
 
 def psi(point, state: StateSolution) -> complex:
     """Eigenfunction at any point of the 3-torus (wraps mod 1, then sorts)."""
-    import numpy as np
-
-    x = np.sort(np.mod(np.asarray(point, dtype=float), 1.0))
-    return psi_ordered(state, x[0], x[1], x[2])
+    x1, x2, x3 = sorted(float(v) % 1.0 for v in point)
+    return psi_ordered(state, x1, x2, x3)
 
 
 def jump_residual(state: StateSolution, x_pair: float, x_third: float) -> float:

@@ -26,8 +26,8 @@ def psi_on_grid(state, x1, x2, x3):
     k = np.array(state.momenta)
     a = amplitudes(state.momenta, state.c)
     val = np.zeros_like(np.asarray(x1, dtype=complex))
-    for perm in PERMUTATIONS:
-        val = val + a[perm] * np.exp(
+    for perm, ap in zip(PERMUTATIONS, a):
+        val = val + ap * np.exp(
             1j * (k[perm[0]] * x1 + k[perm[1]] * x2 + k[perm[2]] * x3)
         )
     return val
@@ -58,9 +58,9 @@ def pair_terms(state, term):
     k = tuple(state.momenta)
     kc = [kj.conjugate() for kj in k]
     a = amplitudes(state.momenta, state.c)
-    return [a[p] * a[q].conjugate()
+    return [ap * aq.conjugate()
             * term(k[p[0]] - kc[q[0]], k[p[1]] - kc[q[1]], k[p[2]] - kc[q[2]])
-            for p in PERMUTATIONS for q in PERMUTATIONS]
+            for p, ap in zip(PERMUTATIONS, a) for q, aq in zip(PERMUTATIONS, a)]
 
 
 def coincidence_term(a1, a2, a3):

@@ -458,6 +458,31 @@ class TestSpectrum:
         assert sorted((s.label.n1, s.label.n2) for s in result.states) == [(1, 2), (2, 1)]
         assert len(spectrum([a, a], -5.0).states) == 1
 
+    def test_repeated_labels_and_partners_solve_each_label_once(self, monkeypatch):
+        # a label is skipped once solved, added as a partner, or failed
+        solve, calls = bethe3.continuation.solve_state, []
+
+        def counting(label, c):
+            calls.append(label)
+            if label == QuantumLabel(5, 5):
+                raise ValueError("stub failure")
+            return solve(label, c)
+
+        monkeypatch.setattr(bethe3.continuation, "solve_state", counting)
+        L = QuantumLabel
+        labels = [L(1, 2), L(2, 1), L(1, 2), L(2, 2), L(5, 5), L(2, 2), L(0, 1), L(3, 4),
+                  L(5, 5), L(4, 3), L(0, 1), L(1, 0)]
+        result = spectrum(labels, -5.0, include_partners=True)
+        assert calls == [L(1, 2), L(2, 2), L(5, 5), L(0, 1), L(3, 4)]
+        assert sorted(s.label for s in result.states) == sorted(
+            [L(1, 2), L(2, 1), L(2, 2), L(0, 1), L(1, 0), L(3, 4), L(4, 3)])
+        assert list(result.failures) == [L(5, 5)]
+        calls.clear()
+        result = spectrum(labels, -5.0)
+        assert calls == [L(1, 2), L(2, 1), L(2, 2), L(5, 5), L(0, 1), L(3, 4), L(4, 3), L(1, 0)]
+        assert [s.energy for s in result.states] == sorted(solve(lab, -5.0).energy for lab in set(calls)
+                                                            if lab != L(5, 5))
+
     def test_per_label_failure_collection(self):
         # the trimer's eta reaches the subnormal floor before c = -1000; that
         # label fails but the batch still returns the others

@@ -15,7 +15,7 @@ from bethe3 import (
 )
 import bethe3.observables as obs
 from bethe3.model import Momenta
-from bethe3.observables import _Exponent, _sums, _symmetric_table
+from bethe3.observables import _entry, _sums, _symmetric_table
 from bethe3.verify import simplex_triples
 from bethe3.wavefunction import PERMUTATIONS, DegenerateMomentaError, amplitudes
 
@@ -379,12 +379,13 @@ class TestExponentTable:
         st = solved(n1, n2, c)
         for s in (st, partner_state(st)):
             k = s.momenta
-            table = _symmetric_table(k)
+            columns = _symmetric_table(k)
+            assert [len(col) for col in columns] == [9] * 5
             for i in range(3):
                 for j in range(3):
-                    got, ref = table[3 * i + j], _Exponent(k[i] - k[j].conjugate())
-                    for name in _Exponent._fields:
-                        assert getattr(got, name) == getattr(ref, name), (s.label, i, j, name)
+                    ref = _entry(k[i] - k[j].conjugate())
+                    for name, col, piece in zip(("mag", "z", "e2", "e2_neg", "de2"), columns, ref):
+                        assert col[3 * i + j] == piece, (s.label, i, j, name)
 
     @pytest.mark.parametrize("n1, n2, c, evaluations", [
         (2, 3, -3.0, 3), (2, 2, 3.0, 3), (1, 1, -5.0, 3), (0, 0, -9.0, 2), (1, 2, -7.0, 2),

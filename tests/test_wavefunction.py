@@ -1,9 +1,13 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import bethe3
 from bethe3 import (
     Branch,
     ComplexCoords,
@@ -20,7 +24,9 @@ from bethe3 import (
     psi_ordered,
     solve_state,
 )
-from bethe3.wavefunction import ClassificationError, DegenerateMomentaError
+from bethe3.wavefunction import (
+    PERMUTATIONS, ClassificationError, DegenerateMomentaError, grad_psi_ordered,
+)
 
 TWO_PI = 2 * math.pi
 
@@ -44,13 +50,32 @@ class TestAmplitudes:
     def test_free_case_all_ones(self):
         st = solve_state(QuantumLabel(1, 2), 0.0)
         a = amplitudes(st.momenta, 0.0)
-        for _, val in a.items():
+        assert len(a) == 6
+        for val in a:
             assert val == pytest.approx(1.0 + 0j, abs=1e-14)
 
     def test_impenetrable_limit(self):
         m = Momenta(-TWO_PI, 0.0, TWO_PI)
         a = amplitudes(m, 1e14)
-        assert a[(1, 0, 2)] == pytest.approx(-1.0, abs=1e-12)
+        assert a[1] == pytest.approx(-1.0, abs=1e-12)  # a(213)
+
+    @pytest.mark.parametrize("n1, n2, c", [(2, 3, -3.0), (0, 2, -9.0), (1, 2, 2.0)])
+    def test_slots_are_the_closed_forms_in_permutation_order(self, n1, n2, c):
+        # a(123) = 1, a(213) = -E21, a(132) = -E32, a(321) = -E21 E31 E32,
+        # a(312) = E31 E32, a(231) = E21 E31, E_jl = (c - i(k_j - k_l))/(c + i(k_j - k_l))
+        st = solve_state(QuantumLabel(n1, n2), c)
+        k1, k2, k3 = st.momenta
+
+        def e(kj, kl):
+            return (c - 1j * (kj - kl)) / (c + 1j * (kj - kl))
+
+        e21, e31, e32 = e(k2, k1), e(k3, k1), e(k3, k2)
+        expected = {(0, 1, 2): 1.0, (1, 0, 2): -e21, (0, 2, 1): -e32,
+                    (2, 1, 0): -e21 * e31 * e32, (2, 0, 1): e31 * e32, (1, 2, 0): e21 * e31}
+        a = amplitudes(st.momenta, c)
+        assert type(a) is tuple and len(a) == len(PERMUTATIONS) == 6
+        for perm, val in zip(PERMUTATIONS, a):
+            assert val == expected[perm], perm
 
     def test_unimodular_for_real_momenta(self):
         rng = np.random.default_rng(5)
@@ -59,7 +84,7 @@ class TestAmplitudes:
             if min(k[1] - k[0], k[2] - k[1]) < 1e-6:
                 continue
             a = amplitudes(Momenta(*[complex(v) for v in k]), rng.uniform(-5, 5))
-            for _, val in a.items():
+            for val in a:
                 assert abs(abs(val) - 1.0) < 1e-12
 
     def test_degenerate_momenta_error(self):
@@ -180,7 +205,7 @@ class TestRealityAndFiniteness:
     def test_complex_branch_values_bounded(self):
         st = solve_state(QuantumLabel(0, 2), -9.0)
         alpha = st.coords.alpha
-        bound = 6.0 * max(abs(v) for _, v in amplitudes(st.momenta, st.c).items())
+        bound = 6.0 * max(abs(v) for v in amplitudes(st.momenta, st.c))
         bound *= math.exp(alpha)
         rng = np.random.default_rng(29)
         for _ in range(200):
@@ -225,3 +250,44 @@ class TestPartnerWavefunction:
             v = psi_ordered(st, *x)
             w = psi_ordered(pt, *(1.0 - x[::-1]))
             assert abs(w) == pytest.approx(abs(v), rel=1e-9)
+
+
+class TestPointEvaluation:
+    """At real scalar coordinates the six-term sum is taken with cmath; it
+    must equal the numpy path at 0-d array coordinates bit for bit.  (Longer
+    arrays may take numpy's vectorised loops, which can round differently.)"""
+
+    def test_scalar_path_equals_array_path(self):
+        rng = np.random.default_rng(37)
+        for st in representative_states()[:-1] + [partner_state(solve_state(QuantumLabel(0, 1), -5.0))]:
+            for _ in range(10):
+                x = [float(v) for v in np.sort(rng.uniform(0, 1, 3))]
+                arrays = [np.asarray(v) for v in x]
+                assert psi_ordered(st, *x) == psi_ordered(st, *arrays)
+                for axis in range(3):
+                    assert grad_psi_ordered(st, *x, axis=axis) == grad_psi_ordered(st, *arrays, axis=axis)
+            assert type(psi_ordered(st, *x)) is complex
+
+    def test_points_leave_numpy_unloaded(self):
+        # psi wraps and sorts in plain Python; the residuals at a point then
+        # equal their array path (0-d array coordinates)
+        probe = """
+import sys
+import bethe3
+states = [bethe3.solve_state(bethe3.QuantumLabel(*lab), c)
+          for lab, c in (((1, 2), -2.0), ((0, 2), -9.0), ((1, 0), -5.0))]
+def values(st, f):
+    return [bethe3.psi_ordered(st, f(0.1), f(0.2), f(0.7)), bethe3.jump_residual(st, f(0.3), f(0.7)),
+            bethe3.jump_residual(st, f(0.8), f(0.2)), bethe3.periodicity_residual(st, f(0.25), f(0.6))]
+points = [[bethe3.psi((0.9, 1.2, -0.3), st)] + values(st, float) for st in states]
+loaded = 'numpy' in sys.modules
+import numpy as np
+wrapped = np.sort(np.mod(np.asarray((0.9, 1.2, -0.3)), 1.0))
+arrays = [[bethe3.psi_ordered(st, *(np.asarray(v) for v in wrapped))] + values(st, np.asarray)
+          for st in states]
+print(loaded, repr(points) == repr(arrays))
+"""
+        src = os.path.dirname(os.path.dirname(bethe3.__file__))
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src}).stdout.strip()
+        assert out == "False True"
