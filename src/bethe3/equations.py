@@ -117,8 +117,8 @@ def residual_real_thetasum(d1: float, d2: float, c: float, n1: int, n2: int) -> 
     """
     if not (d1 >= 0.0 and d2 >= 0.0):
         raise ConstraintViolationError(f"gaps must be >= 0, got ({d1}, {d2})")
-    if c == 0.0:  # theta's dk = c = 0 convention
-        t1, t2, t3 = theta(d1, c), theta(d2, c), theta(d1 + d2, c)
+    if c == 0.0:  # theta(dk >= 0, 0) = -pi: -2*atan2(dk, 0) for dk > 0, the convention at 0
+        t1 = t2 = t3 = -math.pi
     else:
         t1 = -2.0 * math.atan2(d1, c)
         t2 = -2.0 * math.atan2(d2, c)

@@ -28,6 +28,7 @@ from typing import NamedTuple
 from .tolerances import ENERGY_AGREEMENT_RTOL, IDENTITY_TOL
 
 TWO_PI = 2.0 * math.pi
+_INF = math.inf
 
 _NP_FROM_MOD3 = {0: 0, 1: -1, 2: 1}
 
@@ -106,9 +107,9 @@ class Momenta(NamedTuple):
 
 
 def _real_k(p: float, d1: float, d2: float) -> tuple[float, float, float]:
-    """Real-branch momenta k1 <= k2 <= k3 as floats, deltas >= 0."""
-    if d1 < 0 or d2 < 0:
-        raise ValueError(f"deltas must be >= 0, got ({d1}, {d2})")
+    """Real-branch momenta k1 <= k2 <= k3 as floats, finite p and deltas >= 0."""
+    if not (0.0 <= d1 < _INF and 0.0 <= d2 < _INF and abs(p) < _INF):
+        raise ValueError(f"need finite p and deltas >= 0, got deltas ({d1}, {d2}), p={p}")
     return (p - 2.0 * d1 - d2) / 3.0, (p + d1 - d2) / 3.0, (p + d1 + 2.0 * d2) / 3.0
 
 
@@ -129,9 +130,9 @@ def deltas_from_k(m: Momenta) -> tuple[float, float, float]:
 
 
 def _complex_k(p: float, alpha: float, gamma: float) -> tuple[float, float]:
-    """Complex-branch Re k1 = Re k2 and k3 as floats, alpha >= 0."""
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    """Complex-branch Re k1 = Re k2 and k3 as floats, finite p, gamma and alpha >= 0."""
+    if not (0.0 <= alpha < _INF and abs(gamma) < _INF and abs(p) < _INF):
+        raise ValueError(f"need finite gamma, p and alpha >= 0, got ({alpha}, {gamma}, {p})")
     q = p / 3.0
     return gamma + q, -2.0 * gamma + q
 
@@ -198,14 +199,14 @@ class StateSolution(NamedTuple):
 def build_state(label: QuantumLabel, c: float, coords: BranchCoords) -> StateSolution:
     """Assemble a StateSolution, enforcing the conservation and energy identities.
 
-    Every call runs every check: c finite, the coordinates' sign check,
-    sum(k) = 2*pi*np, and sum(k^2) = coords.energy() in real and imaginary
-    part.  For RealCoords and ComplexCoords the imaginary parts of both sums
+    coords is a RealCoords or a ComplexCoords; any other type raises
+    TypeError.  Every call runs every check, each written so that NaN fails
+    it: c finite, the coordinates finite with their sign check, sum(k) =
+    2*pi*np, and sum(k^2) = coords.energy().  The imaginary parts of both sums
     cancel exactly (all momenta are real, or a conjugate pair gives
     alpha - alpha and +-2*alpha*Re(k1)), so the sums are formed from the real
-    parts in float arithmetic, with the same verdicts for finite coordinates,
-    and the complex momenta are built once from those floats.  Other
-    coordinates are checked on their momenta() in complex arithmetic.
+    parts in float arithmetic, and the complex momenta are built once from
+    those floats.
     """
     if not math.isfinite(c):
         raise ValueError(f"coupling must be finite, got {c}")
@@ -214,27 +215,22 @@ def build_state(label: QuantumLabel, c: float, coords: BranchCoords) -> StateSol
     if kind is RealCoords:
         d1, d2, q = coords
         k1, k2, k3 = _real_k(q, d1, d2)
-        total, e_sum, e_imag = k1 + k2 + k3, k1 * k1 + k2 * k2 + k3 * k3, 0.0
+        total, e_sum = k1 + k2 + k3, k1 * k1 + k2 * k2 + k3 * k3
         m = tuple.__new__(Momenta, (complex(k1), complex(k2), complex(k3)))
     elif kind is ComplexCoords:
         alpha, gamma, q = coords
         r, k3 = _complex_k(q, alpha, gamma)
         t = r * r - alpha * alpha  # Re k1^2 = Re k2^2
-        total, e_sum, e_imag = r + r + k3, t + t + k3 * k3, 0.0
+        total, e_sum = r + r + k3, t + t + k3 * k3
         m = tuple.__new__(Momenta, (complex(r, alpha), complex(r, -alpha), complex(k3, 0.0)))
     else:
-        k1, k2, k3 = m = coords.momenta()
-        total = k1 + k2 + k3
-        e_sum = k1 * k1 + k2 * k2 + k3 * k3
-        e_sum, e_imag = e_sum.real, e_sum.imag
-    if abs(total - p) > IDENTITY_TOL:
+        raise TypeError(f"coords must be RealCoords or ComplexCoords, got {kind.__name__}")
+    if not (abs(total - p) <= IDENTITY_TOL):
         raise ValueError(f"momentum sum {m.total} != 2*pi*np = {p} for label {label}")
     e_coord = coords.energy()
     tol = ENERGY_AGREEMENT_RTOL * max(1.0, abs(e_coord))
-    if abs(e_coord - e_sum) > tol:
+    if not (abs(e_coord - e_sum) <= tol):
         raise ValueError(f"energy formulas disagree: coords {e_coord} vs sum(k^2) {e_sum}")
-    if abs(e_imag) > tol:
-        raise ValueError(f"imaginary energy defect {abs(e_imag)}")
     return tuple.__new__(StateSolution, (label, c, coords, m, e_coord))
 
 

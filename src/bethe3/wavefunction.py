@@ -14,10 +14,11 @@ two-body phase factors E_{jl} = (c - i(k_j - k_l)) / (c + i(k_j - k_l)):
 amplitudes returns the six a(P) as a tuple in PERMUTATIONS order.  Evaluation
 anywhere on the torus wraps coordinates mod 1 and sorts them (bosonic
 symmetry); the *_ordered functions evaluate the raw analytic form on the
-primary region, which is what the periodicity and jump residuals need.  At a
-point (real scalar coordinates) the sum is taken with cmath, so psi and the
-residuals run without numpy; arrays go through numpy, with the same arithmetic
-term by term.
+primary region, which is what the periodicity and jump residuals need.  Every
+public call looks up the amplitudes once and forms psi with the derivatives it
+needs in one pass per point, one exponential per permutation, taken with cmath
+at real scalar coordinates, so psi and the residuals run without numpy; arrays
+go through numpy, with the same arithmetic term by term.
 """
 from __future__ import annotations
 
@@ -72,44 +73,47 @@ def labelled(fn, state: StateSolution):
         raise
 
 
-def _six_term_sum(state: StateSolution, x1, x2, x3, axis: int | None):
-    """sum_P a(P) w(P) exp(i k_P . x) with w = 1, or i k_{P[axis]} for d/dx_axis:
-    a complex from cmath at real scalar x, else through numpy."""
-    k = state.momenta
-    a = labelled(amplitudes, state)
+def _six_term_pass(k: Momenta, a, x1, x2, x3, axes=()) -> list:
+    """[psi, d psi/d x_axis for each axis in axes] of sum_P a(P) exp(i k_P . x), one
+    exponential per permutation: complexes from cmath at real scalar x, else numpy."""
     point = isinstance(x1, _REAL) and isinstance(x2, _REAL) and isinstance(x3, _REAL)
     if point:
-        exp, total = cmath.exp, 0j
+        exp, zero = cmath.exp, 0j
     else:
         import numpy as np
 
         x1, x2, x3 = np.asarray(x1), np.asarray(x2), np.asarray(x3)
-        exp, total = np.exp, np.zeros(np.broadcast(x1, x2, x3).shape, dtype=complex)
+        exp, zero = np.exp, np.zeros(np.broadcast(x1, x2, x3).shape, dtype=complex)
+    sums = [zero] * (1 + len(axes))
     for perm, ap in zip(PERMUTATIONS, a):
-        phase = k[perm[0]] * x1 + k[perm[1]] * x2 + k[perm[2]] * x3
-        weight = ap if axis is None else ap * (1j * k[perm[axis]])
-        total = total + weight * exp(1j * phase)
-    if point or total.shape != ():
-        return total
-    return complex(total)
+        e = exp(1j * (k[perm[0]] * x1 + k[perm[1]] * x2 + k[perm[2]] * x3))
+        sums[0] = sums[0] + ap * e
+        for i, axis in enumerate(axes, 1):
+            sums[i] = sums[i] + (ap * (1j * k[perm[axis]])) * e
+    return sums if point or zero.shape != () else [complex(v) for v in sums]
 
 
 def psi_ordered(state: StateSolution, x1, x2, x3) -> complex | np.ndarray:
     """Raw six-term sum on the primary region (inputs must be ordered).
 
-    Accepts scalars or broadcastable arrays; no wrapping or sorting.
+    Accepts scalars or broadcastable arrays; no wrapping or sorting.  A grid
+    value and psi at the same point can differ in the last bit: numpy sums
+    arrays of length >= 1 in a different order from 0-d ones.
     """
-    return _six_term_sum(state, x1, x2, x3, None)
+    return _six_term_pass(state.momenta, labelled(amplitudes, state), x1, x2, x3)[0]
 
 
 def grad_psi_ordered(state: StateSolution, x1, x2, x3, axis: int) -> complex | np.ndarray:
     """d psi / d x_axis of the raw six-term sum (axis in {0,1,2})."""
-    return _six_term_sum(state, x1, x2, x3, axis)
+    return _six_term_pass(state.momenta, labelled(amplitudes, state), x1, x2, x3, (axis,))[1]
 
 
 def psi(point, state: StateSolution) -> complex:
-    """Eigenfunction at any point of the 3-torus (wraps mod 1, then sorts)."""
+    """Eigenfunction at any point of the 3-torus (wraps mod 1, then sorts);
+    a non-finite coordinate raises ValueError."""
     x1, x2, x3 = sorted(float(v) % 1.0 for v in point)
+    if not (0.0 <= x1 <= x2 <= x3 <= 1.0):  # x % 1.0 is nan for nan and +-inf
+        raise ValueError(f"point must have finite coordinates, got {tuple(point)}")
     return psi_ordered(state, x1, x2, x3)
 
 
@@ -123,13 +127,12 @@ def jump_residual(state: StateSolution, x_pair: float, x_third: float) -> float:
     if not (0.0 <= x_pair <= 1.0 and 0.0 <= x_third <= 1.0):
         raise ValueError("coincidence point must lie inside the unit cell")
     if x_pair <= x_third:
-        x = (x_pair, x_pair, x_third)
-        lhs = grad_psi_ordered(state, *x, axis=1) - grad_psi_ordered(state, *x, axis=0)
+        x, axes = (x_pair, x_pair, x_third), (0, 1)
     else:
-        x = (x_third, x_pair, x_pair)
-        lhs = grad_psi_ordered(state, *x, axis=2) - grad_psi_ordered(state, *x, axis=1)
-    rhs = state.c * psi_ordered(state, *x)
-    return abs(lhs - rhs) / max(1.0, abs(rhs))
+        x, axes = (x_third, x_pair, x_pair), (1, 2)
+    value, lower, upper = _six_term_pass(state.momenta, labelled(amplitudes, state), *x, axes)
+    rhs = state.c * value
+    return abs(upper - lower - rhs) / max(1.0, abs(rhs))
 
 
 def periodicity_residual(state: StateSolution, x2: float, x3: float) -> float:
@@ -137,11 +140,10 @@ def periodicity_residual(state: StateSolution, x2: float, x3: float) -> float:
     first/last derivative condition, for 0 <= x2 <= x3 <= 1."""
     if not (0.0 <= x2 <= x3 <= 1.0):
         raise ValueError(f"need 0 <= x2 <= x3 <= 1, got ({x2}, {x3})")
-    va = psi_ordered(state, 0.0, x2, x3)
-    vb = psi_ordered(state, x2, x3, 1.0)
+    k, a = state.momenta, labelled(amplitudes, state)
+    va, da = _six_term_pass(k, a, 0.0, x2, x3, (0,))
+    vb, db = _six_term_pass(k, a, x2, x3, 1.0, (2,))
     value_defect = abs(va - vb) / max(1.0, abs(va), abs(vb))
-    da = grad_psi_ordered(state, 0.0, x2, x3, axis=0)
-    db = grad_psi_ordered(state, x2, x3, 1.0, axis=2)
     deriv_defect = abs(da - db) / max(1.0, abs(da), abs(db))
     return max(value_defect, deriv_defect)
 

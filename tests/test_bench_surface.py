@@ -18,6 +18,9 @@ BENCH_LOOKUPS = (
     "observables.potential_expectation", "observables.density_grid", "jump_residual",
     "periodicity_residual", "partner_state", "residual_real", "residual_complex",
 )
+# the modules bench/tracing.py imports by name to wrap their functions
+BENCH_MODULES = ("equations", "continuation", "cli", "verify", "observables", "asymptotics",
+                 "wavefunction")
 
 
 def test_benchmark_call_surface():
@@ -71,3 +74,10 @@ def test_benchmark_lookups_after_bare_import():
              "        fn = getattr(fn, part)\n"
              "    print(path, fn is getattr(sys.modules[fn.__module__], fn.__name__))")
     assert fresh_python(probe).splitlines() == [f"{path} True" for path in BENCH_LOOKUPS]
+
+
+def test_traced_modules_import_by_name():
+    probe = ("import importlib\n"
+             "for name in " + repr(BENCH_MODULES) + ":\n"
+             "    print(importlib.import_module('bethe3.' + name).__name__)")
+    assert fresh_python(probe).splitlines() == [f"bethe3.{name}" for name in BENCH_MODULES]

@@ -1,5 +1,4 @@
 import math
-from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -16,6 +15,7 @@ from bethe3 import (
     k_from_deltas,
     np_from_label,
     partner_state,
+    psi,
     solve_state,
 )
 
@@ -214,20 +214,6 @@ class TestPartner:
             assert abs(st.momenta.total - p) < 1e-10
 
 
-class _StandIn(NamedTuple):
-    """Coordinates with given momenta and coordinate energy, for the checks
-    build_state makes on what a chart hands it."""
-
-    m: Momenta
-    e: float
-
-    def momenta(self):
-        return self.m
-
-    def energy(self):
-        return self.e
-
-
 class TestBuildStateChecks:
     @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
     def test_non_finite_coupling(self, c):
@@ -235,12 +221,34 @@ class TestBuildStateChecks:
             build_state(QuantumLabel(0, 0), c, RealCoords(0.0, 0.0, 0.0))
 
     @pytest.mark.parametrize("coords, message", [
-        (_StandIn(Momenta(0j, 0j, 1 + 0j), 1.0), "momentum sum"),
-        (_StandIn(Momenta(-1 + 0j, 0j, 1 + 0j), 3.0), "energy formulas disagree"),
-        (_StandIn(Momenta(1 + 1j, -1 - 1j, 0j), 0.0), "imaginary energy defect"),
+        (RealCoords(1.0, 1.0, TWO_PI), "momentum sum"),
+        (RealCoords(1e200, 1e200, 0.0), "energy formulas disagree"),
     ])
     def test_identity_checks(self, coords, message):
-        # label (0,0) has p = 0; sum(k^2) is 2 and 4i in the last two
+        # label (0,0) has p = 0; the second overflows sum(k^2) and the coordinate
+        # energy to inf, whose difference is nan
         with pytest.raises(ValueError, match=message):
             build_state(QuantumLabel(0, 0), -1.0, coords)
 
+    @pytest.mark.parametrize("coords", [(0.5, 0.5, 0.0), Momenta(0j, 0j, 0j)])
+    def test_other_coordinate_types(self, coords):
+        with pytest.raises(TypeError, match="RealCoords or ComplexCoords"):
+            build_state(QuantumLabel(0, 0), -1.0, coords)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("slot", [0, 1, 2])
+@pytest.mark.parametrize("make", [
+    lambda v: build_state(QuantumLabel(0, 0), -1.0, RealCoords(*v)),
+    lambda v: build_state(QuantumLabel(0, 0), -1.0, ComplexCoords(*v)),
+    lambda v: k_from_deltas(v[2], v[0], v[1]),
+    lambda v: k_from_alpha_gamma(v[2], v[0], v[1]),
+    lambda v: psi(v, solve_state(QuantumLabel(1, 2), -2.0)),
+], ids=["build_state-real", "build_state-complex", "k_from_deltas", "k_from_alpha_gamma", "psi"])
+def test_non_finite_components_raise(make, slot, bad):
+    # (0.5, 0.25, 0.0) is accepted: coordinates of label (0,0), or a point
+    values = [0.5, 0.25, 0.0]
+    make(values)
+    values[slot] = bad
+    with pytest.raises(ValueError):
+        make(values)

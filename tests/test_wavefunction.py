@@ -180,6 +180,23 @@ class TestBoundaryConditions:
             with pytest.raises(DegenerateMomentaError, match=r"^coinciding momenta .* at c=-6\.0: .* for \(1,1\)$"):
                 call(threshold)
 
+    @pytest.mark.parametrize("residual", [
+        lambda st: jump_residual(st, 0.3, 0.7), lambda st: jump_residual(st, 0.8, 0.2),
+        lambda st: periodicity_residual(st, 0.25, 0.6),
+    ], ids=["jump-pair-first", "jump-pair-last", "periodicity"])
+    def test_one_amplitudes_call_per_residual(self, residual, monkeypatch):
+        # looked up through the module global, where a tracer may wrap it
+        calls = []
+
+        def counting(m, c):
+            calls.append(c)
+            return amplitudes(m, c)
+
+        st = solve_state(QuantumLabel(1, 2), -7.0)
+        monkeypatch.setattr(bethe3.wavefunction, "amplitudes", counting)
+        residual(st)
+        assert calls == [-7.0]
+
     def test_perturbed_state_sensitivity(self):
         st = solve_state(QuantumLabel(2, 2), -3.0)
         defects = []
