@@ -24,7 +24,7 @@ def delta_large_c(n: int, c: float) -> float:
 
     c > 0: 2*pi*(n+1)*(1 - 6/c); c < 0 (requires n > 1): 2*pi*(n-1)*(1 + 6/(-c)).
     """
-    if abs(c) < LARGE_C_MIN:
+    if not abs(c) >= LARGE_C_MIN:
         raise ValueError(f"|c| must be >= {LARGE_C_MIN}, got {c}")
     if c > 0:
         return TWO_PI * (n + 1) * (1.0 - 6.0 / c)
@@ -39,7 +39,7 @@ def beta_dimer(c: float, family: int) -> float:
     family = 1 (labels (1, n2>=2)):  beta = 3c e^{c/2} - 9c^2 e^c  (< 0)
     family = 0 (labels (0, n2>=2)):  beta = -3c e^{c/2} + 9c^2 e^c (> 0)
     """
-    if c > DIMER_C_MAX:
+    if not c <= DIMER_C_MAX:
         raise ValueError(f"dimer regime needs c <= {DIMER_C_MAX}, got {c}")
     b = 3.0 * c * math.exp(c / 2.0) - 9.0 * c * c * math.exp(c)
     if family == 1:
@@ -55,7 +55,7 @@ def alpha_dimer(c: float, n1: int, n2: int) -> float:
     (1,1) keeps only the single printed exponential order.
     """
     if n1 == 1 and n2 == 1:
-        if c > DIMER_C_MAX:
+        if not c <= DIMER_C_MAX:
             raise ValueError(f"dimer regime needs c <= {DIMER_C_MAX}, got {c}")
         return -c / 2.0 + 3.0 * c * math.exp(c / 2.0)
     if n2 < 2 or n1 not in (0, 1):
@@ -69,7 +69,7 @@ def gamma_dimer(n2: int, c: float, family: int) -> float:
     family = 1: gamma = -(2*pi/3)(n2-1) (1 - 8/c)
     family = 0: gamma = -((2/3) n2 - 1) pi (1 - 8/c)
     """
-    if c > DIMER_C_MAX:
+    if not c <= DIMER_C_MAX:
         raise ValueError(f"dimer regime needs c <= {DIMER_C_MAX}, got {c}")
     if family == 1:
         if n2 < 1:
@@ -90,7 +90,7 @@ def eta_trimer(c: float, n2: int) -> float:
            that eta^2 + 9 gamma^2 = 36 c^2 e^{2c} and the argument of
            (-3 gamma + i eta) tends to -pi/6).
     """
-    if c > TRIMER_C_MAX:
+    if not c <= TRIMER_C_MAX:
         raise ValueError(f"trimer regime needs c <= {TRIMER_C_MAX}, got {c}")
     if n2 == 0:
         return -6.0 * c * math.exp(c) - 36.0 * c * c * math.exp(2.0 * c)
@@ -120,7 +120,7 @@ def delta_small_c(label: QuantumLabel, c: float) -> tuple[float, float]:
         delta2 = 2*pi*n2 - delta1/2 + 3 delta1^2/(4 pi n2).
     (0,0) (0 <= c):  delta1 = delta2 = sqrt(3 c).
     """
-    if abs(c) > SMALL_C_MAX:
+    if not abs(c) <= SMALL_C_MAX:
         raise ValueError(f"small-c series needs |c| <= {SMALL_C_MAX}, got {c}")
     lab = label.canonical()
     n1, n2 = lab.n1, lab.n2

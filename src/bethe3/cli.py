@@ -236,11 +236,9 @@ def _verify(ns, stream) -> int:
     except KeyError as exc:  # before the csv header: a usage error writes no output
         raise UsageError(exc.args[0]) from exc
     writer = _Writer(stream, ns.format, ["check", "passed", "detail"])
-    failed = 0
     for res in results:
         writer.write({"check": res.name, "passed": res.passed, "detail": res.detail})
-        failed += 0 if res.passed else 1
-    return EXIT_VERIFY if failed else EXIT_OK
+    return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY
 
 
 def build_parser() -> _Parser:

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from . import equations as eq
 from .model import (
@@ -474,7 +474,7 @@ class _Marcher:
             out.append(build_state(label, c, partner_coords(co) if partner else co))
         return out
 
-    def solve_targets(self, targets: list[float]) -> list[StateSolution]:
+    def solve_targets(self, targets: Sequence[float]) -> list[StateSolution]:
         """Solve at every requested c, given strictly ascending (trace_root's
         grid, solve_state's one c); returns the states in that order, put
         together from the marches away from c = 0 without a lookup by c.
@@ -488,7 +488,7 @@ class _Marcher:
             if t < 0.0 and abs(t - c_crit) < 1e-13:
                 coords = branch_switch(lab, t, crit)
                 (REAL if type(coords) is RealCoords else chart).sheet(lab, t, coords)
-                at_crit.append(build_state(label, float(t),
+                at_crit.append(build_state(label, t,
                                            coords if label is lab else partner_coords(coords)))
             else:
                 (pos if t >= 0.0 else neg).append(t)
@@ -539,11 +539,13 @@ class Trajectory(NamedTuple):
         )
 
 
-def _require_finite(**values: float) -> None:
-    """Reject nan and +-inf couplings and steps: the march would never end."""
+def _require_finite(**values: float) -> tuple[float, ...]:
+    """The values as floats; ValueError for nan and +-inf couplings and
+    steps, on which the march would never end."""
     for name, value in values.items():
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+    return tuple(map(float, values.values()))
 
 
 def _grid(critical: CriticalPoint | None, c_min: float, c_max: float, step: float) -> list[float]:
@@ -594,7 +596,7 @@ def trace_root(
     that puts more than MAX_GRID_POINTS samples on the range raises
     ValueError before any solve.
     """
-    _require_finite(c_min=c_min, c_max=c_max, step=step)
+    c_min, c_max, step = _require_finite(c_min=c_min, c_max=c_max, step=step)
     marcher = _Marcher(label)
     samples = marcher.solve_targets(_grid(marcher.critical, c_min, c_max, step))
     traj = Trajectory(label=label, samples=samples, critical=marcher.critical)
@@ -616,8 +618,7 @@ def _validate_trajectory(traj: Trajectory) -> None:
 
 def solve_state(label: QuantumLabel, c: float) -> StateSolution:
     """Solve a single labeled state at coupling c (continuation from c = 0)."""
-    _require_finite(c=c)
-    return _Marcher(label).solve_targets([float(c)])[0]
+    return _Marcher(label).solve_targets(_require_finite(c=c))[0]
 
 
 class SpectrumResult(NamedTuple):

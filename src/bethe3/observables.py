@@ -60,6 +60,7 @@ memo the second call would rebuild the whole table.
 """
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import numbers
@@ -152,7 +153,10 @@ def _symmetric_table(k) -> tuple[tuple, tuple, tuple, tuple, tuple]:
 def simplex_integral_exponents(a1: complex, a2: complex, a3: complex) -> complex:
     """Ordered-simplex integral T(a1, a2, a3) of exp(i sum a_m x_m), whose
     exponents must sum to ~0: the norm's kernel (see the module notes),
-    (e_2(-z1) - e_2(z3))/z2, or e_2'(z3) for |a2| below NEAR_DEGENERATE_EXPONENT."""
+    (e_2(-z1) - e_2(z3))/z2, or e_2'(z3) for |a2| below NEAR_DEGENERATE_EXPONENT.
+    A nan or infinite exponent raises ValueError."""
+    if not all(map(cmath.isfinite, (a1, a2, a3))):
+        raise ValueError(f"exponents must be finite, got ({a1}, {a2}, {a3})")
     mag1, _, _, e2_neg1, _ = _entry(a1)
     mag2, z2, _, _, _ = _entry(a2)
     mag3, _, e2_3, _, de2_3 = _entry(a3)
@@ -245,6 +249,11 @@ def norm_squared(state: StateSolution) -> float:
 def potential_expectation(state: StateSolution, norm: float | None = None) -> float:
     """<V> = (6c/<psi|psi>) * integral of |psi|^2 over the coincidence plane.
 
+    This is <c sum_{i<j} delta(x_i - x_j)>, half the interaction energy of
+    H = -sum d^2 + 2c sum delta, the Hamiltonian whose jump condition
+    jump_residual checks (Lieb & Liniger, Phys. Rev. 130, 1605 (1963)), so
+    it is c dE/dc / 2.  The full value takes 12c for 6c below; that change
+    waits on the benchmark's reference values, which pin this one.
     Exactly zero at c = 0; otherwise sign(<V>) = sign(c).  A given norm must
     be finite and positive (it is norm_squared(state)); otherwise ValueError,
     as where the norm or the coincidence sum cancels (see norm_squared).

@@ -4,6 +4,7 @@ import pytest
 
 import bethe3.asymptotics as asym
 from bethe3 import QuantumLabel, solve_state
+from bethe3.observables import simplex_integral_exponents
 
 TWO_PI = 2 * math.pi
 
@@ -138,3 +139,28 @@ class TestRegimeAgreementSweep:
         st = solve_cached(0, 0, -30.0)
         a, _ = asym.alpha_trimer(QuantumLabel(0, 0), -30.0)
         assert st.coords.alpha == pytest.approx(a, rel=5e-3)
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: asym.delta_large_c(2, NAN), "got nan"),
+    (lambda: asym.beta_dimer(NAN, 1), "got nan"),
+    (lambda: asym.alpha_dimer(NAN, 1, 1), "got nan"),
+    (lambda: asym.alpha_dimer(NAN, 0, 2), "got nan"),
+    (lambda: asym.gamma_dimer(2, NAN, 1), "got nan"),
+    (lambda: asym.eta_trimer(NAN, 0), "got nan"),
+    (lambda: asym.alpha_trimer(QuantumLabel(0, 1), NAN), "got nan"),
+    (lambda: asym.delta_small_c(QuantumLabel(1, 1), NAN), "got nan"),
+    (lambda: simplex_integral_exponents(NAN, 1.0, -1.0), r"finite, got \(nan"),
+    (lambda: simplex_integral_exponents(1.0, complex(-1.0, NAN), 0.0), "finite"),
+    (lambda: simplex_integral_exponents(INF, 1.0, -1.0), r"finite, got \(inf"),
+], ids=["delta_large_c", "beta_dimer", "alpha_dimer-11", "alpha_dimer-02", "gamma_dimer",
+        "eta_trimer", "alpha_trimer", "delta_small_c", "simplex-nan", "simplex-nan-imag",
+        "simplex-inf"])
+def test_non_finite_input_raises(call, match):
+    # a nan fails every regime guard, as an out-of-regime c does, instead of
+    # passing through to a nan result; the simplex integral names the exponents
+    with pytest.raises(ValueError, match=match):
+        call()

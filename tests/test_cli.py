@@ -278,6 +278,21 @@ class TestVerify:
         code, out, _ = run_cli(["verify", "--suite", "nope", "--format", "csv"], capsys)
         assert code == EXIT_USAGE and out == ""
 
+    def test_uncaught_solver_error_is_one_error_record(self, monkeypatch, capsys):
+        # main's last-resort handler: a command that raises is exit 2, no traceback
+        import bethe3.verify
+
+        def fail(name):
+            raise RuntimeError("suite broke")
+
+        monkeypatch.setattr(bethe3.verify, "run_suite", fail)
+        code, out, err = run_cli(["verify"], capsys)
+        assert code == EXIT_SOLVER and err == ""
+        assert out == '{"error":"RuntimeError: suite broke"}\n'
+        code, out, err = run_cli(["verify", "--format", "csv"], capsys)
+        assert code == EXIT_SOLVER and out == ""
+        assert err == "error: RuntimeError: suite broke\n"
+
 
 class TestUsage:
     def test_bad_label(self, capsys):
@@ -305,6 +320,17 @@ class TestUsage:
         code, out, err = run_cli(args, capsys)
         assert code == EXIT_USAGE
         assert out == "" and "finite" in err
+
+    @pytest.mark.parametrize("args, message", [
+        (["trace", "--label", "1,1", "--c-range", "abc"], "bad range 'abc', expected 'lo..hi'"),
+        (["critical", "--n2", "abc"], "bad n2 range 'abc', expected 'lo..hi' or 'n'"),
+        (["critical", "--n2", "3..1"], "bad n2 range '3..1'"),
+        (["critical", "--n2", "0"], "bad n2 range '0'"),
+    ])
+    def test_bad_range_text(self, args, message, capsys):
+        code, out, err = run_cli(args, capsys)
+        assert code == EXIT_USAGE
+        assert out == "" and err == f"usage error: {message}\n"
 
     @pytest.mark.parametrize("args, message", [
         (["density", "--label", "0,2", "--c", "-9", "--resolution", "4"], "--resolution must be >= 8"),

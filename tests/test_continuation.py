@@ -193,6 +193,22 @@ class TestTraceRoot:
         p = TWO_PI * traj.label.np
         assert max(abs(s.momenta.total - p) for s in traj.samples) < 1e-10
 
+    def test_integer_ends_give_float_couplings(self):
+        # the ends are off the 0.7 grid, so they are samples of their own
+        traj = trace_root(QuantumLabel(2, 3), -1, 2, 0.7)
+        assert [s.c for s in traj.samples] == [-1.0, -0.7, 0.0, 0.7, 1.4, 2.0]
+        assert all(type(s.c) is float for s in traj.samples)
+        assert all(type(s.c) is float for s in trace_root(QuantumLabel(1, 1), -8, -4, 1).samples)
+
+    def test_energy_nondecreasing_in_c(self):
+        # Hellmann-Feynman: dE/dc = 2 <sum delta(x_i - x_j)> >= 0 on every branch
+        for n1 in range(5):
+            for n2 in range(5):
+                samples = trace_root(QuantumLabel(n1, n2), -20.0, 20.0, 0.1).samples
+                for a, b in zip(samples, samples[1:]):
+                    slack = 1e-12 * max(abs(a.energy), abs(b.energy))
+                    assert b.energy >= a.energy - slack, ((n1, n2), a.c, b.c)
+
     def test_validation_rejects_disorder_and_a_second_branch_change(self):
         traj = trace_root(QuantumLabel(1, 2), -6.0, -3.0, step=0.5)
         assert traj.branch_changes() == 1

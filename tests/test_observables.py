@@ -235,6 +235,17 @@ class TestPotential:
         with pytest.raises(ValueError, match=r"coincidence sum of .* at c=-6\.001 cancels"):
             potential_expectation(st, norm=1.0)
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "known defect, ROADMAP item 1: <V> is <c sum delta>, half the potential energy of "
+        "H = -sum d^2 + 2c sum delta; the 12c prefactor waits for the benchmark PR, since "
+        "bench/reference.json and the trace_obs digest pin today's value"))
+    @pytest.mark.parametrize("n1, n2, c", [(0, 0, -2.0), (1, 2, -8.0), (2, 2, 3.0), (0, 2, 0.5)])
+    def test_hellmann_feynman(self, n1, n2, c):
+        # <V> = <2c sum delta> = c dE/dc; today's value is half of it (+-5e-10)
+        label, h = QuantumLabel(n1, n2), 1e-5
+        de_dc = (solve_state(label, c + h).energy - solve_state(label, c - h).energy) / (2 * h)
+        assert potential_expectation(solved(n1, n2, c)) == pytest.approx(c * de_dc, rel=1e-6)
+
     def test_finiteness_weak_form(self):
         # E, <V>, and the norm are finite with norm > 0 for every solved state
         for (n1, n2, c) in [(0, 0, -9.0), (1, 2, -7.0), (2, 2, -3.0), (0, 1, -12.0)]:
