@@ -2,7 +2,8 @@
 
 Only the orders printed in the source analysis are implemented, so a
 disagreement with the solver indicates a solver bug rather than a truncation
-surprise.  Where each expansion applies:
+surprise.  Each raises ValueError for a NaN or infinite c, as solve_state
+does.  Where each expansion applies:
 
 * delta_large_c, c > 0: any label, c >= LARGE_C_MIN.
 * delta_large_c, c < 0: labels with n_j >= 2, c <= -LARGE_C_MIN.
@@ -24,8 +25,8 @@ def delta_large_c(n: int, c: float) -> float:
 
     c > 0: 2*pi*(n+1)*(1 - 6/c); c < 0 (requires n > 1): 2*pi*(n-1)*(1 + 6/(-c)).
     """
-    if not abs(c) >= LARGE_C_MIN:
-        raise ValueError(f"|c| must be >= {LARGE_C_MIN}, got {c}")
+    if not LARGE_C_MIN <= abs(c) < math.inf:
+        raise ValueError(f"|c| must be finite and >= {LARGE_C_MIN}, got {c}")
     if c > 0:
         return TWO_PI * (n + 1) * (1.0 - 6.0 / c)
     if n <= 1:
@@ -39,8 +40,8 @@ def beta_dimer(c: float, family: int) -> float:
     family = 1 (labels (1, n2>=2)):  beta = 3c e^{c/2} - 9c^2 e^c  (< 0)
     family = 0 (labels (0, n2>=2)):  beta = -3c e^{c/2} + 9c^2 e^c (> 0)
     """
-    if not c <= DIMER_C_MAX:
-        raise ValueError(f"dimer regime needs c <= {DIMER_C_MAX}, got {c}")
+    if not -math.inf < c <= DIMER_C_MAX:
+        raise ValueError(f"dimer regime needs finite c <= {DIMER_C_MAX}, got {c}")
     b = 3.0 * c * math.exp(c / 2.0) - 9.0 * c * c * math.exp(c)
     if family == 1:
         return b
@@ -55,8 +56,8 @@ def alpha_dimer(c: float, n1: int, n2: int) -> float:
     (1,1) keeps only the single printed exponential order.
     """
     if n1 == 1 and n2 == 1:
-        if not c <= DIMER_C_MAX:
-            raise ValueError(f"dimer regime needs c <= {DIMER_C_MAX}, got {c}")
+        if not -math.inf < c <= DIMER_C_MAX:
+            raise ValueError(f"dimer regime needs finite c <= {DIMER_C_MAX}, got {c}")
         return -c / 2.0 + 3.0 * c * math.exp(c / 2.0)
     if n2 < 2 or n1 not in (0, 1):
         raise ValueError(f"no dimer branch for label ({n1},{n2})")
@@ -69,8 +70,8 @@ def gamma_dimer(n2: int, c: float, family: int) -> float:
     family = 1: gamma = -(2*pi/3)(n2-1) (1 - 8/c)
     family = 0: gamma = -((2/3) n2 - 1) pi (1 - 8/c)
     """
-    if not c <= DIMER_C_MAX:
-        raise ValueError(f"dimer regime needs c <= {DIMER_C_MAX}, got {c}")
+    if not -math.inf < c <= DIMER_C_MAX:
+        raise ValueError(f"dimer regime needs finite c <= {DIMER_C_MAX}, got {c}")
     if family == 1:
         if n2 < 1:
             raise ValueError("family 1 needs n2 >= 1")
@@ -90,8 +91,8 @@ def eta_trimer(c: float, n2: int) -> float:
            that eta^2 + 9 gamma^2 = 36 c^2 e^{2c} and the argument of
            (-3 gamma + i eta) tends to -pi/6).
     """
-    if not c <= TRIMER_C_MAX:
-        raise ValueError(f"trimer regime needs c <= {TRIMER_C_MAX}, got {c}")
+    if not -math.inf < c <= TRIMER_C_MAX:
+        raise ValueError(f"trimer regime needs finite c <= {TRIMER_C_MAX}, got {c}")
     if n2 == 0:
         return -6.0 * c * math.exp(c) - 36.0 * c * c * math.exp(2.0 * c)
     if n2 == 1:

@@ -1,9 +1,12 @@
 """Command-line front end: trace, spectrum, critical, density, verify.
 
 Machine-readable output only (json-lines or csv), deterministic for given
-arguments.  Numeric fields are serialized with 17 significant digits.  Exit
-codes: 0 success (also when the reader closes the output pipe early), 2 solver
-failure, 3 verification failure, 64 usage error or unwritable output.
+arguments.  Each command produces plain records; one writer applies the
+format (numeric fields with 17 significant digits), puts failure records in
+the json-lines stream or, in csv, on stderr, and sets the exit code: 0 success
+(also when the reader closes the output pipe early), 2 solver failure, 3
+verification failure, 64 usage error or unwritable output.  Arguments are
+checked before --out is opened, so a usage error leaves that file untouched.
 
 Roots are solved to the fixed residual tolerance 1e-12.
 """
@@ -58,7 +61,8 @@ def _parse_range(text: str) -> tuple[float, float]:
     return lo_f, hi_f
 
 
-def _parse_int_range(text: str) -> tuple[int, int]:
+def _parse_int_range(text: str) -> range:
+    """The n2 values of 'lo..hi' or of 'n', both ends included."""
     try:
         lo, hi = text.split("..")
         lo_i, hi_i = int(lo), int(hi)
@@ -69,7 +73,7 @@ def _parse_int_range(text: str) -> tuple[int, int]:
             raise UsageError(f"bad n2 range {text!r}, expected 'lo..hi' or 'n'") from exc
     if lo_i > hi_i or lo_i < 1:
         raise UsageError(f"bad n2 range {text!r}")
-    return lo_i, hi_i
+    return range(lo_i, hi_i + 1)
 
 
 def _checked(convert, test, message: str):
@@ -85,45 +89,43 @@ def _checked(convert, test, message: str):
     return parse
 
 
-def _fmt_num(x) -> str:
-    if isinstance(x, float):
-        return format(x, ".16e")
-    return str(x)
+def _failure(error, label: QuantumLabel | None = None, c: float | None = None) -> dict:
+    """The record of a failure: n1, n2 and c where known, and the error (an
+    exception, named with its type, or a message)."""
+    rec = {} if label is None else {"n1": label.n1, "n2": label.n2}
+    if c is not None:
+        rec["c"] = c
+    rec["error"] = error if isinstance(error, str) else f"{type(error).__name__}: {error}"
+    return rec
 
 
-class _Writer:
-    """Streams records as json-lines or csv with a fixed column set."""
-
-    def __init__(self, stream, fmt: str, columns: list[str]):
-        self.stream = stream
-        self.fmt = fmt
-        self.columns = columns
-        if fmt == "csv":
-            self.stream.write(",".join(columns) + "\n")
-
-    def write(self, record: dict) -> None:
-        if self.fmt == "csv":
-            row = [_fmt_num(record.get(col, "")) for col in self.columns]
-            self.stream.write(",".join(row) + "\n")
+def _write(stream, fmt: str, columns: list[str], records) -> int:
+    """Write records as json-lines or as csv under the header `columns`
+    (none if empty).  A csv table has no column for an error record, so
+    there it goes to stderr.  Returns the exit status: EXIT_SOLVER after an
+    error record, else EXIT_VERIFY after a failed check, else EXIT_OK."""
+    csv = fmt == "csv"
+    if csv and columns:
+        stream.write(",".join(columns) + "\n")
+    status = EXIT_OK
+    for rec in records:
+        if "error" in rec:
+            status = EXIT_SOLVER
+            if csv:
+                where = ""
+                if "n1" in rec:
+                    where = f"label ({rec['n1']},{rec['n2']})"
+                    where += f" at c={rec['c']}: " if "c" in rec else ": "
+                print(f"error: {where}{rec['error']}", file=sys.stderr)
+                continue
+        elif rec.get("passed") is False:
+            status = status or EXIT_VERIFY
+        rec = {k: format(v, ".16e") if isinstance(v, float) else v for k, v in rec.items()}
+        if csv:
+            stream.write(",".join(str(rec.get(col, "")) for col in columns) + "\n")
         else:
-            encoded = {
-                k: (_fmt_num(v) if isinstance(v, float) else v) for k, v in record.items()
-            }
-            self.stream.write(json.dumps(encoded, separators=(",", ":")) + "\n")
-
-
-def _report_error(stream, fmt: str, message: str, label: QuantumLabel | None = None,
-                  c: float | None = None) -> None:
-    """An error record in json-lines; a csv table has no column for it, so
-    there it goes to stderr."""
-    if fmt == "csv":
-        where = "" if label is None else f"label {label}{'' if c is None else f' at c={c}'}: "
-        print(f"error: {where}{message}", file=sys.stderr)
-    else:
-        rec = {} if label is None else {"n1": label.n1, "n2": label.n2}
-        if c is not None:
-            rec["c"] = c
-        _Writer(stream, fmt, []).write({**rec, "error": message})
+            stream.write(json.dumps(rec, separators=(",", ":")) + "\n")
+    return status
 
 
 def _state_record(state, with_observables: bool) -> dict:
@@ -161,93 +163,76 @@ _STATE_COLUMNS = [
 ]
 
 
-def _state_writer(ns, stream) -> _Writer:
-    return _Writer(stream, ns.format, _STATE_COLUMNS + (["norm", "V"] if ns.observables else []))
-
-
-def _write_states(writer, ns, stream, states) -> bool:
-    """Write one record per state; a state whose observables fail gets an
-    error record naming its label and c instead, and the rest still print.
-    Returns whether every state was written."""
-    failed = 0
+def _states(states, with_observables: bool):
+    """One record per state; a state whose observables fail gets a failure
+    record naming its label and c instead, and the rest still follow."""
     for st in states:
         try:
-            writer.write(_state_record(st, ns.observables))
+            yield _state_record(st, with_observables)
         except (ValueError, ArithmeticError) as exc:  # what norm_squared and <V> raise
-            _report_error(stream, ns.format, f"{type(exc).__name__}: {exc}", st.label, st.c)
-            failed += 1
-    return failed == 0
+            yield _failure(exc, st.label, st.c)
 
 
-def _trace(ns, stream) -> int:
-    writer = _state_writer(ns, stream)
-    status = EXIT_OK
+def _trace(ns):
     for label in ns.labels:
         try:
             traj = trace_root(label, ns.c_range[0], ns.c_range[1], step=ns.step)
         except Exception as exc:
-            _report_error(stream, ns.format, f"{type(exc).__name__}: {exc}", label)
-            status = EXIT_SOLVER
+            yield _failure(exc, label)
             continue
-        if not _write_states(writer, ns, stream, traj.samples):
-            status = EXIT_SOLVER
-    return status
+        yield from _states(traj.samples, ns.observables)
 
 
-def _spectrum(ns, stream) -> int:
-    writer = _state_writer(ns, stream)
+def _spectrum(ns):
     result = spectrum(ns.labels, ns.c, include_partners=ns.partners)
-    ok = _write_states(writer, ns, stream, result.states)
+    yield from _states(result.states, ns.observables)
     for label, msg in result.failures.items():
-        _report_error(stream, ns.format, msg, label, ns.c)
-    return EXIT_SOLVER if result.failures or not ok else EXIT_OK
+        yield _failure(msg, label, ns.c)
 
 
-def _critical(ns, stream) -> int:
-    writer = _Writer(stream, ns.format, ["n2", "C", "u0"])
-    lo, hi = ns.n2
-    for n2 in range(lo, hi + 1):
+def _critical(ns):
+    for n2 in ns.n2:
         crit = find_critical(QuantumLabel(1, n2))
-        writer.write({"n2": n2, "C": crit.C, "u0": crit.u0})
-    return EXIT_OK
+        yield {"n2": n2, "C": crit.C, "u0": crit.u0}
 
 
-def _density(ns, stream) -> int:
+def _density(ns):
     from .observables import density_grid
 
-    writer = _Writer(stream, ns.format, ["r12", "r23", "r31", "density"])
     label = ns.labels[0]
     try:
         grid = density_grid(solve_state(label, ns.c), ns.resolution)
     except _SOLVER_ERRORS as exc:
-        _report_error(stream, ns.format, f"{type(exc).__name__}: {exc}", label, ns.c)
-        return EXIT_SOLVER
+        yield _failure(exc, label, ns.c)
+        return
     points = zip(grid.r12.tolist(), grid.r23.tolist(), grid.r31.tolist(), grid.density.tolist())
     for r12, r23, r31, density in points:
-        writer.write({"r12": r12, "r23": r23, "r31": r31, "density": density})
-    return EXIT_OK
+        yield {"r12": r12, "r23": r23, "r31": r31, "density": density}
 
 
-def _verify(ns, stream) -> int:
+def _verify(ns) -> list[dict]:
+    # a list, not a generator: a suite that raises does so before the csv header
     from .verify import run_suite
 
+    return [{"check": r.name, "passed": r.passed, "detail": r.detail} for r in run_suite(ns.suite)]
+
+
+def _suite_name(name: str) -> str:
+    from .verify import check_suite_name
+
     try:
-        results = run_suite(ns.suite)
-    except KeyError as exc:  # before the csv header: a usage error writes no output
+        return check_suite_name(name)
+    except KeyError as exc:
         raise UsageError(exc.args[0]) from exc
-    writer = _Writer(stream, ns.format, ["check", "passed", "detail"])
-    for res in results:
-        writer.write({"check": res.name, "passed": res.passed, "detail": res.detail})
-    return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="bethe3", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, run, summary, labels=False, single_c=False):
+    def command(name, run, summary, columns, labels=False, single_c=False):
         p = sub.add_parser(name, help=summary)
-        p.set_defaults(run=run)
+        p.set_defaults(run=run, columns=columns)
         p.add_argument("--format", choices=["json-lines", "csv"], default="json-lines")
         p.add_argument("--out", default=None, help="output file (default stdout)")
         if labels:
@@ -261,28 +246,30 @@ def build_parser() -> _Parser:
                            type=_checked(float, math.isfinite, "--c must be finite, got {}"))
         return p
 
-    p = command("trace", _trace, "follow labels over a coupling range", labels=True)
+    p = command("trace", _trace, "follow labels over a coupling range", _STATE_COLUMNS,
+                labels=True)
     p.add_argument("--c-range", type=_parse_range, required=True, help="'lo..hi'")
     p.add_argument("--step", default=BASE_STEP, type=_checked(
         float, lambda h: 0 < h < math.inf, "--step must be positive and finite, got {}"))
     p.add_argument("--observables", action="store_true", help="include norm and <V>")
 
-    p = command("spectrum", _spectrum, "sorted level table at fixed c", labels=True, single_c=True)
+    p = command("spectrum", _spectrum, "sorted level table at fixed c", _STATE_COLUMNS,
+                labels=True, single_c=True)
     p.add_argument("--observables", action="store_true")
     p.add_argument("--partners", action="store_true", help="include degenerate partners")
 
-    p = command("critical", _critical, "critical couplings C(1,n2)")
+    p = command("critical", _critical, "critical couplings C(1,n2)", ["n2", "C", "u0"])
     p.add_argument("--n2", type=_parse_int_range, required=True, help="'lo..hi' or single n")
 
-    p = command("density", _density, "ternary density grid for one state", labels=True,
-                single_c=True)
+    p = command("density", _density, "ternary density grid for one state",
+                ["r12", "r23", "r31", "density"], labels=True, single_c=True)
     top = (math.isqrt(8 * MAX_GRID_POINTS + 1) - 1) // 2   # largest n with n(n+1)/2 points allowed
     p.add_argument("--resolution", default=64, type=_checked(
         int, lambda n: 8 <= n <= top,
         f"--resolution must be >= 8 and at most {top} ({MAX_GRID_POINTS} grid points), got {{}}"))
 
-    p = command("verify", _verify, "run invariant suites")
-    p.add_argument("--suite", type=str, default="all")
+    p = command("verify", _verify, "run invariant suites", ["check", "passed", "detail"])
+    p.add_argument("--suite", type=_suite_name, default="all")
     return parser
 
 
@@ -302,10 +289,14 @@ def _normalize_argv(argv: list[str]) -> list[str]:
 
 def parse_args(argv: list[str]) -> argparse.Namespace:
     """The namespace of argv, every value checked as it is parsed (the type=
-    functions raise UsageError); `run` is the subcommand's command function."""
+    functions raise UsageError, so a usage error comes before --out is
+    opened); `run` is the subcommand's command function and `columns` its
+    csv columns."""
     ns = build_parser().parse_args(_normalize_argv(argv))
     if ns.command == "density" and len(ns.labels) != 1:
         raise UsageError(f"density takes one label, got {len(ns.labels)}")
+    if getattr(ns, "observables", False):  # trace and spectrum
+        ns.columns = ns.columns + ["norm", "V"]
     return ns
 
 
@@ -319,16 +310,15 @@ def _open_out(path: str | None):
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Parse argv and call its command function with the output stream;
-    returns the process exit status."""
+    """Parse argv and write the records of its command function to the
+    output; returns the process exit status."""
     try:
         ns = parse_args(sys.argv[1:] if argv is None else argv)
         with _open_out(ns.out) as stream:
             try:
-                status = ns.run(ns, stream)
+                status = _write(stream, ns.format, ns.columns, ns.run(ns))
             except _SOLVER_ERRORS as exc:
-                _report_error(stream, ns.format, f"{type(exc).__name__}: {exc}")
-                status = EXIT_SOLVER
+                status = _write(stream, ns.format, [], [_failure(exc)])
             stream.flush()  # a write error surfaces here, not at interpreter exit
         return status
     except UsageError as exc:

@@ -51,7 +51,7 @@ The coincidence-plane integral for <V> reduces to the single-variable
 D(b) = e_2(ib) = (e^{ib} - 1 - ib)/(ib)^2 per pair, with b = k_{P3} - conj(k_{Q3}).
 It depends on (P3, Q3) alone, so the 36-term sum is grouped exactly into 9:
 sum_ij e_2(i d_ij) A_i conj(A_j) with A_i = sum over P3 = i of a(P), read
-from the amplitudes tuple at the fixed positions of PERMUTATIONS.  The
+from the amplitudes tuple at the positions of PERMUTATIONS that end in i.  The
 e_2(i d_ij) are the e2 column of the norm's table, so one amplitudes call
 and one table serve both sums.  That pair of sums is memoised for the last
 state evaluated: callers take norm_squared and then
@@ -172,6 +172,8 @@ def simplex_integral_exponents(a1: complex, a2: complex, a3: complex) -> complex
 # 36 pairs, P and Q as indices into PERMUTATIONS
 _PAIRS = tuple((ip, iq, 3 * p[0] + q[0], 3 * p[1] + q[1], 3 * p[2] + q[2])
                for ip, p in enumerate(PERMUTATIONS) for iq, q in enumerate(PERMUTATIONS))
+# the indices into PERMUTATIONS of the two that end in 0, then in 1, then in 2
+_BY_P3 = tuple(ip for end in range(3) for ip, p in enumerate(PERMUTATIONS) if p[2] == end)
 
 
 @functools.lru_cache(maxsize=1)
@@ -200,9 +202,9 @@ def _sums(momenta: Momenta, c: float) -> tuple[complex, complex, float, float]:
             term = amp[p] * amp_conj[q] * ((e2_neg[i1] - e2[i3]) / z[i2])
         norm += term
         norm_scale += abs(term)
-    # A_i by P3 = i: PERMUTATIONS 3 and 5 end in 0, 2 and 4 in 1, 0 and 1 in 2;
-    # the 9 terms e2[3i + j] A_i conj(A_j) run i-major
-    A0, A1, A2 = amp[3] + amp[5], amp[2] + amp[4], amp[0] + amp[1]
+    # A_i by P3 = i; the 9 terms e2[3i + j] A_i conj(A_j) run i-major
+    p0, q0, p1, q1, p2, q2 = _BY_P3
+    A0, A1, A2 = amp[p0] + amp[q0], amp[p1] + amp[q1], amp[p2] + amp[q2]
     A_conj = (A0.conjugate(), A1.conjugate(), A2.conjugate()) * 3
     coincidence, coincidence_scale = 0j, 0.0
     for e, Ai, Aj in zip(e2, (A0, A0, A0, A1, A1, A1, A2, A2, A2), A_conj):

@@ -175,9 +175,15 @@ SUITES = {
 }
 
 
+def check_suite_name(name: str) -> str:
+    """`name` if it names a suite or is 'all'; KeyError otherwise."""
+    if name != "all" and name not in SUITES:
+        raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
+    return name
+
+
 def run_suite(name: str) -> list[CheckResult]:
     """The checks of suite `name`, or of every suite in order for 'all';
     KeyError for any other name, before a suite runs."""
-    if name != "all" and name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
+    check_suite_name(name)
     return [res for key, suite in SUITES.items() if name in ("all", key) for res in suite()]

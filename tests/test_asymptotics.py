@@ -153,14 +153,27 @@ NAN, INF = math.nan, math.inf
     (lambda: asym.eta_trimer(NAN, 0), "got nan"),
     (lambda: asym.alpha_trimer(QuantumLabel(0, 1), NAN), "got nan"),
     (lambda: asym.delta_small_c(QuantumLabel(1, 1), NAN), "got nan"),
+    (lambda: asym.delta_large_c(2, INF), "got inf"),
+    (lambda: asym.delta_large_c(2, -INF), "got -inf"),
+    (lambda: asym.beta_dimer(-INF, 1), "got -inf"),
+    (lambda: asym.alpha_dimer(-INF, 1, 1), "got -inf"),
+    (lambda: asym.alpha_dimer(-INF, 0, 2), "got -inf"),
+    (lambda: asym.gamma_dimer(2, -INF, 1), "got -inf"),
+    (lambda: asym.eta_trimer(-INF, 0), "got -inf"),
+    (lambda: asym.alpha_trimer(QuantumLabel(0, 1), -INF), "got -inf"),
+    (lambda: asym.delta_small_c(QuantumLabel(1, 1), INF), "got inf"),
     (lambda: simplex_integral_exponents(NAN, 1.0, -1.0), r"finite, got \(nan"),
     (lambda: simplex_integral_exponents(1.0, complex(-1.0, NAN), 0.0), "finite"),
     (lambda: simplex_integral_exponents(INF, 1.0, -1.0), r"finite, got \(inf"),
 ], ids=["delta_large_c", "beta_dimer", "alpha_dimer-11", "alpha_dimer-02", "gamma_dimer",
-        "eta_trimer", "alpha_trimer", "delta_small_c", "simplex-nan", "simplex-nan-imag",
+        "eta_trimer", "alpha_trimer", "delta_small_c", "delta_large_c-inf",
+        "delta_large_c-minus-inf", "beta_dimer-minus-inf", "alpha_dimer-11-minus-inf",
+        "alpha_dimer-02-minus-inf", "gamma_dimer-minus-inf", "eta_trimer-minus-inf",
+        "alpha_trimer-minus-inf", "delta_small_c-inf", "simplex-nan", "simplex-nan-imag",
         "simplex-inf"])
 def test_non_finite_input_raises(call, match):
-    # a nan fails every regime guard, as an out-of-regime c does, instead of
-    # passing through to a nan result; the simplex integral names the exponents
+    # a nan or an infinite c fails every regime guard, as an out-of-regime c
+    # does, instead of passing through to a nan result or a finite limit; the
+    # simplex integral names the exponents
     with pytest.raises(ValueError, match=match):
         call()

@@ -293,6 +293,32 @@ class TestVerify:
         assert code == EXIT_SOLVER and out == ""
         assert err == "error: RuntimeError: suite broke\n"
 
+    def test_failed_check_exits_3(self, monkeypatch, capsys):
+        # a failed check is a row like any other, and the exit code is 3
+        import bethe3.verify
+
+        failed = bethe3.verify.CheckResult("norm-positive", False, "norm -1.0")
+        monkeypatch.setattr(bethe3.verify, "run_suite", lambda name: [failed])
+        code, out, err = run_cli(["verify"], capsys)
+        assert code == EXIT_VERIFY and err == ""
+        assert json.loads(out) == {"check": "norm-positive", "passed": False, "detail": "norm -1.0"}
+        code, out, err = run_cli(["verify", "--format", "csv"], capsys)
+        assert code == EXIT_VERIFY and err == ""
+        assert out == "check,passed,detail\nnorm-positive,False,norm -1.0\n"
+
+    @pytest.mark.parametrize("args", [
+        ["verify", "--suite", "nope"],
+        ["critical", "--n2", "0"],
+        ["density", "--label", "0,2", "--c", "-9", "--resolution", "4"],
+    ])
+    def test_usage_error_leaves_out_file(self, args, tmp_path, capsys):
+        # arguments are checked before --out is opened, so an earlier file stays
+        out_file = tmp_path / "earlier.csv"
+        out_file.write_text("earlier run\n")
+        code, out, _ = run_cli(args + ["--out", str(out_file)], capsys)
+        assert code == EXIT_USAGE and out == ""
+        assert out_file.read_text() == "earlier run\n"
+
 
 class TestUsage:
     def test_bad_label(self, capsys):
@@ -419,6 +445,23 @@ class TestUsage:
         assert len(lines) >= 6
         for line in lines:
             assert callable(cli.parse_args(shlex.split(line)[1:]).run), line
+
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+README_COMMANDS = [ln for ln in README.split("## Command line", 1)[1].split("\n## ", 1)[0]
+                   .splitlines() if ln.startswith("bethe3 ")]
+
+
+@pytest.mark.parametrize("line", README_COMMANDS)
+def test_readme_commands_run(line, tmp_path, monkeypatch, capsys):
+    # each README example exits 0 with output, on stdout or in its --out file
+    monkeypatch.chdir(tmp_path)
+    argv = shlex.split(line)[1:]
+    code, out, err = run_cli(argv, capsys)
+    assert code == EXIT_OK and err == ""
+    if "--out" in argv:
+        out = (tmp_path / argv[argv.index("--out") + 1]).read_text()
+    assert out.strip()
 
 
 def fresh_python(probe: str) -> str:
