@@ -1,89 +1,92 @@
 """Closed-form expansion oracles for every limiting regime.
 
-Only the orders printed in the source analysis are implemented, so a
-disagreement with the solver indicates a solver bug rather than a truncation
-surprise.  Each raises ValueError for a NaN or infinite c, as solve_state
-does.  Where each expansion applies:
+Every oracle but the helper small_c_slope takes (label, c) and answers in the
+label's own frame, as solve_state does: it is written for the canonical
+partner (n1 <= n2), and a partner label gets model.partner_coords of that
+answer.  beta_dimer and eta_trimer return the exponentially small unknown
+beta = alpha + c/2 or eta = alpha + c, which that map leaves as it is.  Only
+the orders printed in the source analysis are implemented, so a disagreement
+with the solver indicates a solver bug rather than a truncation surprise.
+Each raises ValueError for a NaN or infinite c, as solve_state does, and for
+a label or c outside its regime.  The regimes, by canonical label:
 
-* delta_large_c, c > 0: any label, c >= LARGE_C_MIN.
-* delta_large_c, c < 0: labels with n_j >= 2, c <= -LARGE_C_MIN.
-* delta_small_c: |c| <= SMALL_C_MAX (n1 = 0 labels: 0 <= c only).  Only an
-  oracle: the march no longer seeds from it (continuation.branch_switch does).
-* alpha/beta/gamma_dimer: (0, n2 >= 2) and (1, n2 >= 1), c <= DIMER_C_MAX.
-* alpha/eta_trimer: (0, 0) and (0, 1), c <= TRIMER_C_MAX.
+* delta_large_c: any label for c >= LARGE_C_MIN, n1 >= 2 for c <= -LARGE_C_MIN.
+* delta_small_c: |c| <= SMALL_C_MAX; n1 = 0 labels for 0 <= c only.
+* dimer, beta_dimer: (1, n2 >= 1) and (0, n2 >= 2), c <= DEEP_C_MAX.
+* trimer, eta_trimer: (0, 0) and (0, 1), c <= DEEP_C_MAX.
+
+DEEP_C_MAX is the one deep-regime bound of both families.  The march never
+imports this module (it seeds from continuation.branch_switch).
 """
 from __future__ import annotations
 
 import math
 
-from .model import TWO_PI, QuantumLabel
-from .tolerances import DIMER_C_MAX, LARGE_C_MIN, SMALL_C_MAX, TRIMER_C_MAX
+from .model import TWO_PI, ComplexCoords, QuantumLabel, RealCoords, partner_coords
+from .tolerances import DEEP_C_MAX, LARGE_C_MIN, SMALL_C_MAX
 
 
-def delta_large_c(n: int, c: float) -> float:
-    """First-order large-|c| asymptote of delta_j, O(c^-2) error.
+def _own_frame(label: QuantumLabel, coords):
+    """coords, written for the label's canonical partner, in the label's own frame."""
+    return coords if label.n1 <= label.n2 else partner_coords(coords)
 
-    c > 0: 2*pi*(n+1)*(1 - 6/c); c < 0 (requires n > 1): 2*pi*(n-1)*(1 + 6/(-c)).
+
+def _deep(label: QuantumLabel, c: float, trimer: bool) -> QuantumLabel:
+    """The canonical label of a deep dimer (trimer) branch; ValueError unless
+    c is finite and at most DEEP_C_MAX and the label has such a branch."""
+    kind = "trimer" if trimer else "dimer"
+    if not -math.inf < c <= DEEP_C_MAX:
+        raise ValueError(f"{kind} regime needs finite c <= {DEEP_C_MAX}, got {c}")
+    lab = label.canonical()
+    if lab.n1 > 1 or trimer != (lab.n1 == 0 and lab.n2 <= 1):
+        raise ValueError(f"no {kind} branch for label {label}")
+    return lab
+
+
+def delta_large_c(label: QuantumLabel, c: float) -> RealCoords:
+    """First-order large-|c| asymptote of (delta1, delta2), O(c^-2) error.
+
+    delta_j = 2*pi*(n_j + 1)*(1 - 6/c) for c > 0 and 2*pi*(n_j - 1)*(1 - 6/c)
+    for c < 0 (both n_j >= 2).
     """
     if not LARGE_C_MIN <= abs(c) < math.inf:
         raise ValueError(f"|c| must be finite and >= {LARGE_C_MIN}, got {c}")
-    if c > 0:
-        return TWO_PI * (n + 1) * (1.0 - 6.0 / c)
-    if n <= 1:
-        raise ValueError(f"negative-c real-branch asymptote needs n > 1, got {n}")
-    return TWO_PI * (n - 1) * (1.0 + 6.0 / (-c))
+    lab = label.canonical()
+    if c < 0 and lab.n1 <= 1:
+        raise ValueError(f"negative-c real-branch asymptote needs both n_j > 1, got {label}")
+    shift = 1 if c > 0 else -1
+    d1, d2 = (TWO_PI * (n + shift) * (1.0 - 6.0 / c) for n in lab)
+    return _own_frame(label, RealCoords(d1, d2, lab.p))
 
 
-def beta_dimer(c: float, family: int) -> float:
-    """Exponentially small part of alpha = -c/2 + beta for dimer branches.
+def beta_dimer(label: QuantumLabel, c: float) -> float:
+    """Exponentially small beta = alpha + c/2 on the dimer branches.
 
-    family = 1 (labels (1, n2>=2)):  beta = 3c e^{c/2} - 9c^2 e^c  (< 0)
-    family = 0 (labels (0, n2>=2)):  beta = -3c e^{c/2} + 9c^2 e^c (> 0)
+    (1, n2 >= 2): beta = 3c e^{c/2} - 9c^2 e^c (< 0)
+    (0, n2 >= 2): beta = -3c e^{c/2} + 9c^2 e^c (> 0)
+    (1, 1): beta = 3c e^{c/2}, the single printed order.
     """
-    if not -math.inf < c <= DIMER_C_MAX:
-        raise ValueError(f"dimer regime needs finite c <= {DIMER_C_MAX}, got {c}")
-    b = 3.0 * c * math.exp(c / 2.0) - 9.0 * c * c * math.exp(c)
-    if family == 1:
+    lab = _deep(label, c, False)
+    b = 3.0 * c * math.exp(c / 2.0)
+    if lab.n2 == 1:
         return b
-    if family == 0:
-        return -b
-    raise ValueError(f"family must be 0 or 1, got {family}")
+    b -= 9.0 * c * c * math.exp(c)
+    return b if lab.n1 == 1 else -b
 
 
-def alpha_dimer(c: float, n1: int, n2: int) -> float:
-    """Asymptotic alpha for dimer branches; error exponentially small in |c|.
-
-    (1,1) keeps only the single printed exponential order.
-    """
-    if n1 == 1 and n2 == 1:
-        if not -math.inf < c <= DIMER_C_MAX:
-            raise ValueError(f"dimer regime needs finite c <= {DIMER_C_MAX}, got {c}")
-        return -c / 2.0 + 3.0 * c * math.exp(c / 2.0)
-    if n2 < 2 or n1 not in (0, 1):
-        raise ValueError(f"no dimer branch for label ({n1},{n2})")
-    return -c / 2.0 + beta_dimer(c, n1)
+def dimer(label: QuantumLabel, c: float) -> ComplexCoords:
+    """Asymptotic (alpha, gamma) on the dimer branches: alpha = -c/2 + beta, and
+    gamma with its first 1/c correction, -(2*pi/3)(n2 - 1)(1 - 8/c) for
+    (1, n2) and -((2/3) n2 - 1) pi (1 - 8/c) for (0, n2)."""
+    lab = _deep(label, c, False)
+    if lab.n1 == 1:
+        gamma = -(TWO_PI / 3.0) * (lab.n2 - 1) * (1.0 - 8.0 / c)
+    else:
+        gamma = -((2.0 / 3.0) * lab.n2 - 1.0) * math.pi * (1.0 - 8.0 / c)
+    return _own_frame(label, ComplexCoords(-c / 2.0 + beta_dimer(lab, c), gamma, lab.p))
 
 
-def gamma_dimer(n2: int, c: float, family: int) -> float:
-    """Asymptotic gamma for dimer branches, first 1/c correction included.
-
-    family = 1: gamma = -(2*pi/3)(n2-1) (1 - 8/c)
-    family = 0: gamma = -((2/3) n2 - 1) pi (1 - 8/c)
-    """
-    if not -math.inf < c <= DIMER_C_MAX:
-        raise ValueError(f"dimer regime needs finite c <= {DIMER_C_MAX}, got {c}")
-    if family == 1:
-        if n2 < 1:
-            raise ValueError("family 1 needs n2 >= 1")
-        return -(TWO_PI / 3.0) * (n2 - 1) * (1.0 - 8.0 / c)
-    if family == 0:
-        if n2 < 2:
-            raise ValueError("family 0 dimer needs n2 >= 2")
-        return -((2.0 / 3.0) * n2 - 1.0) * math.pi * (1.0 - 8.0 / c)
-    raise ValueError(f"family must be 0 or 1, got {family}")
-
-
-def eta_trimer(c: float, n2: int) -> float:
+def eta_trimer(label: QuantumLabel, c: float) -> float:
     """Exponentially small eta = alpha + c on the trimer branches.
 
     (0,0): eta = -6c e^c - 36 c^2 e^{2c} (> 0)
@@ -91,28 +94,20 @@ def eta_trimer(c: float, n2: int) -> float:
            that eta^2 + 9 gamma^2 = 36 c^2 e^{2c} and the argument of
            (-3 gamma + i eta) tends to -pi/6).
     """
-    if not -math.inf < c <= TRIMER_C_MAX:
-        raise ValueError(f"trimer regime needs finite c <= {TRIMER_C_MAX}, got {c}")
-    if n2 == 0:
+    if _deep(label, c, True).n2 == 0:
         return -6.0 * c * math.exp(c) - 36.0 * c * c * math.exp(2.0 * c)
-    if n2 == 1:
-        return 3.0 * c * math.exp(c)
-    raise ValueError(f"trimer branch exists only for (0,0) and (0,1), got n2={n2}")
+    return 3.0 * c * math.exp(c)
 
 
-def alpha_trimer(label: QuantumLabel, c: float) -> tuple[float, float]:
-    """Asymptotic (alpha, gamma) for the trimer labels (0,0) and (0,1)."""
-    lab = label.canonical()
-    if lab.n1 != 0 or lab.n2 > 1:
-        raise ValueError(f"trimer branch exists only for (0,0) and (0,1), got {label}")
-    eta = eta_trimer(c, lab.n2)
-    if lab.n2 == 0:
-        return (-c + eta, 0.0)
-    gamma = math.sqrt(3.0) * c * math.exp(c)
-    return (-c + eta, gamma)
+def trimer(label: QuantumLabel, c: float) -> ComplexCoords:
+    """Asymptotic (alpha, gamma) on the trimer branches: alpha = -c + eta,
+    gamma = 0 for (0,0) and sqrt(3) c e^c for (0,1)."""
+    lab = _deep(label, c, True)
+    gamma = math.sqrt(3.0) * c * math.exp(c) if lab.n2 else 0.0
+    return _own_frame(label, ComplexCoords(-c + eta_trimer(lab, c), gamma, lab.p))
 
 
-def delta_small_c(label: QuantumLabel, c: float) -> tuple[float, float]:
+def delta_small_c(label: QuantumLabel, c: float) -> RealCoords:
     """Small-coupling series for (delta1, delta2) on the real branch.
 
     Both n_j >= 1:  delta_j = 2*pi*n_j + A_j * c with
@@ -123,18 +118,17 @@ def delta_small_c(label: QuantumLabel, c: float) -> tuple[float, float]:
     """
     if not abs(c) <= SMALL_C_MAX:
         raise ValueError(f"small-c series needs |c| <= {SMALL_C_MAX}, got {c}")
-    lab = label.canonical()
-    n1, n2 = lab.n1, lab.n2
+    n1, n2 = lab = label.canonical()
     if n1 >= 1:
-        return (TWO_PI * n1 + small_c_slope(n1, n2) * c, TWO_PI * n2 + small_c_slope(n2, n1) * c)
-    if c < 0:
+        d1, d2 = TWO_PI * n1 + small_c_slope(n1, n2) * c, TWO_PI * n2 + small_c_slope(n2, n1) * c
+    elif c < 0:
         raise ValueError(f"n1 = 0 labels have no real branch for c < 0 (got c={c})")
-    if n2 == 0:
-        d = math.sqrt(3.0 * c)
-        return (d, d)
-    d1 = 2.0 * math.sqrt(c)
-    d2 = TWO_PI * n2 - d1 / 2.0 + 3.0 * d1 * d1 / (4.0 * math.pi * n2)
-    return (d1, d2)
+    elif n2 == 0:
+        d1 = d2 = math.sqrt(3.0 * c)
+    else:
+        d1 = 2.0 * math.sqrt(c)
+        d2 = TWO_PI * n2 - d1 / 2.0 + 3.0 * d1 * d1 / (4.0 * math.pi * n2)
+    return _own_frame(label, RealCoords(d1, d2, lab.p))
 
 
 def small_c_slope(n1: int, n2: int) -> float:

@@ -139,7 +139,8 @@ def fold_coefficients(u0: float) -> tuple[float, float]:
 def branch_switch(
     label: QuantumLabel, c: float, critical: CriticalPoint | None = None
 ) -> RealCoords | ComplexCoords:
-    """The square-root model of a canonical label at its threshold C: one
+    """The square-root model of a label at its threshold C, written for the
+    canonical label and mapped to a partner (n1 > n2) by partner_coords: one
     expansion in t = sqrt(c - C) per family, (0,0) delta1 = delta2 = sqrt(3) t,
     (0,n2) delta1 = 2t, delta2 = 2 pi n2 - delta1/2 + 3 delta1^2/(4 pi n2),
     (1,1) delta1 = delta2 = sqrt(6) t, (1,n2>=2) u1 = -t/sqrt(kc), delta1 = c u1,
@@ -164,10 +165,12 @@ def branch_switch(
         u1 = -t / math.sqrt(kc)
         d1, d2 = c * u1, c * (crit.u0 - 0.5 * u1 + ku * u1 * u1)
     if gap >= 0.0:
-        return RealCoords(d1, d2, p)
-    if lab.n1 == lab.n2:
-        return ComplexCoords(abs(d1.imag), 0.0, p)
-    return ComplexCoords(0.5 * abs(d1.imag), -d2.real / 3.0, p)
+        co = RealCoords(d1, d2, p)
+    elif lab.n1 == lab.n2:
+        co = ComplexCoords(abs(d1.imag), 0.0, p)
+    else:
+        co = ComplexCoords(0.5 * abs(d1.imag), -d2.real / 3.0, p)
+    return co if label is lab else partner_coords(co)
 
 
 # ---------------------------------------------------------------------------
@@ -558,11 +561,13 @@ def _grid(critical: CriticalPoint | None, c_min: float, c_max: float, step: floa
                          f"on [{c_min}, {c_max}]")
     k_lo = math.ceil(c_min / step - 1e-9)
     k_hi = math.floor(c_max / step + 1e-9)
-    whole, dot, frac = repr(step).partition(".")
-    if dot and whole.isdigit() and frac.isdigit() and len(frac) <= 12:
-        # step is the decimal m / 10**d: each point k*m / 10**d is one
-        # correctly rounded division, the double nearest the decimal grid
-        m, scale = int(whole + frac), 10 ** len(frac)
+    mantissa, _, exp = repr(step).partition("e")
+    whole, _, frac = mantissa.partition(".")
+    d = len(frac) - int(exp or 0)
+    if (whole + frac).isdigit() and len(frac) <= 12 and d >= 0:
+        # step is the decimal m / 10**d ('0.05', '2.5e-07'): each point k*m / 10**d
+        # is one correctly rounded division, the double nearest the decimal grid
+        m, scale = int(whole + frac), 10 ** d
         pts = {k * m / scale for k in range(k_lo, k_hi + 1)}
     else:
         pts = {round(k * step, 12) for k in range(k_lo, k_hi + 1)}

@@ -38,6 +38,5 @@ MAX_GRID_POINTS = 10**6     # most samples on a trace or points n(n+1)/2 on a de
 
 # Asymptotic regime admissibility (artifact choices, see module docs)
 LARGE_C_MIN = 20.0          # |c| for the first-order real-branch asymptotes
-DIMER_C_MAX = -15.0         # c below this: dimer expansions apply
-TRIMER_C_MAX = -15.0        # c below this: trimer expansions apply
+DEEP_C_MAX = -15.0          # c at or below this: the dimer and trimer expansions apply
 SMALL_C_MAX = 0.05          # |c| for the small-coupling series

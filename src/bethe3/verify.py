@@ -90,20 +90,17 @@ def suite_roots() -> Iterator[CheckResult]:
 
 def suite_asymptotics() -> Iterator[CheckResult]:
     st = solve_state(QuantumLabel(1, 1), -40.0)
-    target = asym.alpha_dimer(-40.0, 1, 1)
+    target = asym.dimer(st.label, -40.0).alpha
     yield _check("alpha-dimer-11", abs(st.coords.alpha - target) < 1e-6,
                  f"alpha={st.coords.alpha!r} vs {target!r}")
     st = solve_state(QuantumLabel(0, 0), -30.0)
-    a, _ = asym.alpha_trimer(QuantumLabel(0, 0), -30.0)
+    a = asym.trimer(st.label, -30.0).alpha
     yield _check("alpha-trimer-00", abs(st.coords.alpha - a) < 1e-6, f"alpha={st.coords.alpha!r}")
-    st = solve_state(QuantumLabel(2, 2), 200.0)
-    d = asym.delta_large_c(2, 200.0)
-    rel = abs(st.coords.delta1 - d) / d
-    yield _check("delta-large-positive", rel < 5e-3, f"rel={rel:.2e}")
-    st = solve_state(QuantumLabel(2, 2), -200.0)
-    d = asym.delta_large_c(2, -200.0)
-    rel = abs(st.coords.delta1 - d) / d
-    yield _check("delta-large-negative", rel < 5e-3, f"rel={rel:.2e}")
+    for c, side in ((200.0, "positive"), (-200.0, "negative")):
+        st = solve_state(QuantumLabel(2, 2), c)
+        d = asym.delta_large_c(st.label, c).delta1
+        rel = abs(st.coords.delta1 - d) / d
+        yield _check(f"delta-large-{side}", rel < 5e-3, f"rel={rel:.2e}")
 
 
 def suite_wavefunction() -> Iterator[CheckResult]:

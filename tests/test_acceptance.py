@@ -80,8 +80,9 @@ def test_criterion_3_asymptotic_agreement():
     d11 = abs(st.coords.alpha - (20.0 + 3 * (-40.0) * math.exp(-20.0)))
     st = solved(0, 0, -30.0)
     d00 = abs(st.coords.alpha - (30.0 + 180.0 * math.exp(-30.0)))
-    rel_p = abs(solved(2, 2, 200.0).coords.delta1 / asym.delta_large_c(2, 200.0) - 1.0)
-    rel_m = abs(solved(2, 2, -200.0).coords.delta1 / asym.delta_large_c(2, -200.0) - 1.0)
+    rel_p, rel_m = (abs(solved(2, 2, c).coords.delta1
+                        / asym.delta_large_c(QuantumLabel(2, 2), c).delta1 - 1.0)
+                    for c in (200.0, -200.0))
     slope_ok = True
     h = 1e-3
     details = []

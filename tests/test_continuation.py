@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -28,8 +29,9 @@ from bethe3 import (
 from bethe3.continuation import (
     RESIDUAL_TOL, complex_chart, fold_coefficients, residual_complex, u0_equation,
 )
+from bethe3.model import partner_coords
 from bethe3.oracles import log_form_residual
-from bethe3.asymptotics import alpha_dimer, alpha_trimer, delta_small_c, small_c_slope
+from bethe3.asymptotics import delta_small_c, dimer, small_c_slope, trimer
 
 TWO_PI = 2 * math.pi
 
@@ -121,7 +123,7 @@ class TestBranchSwitch:
         for c in (1e-12, 1e-6, 1e-3, 0.02, 0.05):
             model = branch_switch(label, c)
             assert model.branch is Branch.REAL_K
-            for got, ref in zip(model[:2], delta_small_c(label, c)):
+            for got, ref in zip(model, delta_small_c(label, c)):
                 assert got == pytest.approx(ref, rel=1e-14), (n2, c)
 
     def test_11_square_root_model_above_C(self):
@@ -153,6 +155,21 @@ class TestBranchSwitch:
         )
         assert res.iterations <= 10
         assert -c / 2.0 + res.root[0] == pytest.approx(seed.alpha, rel=5e-3)
+
+    @pytest.mark.parametrize("lab", [(2, 1), (1, 0)])
+    @pytest.mark.parametrize("gap", [1e-3, -1e-3])
+    def test_partner_model_in_own_frame(self, lab, gap):
+        # a partner label's model is its canonical partner's, mapped by
+        # partner_coords as solve_state maps the root, so build_state takes it
+        label = QuantumLabel(*lab)
+        c = critical_point(label).C + gap
+        model = branch_switch(label, c)
+        # repr is exact for floats, names the coords type and tells -0.0 from 0.0
+        assert repr(model) == repr(partner_coords(branch_switch(label.partner(), c)))
+        assert build_state(label, c, model).coords == model
+        st = solve_state(label, c)
+        assert model.branch is st.branch and model.p == st.coords.p
+        assert st.coords == pytest.approx(model, rel=5e-3)
 
 
 class TestTraceRoot:
@@ -586,7 +603,7 @@ class TestSolveState:
         # family 0 forms eta^2 + 9*gamma^2 through hypot
         label = QuantumLabel(*lab)
         st = solve_state(label, c)
-        ref = alpha_trimer(label, c)[0] if lab in ((0, 0), (0, 1)) else alpha_dimer(c, *lab)
+        ref = (trimer if lab in ((0, 0), (0, 1)) else dimer)(label, c).alpha
         assert st.branch is Branch.COMPLEX_K
         assert st.coords.alpha == pytest.approx(ref, rel=1e-12)
         assert abs(st.momenta.total - TWO_PI * label.np) < 1e-10
@@ -770,6 +787,22 @@ class TestGrid:
     def test_far_point_is_exact(self):
         # round(-99999 * 0.1, 12) is -9999.900000000001, an ulp off
         assert -9999.9 in bethe3.continuation._grid(None, -10000.0, -9999.0, 0.1)
+
+    @pytest.mark.parametrize("step", [1e-13, 2.5e-14, 3e-15])
+    def test_exponent_step_is_decimal(self, step):
+        # repr(step) has an exponent ('2.5e-14'): the points are still the
+        # doubles nearest the decimal multiples, not round(k * step, 12)
+        dec = Decimal(repr(step))
+        k_hi = math.floor(1e-12 / step + 1e-9)
+        want = {float(k * dec) for k in range(-k_hi, k_hi + 1)} | {-1e-12, 1e-12}
+        assert bethe3.continuation._grid(None, -1e-12, 1e-12, step) == sorted(want)
+
+    def test_step_below_rounding_digits(self):
+        # round(k * 1e-13, 12) merged every point of this range into two
+        traj = trace_root(QuantumLabel(2, 3), 1.0, 1.0 + 1e-12, 1e-13)
+        cs = traj.couplings()
+        assert len(cs) == 11 and cs == sorted(set(cs))
+        assert cs[0] == 1.0 and cs[-1] == 1.0 + 1e-12
 
 
 class TestLargeLabelsNextToC:

@@ -73,10 +73,10 @@ class TestResidualReal:
 
     def test_asymptotic_root_large_negative_c(self):
         # oracle: the first-order expansion; agreement O(c^-2)
-        d = delta_large_c(2, -1000.0)
+        d = delta_large_c(QuantumLabel(2, 2), -1000.0).delta1
         r1, r2 = eq.residual_real_thetasum(d, d, -1000.0, 2, 2)
         assert abs(r1) < 7e-4 and abs(r2) < 7e-4
-        d = delta_large_c(2, -4000.0)
+        d = delta_large_c(QuantumLabel(2, 2), -4000.0).delta1
         r1, _ = eq.residual_real_thetasum(d, d, -4000.0, 2, 2)
         assert abs(r1) < 7e-4 / 15  # shrinks like c^-2
 
