@@ -4,40 +4,33 @@ Importing the package loads the solver (`model`, `equations`,
 `continuation`).  The `wavefunction` and `observables` submodules, and the
 names re-exported from them, are imported on first access (PEP 562), so a
 process that only solves roots never compiles them.
+
+`__all__` is the public API, the list in the README's "Public API"
+section.  Every other name stays importable from its own module but is
+outside that contract.
 """
 
 from .model import (
     Branch,
-    BranchCoords,
     ComplexCoords,
     Momenta,
     QuantumLabel,
     RealCoords,
     StateSolution,
-    build_state,
-    deltas_from_k,
-    k_from_alpha_gamma,
-    k_from_deltas,
-    np_from_label,
     partner_state,
 )
 from .equations import (
     ConstraintViolationError,
     NoConvergenceError,
     ResidualFloorError,
-    ResidualPoint,
-    newton_solve,
     residual_real,
-    theta,
 )
 from .continuation import (
     BoundsViolationError,
     CriticalPoint,
     SpectrumResult,
     Trajectory,
-    branch_switch,
     critical_point,
-    find_critical,
     residual_complex,
     solve_state,
     spectrum,
@@ -49,11 +42,9 @@ __version__ = "0.1.0"
 
 # submodule -> the names this package re-exports from it on first access
 _LAZY = {
-    "wavefunction": ("ClassificationError", "DegenerateMomentaError", "amplitudes",
-                     "dimer_prefactor", "jump_residual", "periodicity_residual", "psi",
-                     "psi_ordered"),
-    "observables": ("TernaryGrid", "density_grid", "norm_squared", "potential_expectation",
-                    "simplex_integral_exponents"),
+    "wavefunction": ("ClassificationError", "DegenerateMomentaError", "dimer_prefactor",
+                     "jump_residual", "periodicity_residual", "psi"),
+    "observables": ("TernaryGrid", "density_grid", "norm_squared", "potential_expectation"),
 }
 _LAZY_SOURCE = {name: module for module, names in _LAZY.items() for name in names}
 

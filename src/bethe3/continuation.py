@@ -119,7 +119,10 @@ def find_critical(label: QuantumLabel) -> CriticalPoint:
 
 def critical_point(label: QuantumLabel) -> CriticalPoint | None:
     """Where the label turns complex: C = 0 for n1 = 0, C(1, n2) for n1 = 1,
-    None when both n_j >= 2 (real for all c)."""
+    None when both n_j >= 2 (real for all c).  TypeError for a label that is
+    not a QuantumLabel, such as a bare (n1, n2) tuple."""
+    if not isinstance(label, QuantumLabel):
+        raise TypeError(f"label must be a QuantumLabel, got {label!r}")
     lab = label.canonical()
     if lab.n1 == 0:
         return CriticalPoint(C=0.0, u0=0.0)
@@ -311,10 +314,10 @@ class _Marcher:
     """Marches one label outward on both sides of c = 0 on its canonical partner's charts."""
 
     def __init__(self, label: QuantumLabel):
+        self.critical = critical_point(label)  # first: it rejects a non-QuantumLabel
         self.label = label
         self.lab = lab = label.canonical()
         self.p = TWO_PI * lab.np
-        self.critical = critical_point(lab)
 
     def _predict(self, chart: Chart, cn: float, use_model: bool, c, x, c1, x1, c2, x2, c3, x3):
         """Guess at cn from the last four accepted points of this march,
@@ -530,17 +533,6 @@ class Trajectory(NamedTuple):
     def couplings(self) -> list[float]:
         return [s.c for s in self.samples]
 
-    def sample_at(self, c: float) -> StateSolution:
-        for s in self.samples:
-            if abs(s.c - c) <= 1e-12:
-                return s
-        raise KeyError(f"no sample at c={c}")
-
-    def branch_changes(self) -> int:
-        return sum(
-            1 for a, b in zip(self.samples, self.samples[1:]) if a.branch is not b.branch
-        )
-
 
 def _require_finite(**values: float) -> tuple[float, ...]:
     """The values as floats; ValueError for nan and +-inf couplings and
@@ -635,8 +627,11 @@ def spectrum(
     labels: list[QuantumLabel], c: float, include_partners: bool = False
 ) -> SpectrumResult:
     """Solve every label at fixed c; states sorted by energy, errors collected
-    (a non-finite c raises ValueError up front).  A label whose state is
-    already in the result, solved or added as a partner, is skipped."""
+    (a non-finite c raises ValueError and a single QuantumLabel in place of
+    the list TypeError, both up front).  A label whose state is already in
+    the result, solved or added as a partner, is skipped."""
+    if isinstance(labels, QuantumLabel):
+        raise TypeError(f"labels must be a list of QuantumLabels, got the single label {labels!r}")
     _require_finite(c=c)
     states: list[StateSolution] = []
     failures: dict[QuantumLabel, str] = {}

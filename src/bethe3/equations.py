@@ -82,23 +82,6 @@ class ResidualFloorError(NoConvergenceError):
     attained floor, set by the rounding error of the residual evaluation."""
 
 
-def theta(dk: float, c: float) -> float:
-    """Two-body phase shift branch in (-2*pi, 0] for ordered momenta (dk >= 0).
-
-    Continuous in c for fixed dk > 0: 0 at c -> +inf, -pi at c = 0, -2*pi at
-    c -> -inf.  The doubly-degenerate point dk = c = 0 returns -pi (reference
-    state convention).
-    """
-    if dk == 0.0 and c == 0.0:
-        return -math.pi
-    return -2.0 * math.atan2(dk, c)
-
-
-def dtheta(dk: float, c: float) -> float:
-    """d(theta)/d(dk) = -2c/(c^2 + dk^2)."""
-    return -2.0 * c / (c * c + dk * dk)
-
-
 # ---------------------------------------------------------------------------
 # Real branch
 # ---------------------------------------------------------------------------
@@ -129,7 +112,7 @@ def residual_real_thetasum(d1: float, d2: float, c: float, n1: int, n2: int) -> 
 
 
 def jacobian_real_thetasum(d1: float, d2: float, c: float):
-    """Rows d(r1, r2)/d(d1, d2) of the theta-sum residual (dtheta inlined)."""
+    """Rows d(r1, r2)/d(d1, d2) of the theta-sum residual (d(theta)/d(dk) inlined)."""
     m, cc, d3 = -2.0 * c, c * c, d1 + d2
     p1, p2, p3 = m / (cc + d1 * d1), m / (cc + d2 * d2), m / (cc + d3 * d3)
     return ((1.0 - 2.0 * p1 - p3, p2 - p3), (p1 - p3, 1.0 - 2.0 * p2 - p3))

@@ -137,12 +137,6 @@ def _complex_k(p: float, alpha: float, gamma: float) -> tuple[float, float]:
     return gamma + q, -2.0 * gamma + q
 
 
-def k_from_alpha_gamma(p: float, alpha: float, gamma: float) -> Momenta:
-    """Complex-branch momenta: k1 = i*alpha + gamma + p/3, k2 = conj(k1), k3 real."""
-    r, k3 = _complex_k(p, alpha, gamma)
-    return tuple.__new__(Momenta, (complex(r, alpha), complex(r, -alpha), complex(k3, 0.0)))
-
-
 class RealCoords(NamedTuple("_Real", [("delta1", float), ("delta2", float), ("p", float)])):
     """Real-branch coordinates (delta1, delta2, p)."""
 
@@ -151,10 +145,6 @@ class RealCoords(NamedTuple("_Real", [("delta1", float), ("delta2", float), ("p"
 
     def __new__(cls, delta1: float, delta2: float, p: float) -> "RealCoords":
         return tuple.__new__(cls, (float(delta1), float(delta2), float(p)))
-
-    def momenta(self) -> Momenta:
-        d1, d2, p = self
-        return k_from_deltas(p, d1, d2)
 
     def energy(self) -> float:
         d1, d2, p = self
@@ -169,10 +159,6 @@ class ComplexCoords(NamedTuple("_Complex", [("alpha", float), ("gamma", float), 
 
     def __new__(cls, alpha: float, gamma: float, p: float) -> "ComplexCoords":
         return tuple.__new__(cls, (float(alpha), float(gamma), float(p)))
-
-    def momenta(self) -> Momenta:
-        alpha, gamma, p = self
-        return k_from_alpha_gamma(p, alpha, gamma)
 
     def energy(self) -> float:
         alpha, gamma, p = self

@@ -294,9 +294,6 @@ class TernaryGrid:
         eps = 1e-12
         return (self.r12 < eps) | (self.r23 < eps) | (self.r31 < eps)
 
-    def interior_mask(self) -> np.ndarray:
-        return ~self.edge_mask()
-
 
 def density_grid(state: StateSolution, resolution: int) -> TernaryGrid:
     """Normalized |psi|^2 on the ternary lattice.

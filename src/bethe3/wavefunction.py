@@ -13,8 +13,8 @@ two-body phase factors E_{jl} = (c - i(k_j - k_l)) / (c + i(k_j - k_l)):
 
 amplitudes returns the six a(P) as a tuple in PERMUTATIONS order.  Evaluation
 anywhere on the torus wraps coordinates mod 1 and sorts them (bosonic
-symmetry); the *_ordered functions evaluate the raw analytic form on the
-primary region, which is what the periodicity and jump residuals need.  Every
+symmetry); psi_ordered and the periodicity and jump residuals evaluate the
+raw analytic form on the primary region.  Every
 public call looks up the amplitudes once and forms psi with the derivatives it
 needs in one pass per point, one exponential per permutation, taken with cmath
 at real scalar coordinates, so psi and the residuals run without numpy; arrays
@@ -101,11 +101,6 @@ def psi_ordered(state: StateSolution, x1, x2, x3) -> complex | np.ndarray:
     arrays of length >= 1 in a different order from 0-d ones.
     """
     return _six_term_pass(state.momenta, labelled(amplitudes, state), x1, x2, x3)[0]
-
-
-def grad_psi_ordered(state: StateSolution, x1, x2, x3, axis: int) -> complex | np.ndarray:
-    """d psi / d x_axis of the raw six-term sum (axis in {0,1,2})."""
-    return _six_term_pass(state.momenta, labelled(amplitudes, state), x1, x2, x3, (axis,))[1]
 
 
 def psi(point, state: StateSolution) -> complex:

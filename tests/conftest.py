@@ -1,4 +1,5 @@
-"""Shared oracles, solved-state cache and solve counter for the test suite.
+"""Shared oracles, trajectory lookup, solved-state cache and solve counter for
+the test suite.
 
 The quadrature oracles are independent evaluation routes: tensor
 Gauss-Legendre on smooth mapped domains (the integrands are analytic inside
@@ -92,6 +93,14 @@ def gaudin_norm(state):
             d = k[l] - k[j]
             f *= (d * d + c * c) / (d * d) * (abs(d) ** 2 / abs(d - 1j * c) ** 2)
     return (6.0 * det * f).real
+
+
+def sample_at(traj, c):
+    """The sample of a trajectory at c (to 1e-12); KeyError off its grid."""
+    for s in traj.samples:
+        if abs(s.c - c) <= 1e-12:
+            return s
+    raise KeyError(f"no sample at c={c}")
 
 
 _STATE_CACHE = {}

@@ -14,7 +14,6 @@ from bethe3 import (
     QuantumLabel,
     density_grid,
     dimer_prefactor,
-    find_critical,
     jump_residual,
     norm_squared,
     partner_state,
@@ -23,9 +22,10 @@ from bethe3 import (
     solve_state,
     trace_root,
 )
+from bethe3.continuation import find_critical
 from bethe3.observables import simplex_integral_exponents
 
-from conftest import quad_norm, quad_potential, quad_simplex_exp, solved
+from conftest import quad_norm, quad_potential, quad_simplex_exp, sample_at, solved
 from test_observables import random_keys
 
 TWO_PI = 2 * math.pi
@@ -64,7 +64,7 @@ def test_criterion_2_reference_values(traces):
     worst = 0.0
     np_ok = True
     for (n1, n2), traj in traces.items():
-        st = traj.sample_at(0.0)
+        st = sample_at(traj, 0.0)
         worst = max(
             worst,
             abs(st.coords.delta1 - TWO_PI * n1),
@@ -215,7 +215,7 @@ def test_criterion_8_structure():
     grid = density_grid(solved(0, 0, -9.0), 32)
     vertex_max_ok = grid.density[grid.vertex_mask()].max() == grid.density.max()
     grid = density_grid(solved(0, 2, -9.0), 32)
-    edge_ok = grid.density[grid.edge_mask()].mean() > grid.density[grid.interior_mask()].mean()
+    edge_ok = grid.density[grid.edge_mask()].mean() > grid.density[~grid.edge_mask()].mean()
     pref00 = dimer_prefactor(solved(0, 0, -40.0))
     pref11 = dimer_prefactor(solved(1, 1, -40.0))
     ok = vertex_max_ok and edge_ok and abs(pref00 - 3.0) < 0.03 and abs(pref11) > 100.0
@@ -232,7 +232,7 @@ def test_criterion_9_energy_level_shapes(traces):
     for lab in ((0, 0), (1, 1)):
         es = [s.energy for s in traces[lab].samples if -10.0 <= s.c <= 0.0]
         mono_ok = mono_ok and all(a < b for a, b in zip(es, es[1:]))
-    e00 = traces[(0, 0)].sample_at(-10.0).energy
+    e00 = sample_at(traces[(0, 0)], -10.0).energy
     shape_ok = abs(e00 / (-2.0 * 100.0) - 1.0) < 0.10
     limits = {}
     for lab in ((2, 2), (3, 3)):

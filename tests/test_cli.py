@@ -529,18 +529,13 @@ def test_solver_commands_leave_numpy_out():
 
 LAZY_MODULES = ("bethe3.observables", "bethe3.wavefunction", "bethe3.verify")
 
-# bethe3.__all__: the solver's names and those imported on first access
-EXPORTS = [
-    "BoundsViolationError", "Branch", "BranchCoords", "ClassificationError", "ComplexCoords",
-    "ConstraintViolationError", "CriticalPoint", "DegenerateMomentaError", "Momenta",
-    "NoConvergenceError", "QuantumLabel", "RealCoords", "ResidualFloorError", "ResidualPoint",
-    "SpectrumResult", "StateSolution", "TernaryGrid", "Trajectory", "amplitudes",
-    "branch_switch", "build_state", "critical_point", "deltas_from_k", "density_grid",
-    "dimer_prefactor", "find_critical", "jump_residual", "k_from_alpha_gamma", "k_from_deltas",
-    "newton_solve", "norm_squared", "np_from_label", "partner_state", "periodicity_residual",
-    "potential_expectation", "psi", "psi_ordered", "residual_complex", "residual_real",
-    "simplex_integral_exponents", "solve_state", "spectrum", "theta", "trace_root",
-]
+
+def public_api() -> list[str]:
+    """The names listed in the README's "Public API" section, sorted: every
+    `name` on its bullet lines."""
+    section = README.split("\n## Public API\n", 1)[1].split("\n## ", 1)[0]
+    return sorted(name for line in section.splitlines() if line.startswith("- ")
+                  for name in re.findall(r"`(\w+)`", line))
 
 
 def test_solver_commands_leave_observables_out():
@@ -566,7 +561,8 @@ def test_lazy_names_resolve_to_submodule_objects():
              "namespace = {}\n"
              "exec('from bethe3 import *', namespace)\n"
              "print(*ok, sorted(k for k in namespace if k != '__builtins__'))")
-    assert fresh_python(probe) == f"True True True True {EXPORTS}"
+    # exactly the documented names: the README and __all__ cannot drift apart
+    assert fresh_python(probe) == f"True True True True {public_api()}"
     import bethe3
 
     with pytest.raises(AttributeError, match="no attribute 'nowhere'"):

@@ -17,23 +17,28 @@ from bethe3 import (
     RealCoords,
     QuantumLabel,
     CriticalPoint,
-    branch_switch,
-    build_state,
     critical_point,
-    find_critical,
     partner_state,
     solve_state,
     spectrum,
     trace_root,
 )
 from bethe3.continuation import (
-    RESIDUAL_TOL, complex_chart, fold_coefficients, residual_complex, u0_equation,
+    RESIDUAL_TOL, branch_switch, complex_chart, find_critical, fold_coefficients,
+    residual_complex, u0_equation,
 )
-from bethe3.model import partner_coords
+from bethe3.model import build_state, partner_coords
 from bethe3.oracles import log_form_residual
 from bethe3.asymptotics import delta_small_c, dimer, small_c_slope, trimer
 
+from conftest import sample_at
+
 TWO_PI = 2 * math.pi
+
+
+def branch_changes(traj):
+    """Number of branch changes between consecutive samples of a trajectory."""
+    return sum(1 for a, b in zip(traj.samples, traj.samples[1:]) if a.branch is not b.branch)
 
 
 class TestCriticalClass:
@@ -175,7 +180,7 @@ class TestBranchSwitch:
 class TestTraceRoot:
     def test_22_real_throughout_with_asymptotes(self, solve_cached):
         traj = trace_root(QuantumLabel(2, 2), -40.0, 40.0, step=0.5)
-        assert traj.branch_changes() == 0
+        assert branch_changes(traj) == 0
         assert all(s.branch is Branch.REAL_K for s in traj.samples)
         st = solve_cached(2, 2, -1000.0)
         assert st.coords.delta1 == pytest.approx(TWO_PI * 1.006, rel=1e-4)
@@ -185,21 +190,21 @@ class TestTraceRoot:
     def test_11_branch_structure(self):
         traj = trace_root(QuantumLabel(1, 1), -40.0, 1.0, step=0.5)
         assert traj.critical.C == -6.0
-        assert traj.branch_changes() == 1
+        assert branch_changes(traj) == 1
         for s in traj.samples:
             if s.branch is Branch.COMPLEX_K:
                 assert s.c < -6.0
                 assert s.coords.gamma == 0.0
             else:
                 assert s.c > -6.0
-        st = traj.sample_at(-40.0)
+        st = sample_at(traj, -40.0)
         target = 20.0 + 3 * (-40.0) * math.exp(-20.0)
         assert abs(st.coords.alpha - target) < 1e-6
 
     def test_00_branch_structure(self):
         traj = trace_root(QuantumLabel(0, 0), -40.0, 1.0, step=0.5)
-        assert traj.branch_changes() == 1
-        st = traj.sample_at(-40.0)
+        assert branch_changes(traj) == 1
+        st = sample_at(traj, -40.0)
         eta = st.coords.alpha - 40.0
         assert eta == pytest.approx(-6 * (-40.0) * math.exp(-40.0), rel=1e-6, abs=1e-12)
 
@@ -228,7 +233,7 @@ class TestTraceRoot:
 
     def test_validation_rejects_disorder_and_a_second_branch_change(self):
         traj = trace_root(QuantumLabel(1, 2), -6.0, -3.0, step=0.5)
-        assert traj.branch_changes() == 1
+        assert branch_changes(traj) == 1
         s = traj.samples
         swapped = traj._replace(samples=[s[1], s[0]] + s[2:])
         with pytest.raises(BoundsViolationError, match="not strictly monotone in c"):
@@ -282,9 +287,9 @@ class TestTraceRoot:
 
     def test_sample_at_off_the_grid_raises(self):
         traj = trace_root(QuantumLabel(2, 3), -1.0, 1.0, step=0.5)
-        assert traj.sample_at(0.5).c == 0.5
+        assert sample_at(traj, 0.5).c == 0.5
         with pytest.raises(KeyError, match="no sample at c=0.25"):
-            traj.sample_at(0.25)
+            sample_at(traj, 0.25)
 
     def test_partner_trace_is_mirror(self):
         traj = trace_root(QuantumLabel(2, 1), -2.0, 1.0, step=0.5)
@@ -449,7 +454,7 @@ class TestThreshold:
 class TestNegativeOnlyRange:
     def test_trace_crossing_C_without_zero(self):
         traj = trace_root(QuantumLabel(1, 2), -6.0, -3.0, step=0.25)
-        assert traj.branch_changes() == 1
+        assert branch_changes(traj) == 1
         assert traj.couplings()[0] == -6.0
         assert traj.couplings()[-1] == -3.0
 
@@ -639,7 +644,7 @@ class TestStepControl:
         label = QuantumLabel(*lab)
         traj = trace_root(label, -40.0, 1000.0, step=0.05)
         for c in (-40.0, -12.0, 40.0, 1000.0):
-            st, ref = solve_state(label, c), traj.sample_at(c)
+            st, ref = solve_state(label, c), sample_at(traj, c)
             assert st.branch is ref.branch
             for a, b in zip(_values(st), _values(ref)):
                 assert abs(a - b) <= 1e-10 * max(1.0, abs(b)), (lab, c)
@@ -753,6 +758,24 @@ class TestStepControl:
         with pytest.raises(ValueError, match=f"^step must be finite, got {bad}$"):
             trace_root(label, -1.0, 1.0, step=bad)
 
+    @pytest.mark.parametrize("bad", [(1, 2), "1,2", 1, None])
+    def test_non_label_rejected(self, bad, newton_counter):
+        # a typed error naming the value, not an AttributeError from inside
+        message = f"^label must be a QuantumLabel, got {re.escape(repr(bad))}$"
+        with pytest.raises(TypeError, match=message):
+            solve_state(bad, -3.0)
+        with pytest.raises(TypeError, match=message):
+            trace_root(bad, -1.0, 1.0, 0.5)
+        with pytest.raises(TypeError, match=message):
+            critical_point(bad)
+        assert newton_counter.calls == 0
+        # a bare label is not iterated as a list of its two components
+        with pytest.raises(TypeError, match=r"single label QuantumLabel\(n1=1, n2=2\)"):
+            spectrum(QuantumLabel(1, 2), -3.0)
+        res = spectrum([bad, QuantumLabel(2, 2)], -3.0)
+        assert [s.label for s in res.states] == [QuantumLabel(2, 2)]
+        assert list(res.failures.values()) == [f"TypeError: label must be a QuantumLabel, got {bad!r}"]
+
     @pytest.mark.parametrize("c_min, c_max, step, message", [
         (-1.0, 1.0, 0.0, "step must be positive"), (-1.0, 1.0, -0.05, "step must be positive"),
         (1.0, -1.0, 0.05, r"empty range \[1\.0, -1\.0\]")])
@@ -825,7 +848,7 @@ class TestLargeLabelsNextToC:
     def test_trace_solve_count(self, newton_counter):
         # 743,604 solves with the model kept for the whole window
         traj = trace_root(QuantumLabel(1, 400), -6.0, 1.0, 0.05)
-        assert traj.branch_changes() == 1
+        assert branch_changes(traj) == 1
         assert newton_counter.calls <= 400, newton_counter.calls
 
     def test_first_complex_solve_error_names_label_and_c(self):
@@ -929,7 +952,7 @@ class TestTracePredictor:
             for c in range(-12, 13):
                 if lab == (1, 1) and c == -6:
                     continue  # the critical point itself is not sampled
-                st, ref = solve_state(label, float(c)), traj.sample_at(float(c))
+                st, ref = solve_state(label, float(c)), sample_at(traj, float(c))
                 assert st.branch is ref.branch
                 for a, b in zip(_values(st), _values(ref)):
                     assert abs(a - b) <= 1e-10 * max(1.0, abs(b)), (lab, c)
@@ -941,7 +964,7 @@ class TestTracePredictor:
         # the geometric fold refinement on both sides of C
         label = QuantumLabel(*lab)
         traj = trace_root(label, c_min, c_max, step)
-        assert traj.branch_changes() == 1
+        assert branch_changes(traj) == 1
         cont = bethe3.continuation
         for s in traj.samples:
             chart = cont.FAMILY1 if s.branch is Branch.COMPLEX_K else cont.REAL

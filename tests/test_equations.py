@@ -9,37 +9,48 @@ import bethe3.equations as eq
 from bethe3 import QuantumLabel, RealCoords, solve_state
 from bethe3.asymptotics import delta_large_c, small_c_slope
 from bethe3.continuation import find_critical
-from bethe3.oracles import (
-    continued_arg,
-    ddelta_dc,
-    fd_jacobian,
-    gamma_squared_from_alpha,
-    log_form_real,
-)
+from bethe3.oracles import continued_arg, log_form_real
 from bethe3.tolerances import NEWTON_MAX_ITER
 
 TWO_PI = 2 * math.pi
 
 
+def theta(dk: float, c: float) -> float:
+    """Two-body phase shift branch in (-2*pi, 0] for ordered momenta (dk >= 0).
+
+    Continuous in c for fixed dk > 0: 0 at c -> +inf, -pi at c = 0, -2*pi at
+    c -> -inf.  The doubly-degenerate point dk = c = 0 returns -pi (reference
+    state convention).
+    """
+    if dk == 0.0 and c == 0.0:
+        return -math.pi
+    return -2.0 * math.atan2(dk, c)
+
+
+def dtheta(dk: float, c: float) -> float:
+    """d(theta)/d(dk) = -2c/(c^2 + dk^2)."""
+    return -2.0 * c / (c * c + dk * dk)
+
+
 class TestTheta:
     def test_limits(self):
         dk = TWO_PI
-        assert eq.theta(dk, 1e12) == pytest.approx(0.0, abs=2e-11)
-        assert eq.theta(dk, 0.0) == pytest.approx(-math.pi, abs=1e-15)
-        assert eq.theta(dk, -1e12) == pytest.approx(-TWO_PI, abs=2e-11)
+        assert theta(dk, 1e12) == pytest.approx(0.0, abs=2e-11)
+        assert theta(dk, 0.0) == pytest.approx(-math.pi, abs=1e-15)
+        assert theta(dk, -1e12) == pytest.approx(-TWO_PI, abs=2e-11)
 
     def test_range_and_continuity_across_zero(self):
         for dk in (0.5, 3.0, 20.0):
             prev = None
             for c in np.linspace(-5, 5, 401):
-                t = eq.theta(dk, c)
+                t = theta(dk, c)
                 assert -TWO_PI < t <= 0.0
                 if prev is not None:
                     assert abs(t - prev) < 0.2
                 prev = t
 
     def test_degenerate_convention(self):
-        assert eq.theta(0.0, 0.0) == -math.pi
+        assert theta(0.0, 0.0) == -math.pi
 
 
 class TestTrackedLog:
@@ -93,13 +104,13 @@ class TestResidualReal:
                    (0.0, 0.0, -0.0)]
         for d1, d2, c in points:
             n1, n2 = (int(v) for v in rng.integers(0, 6, 2))
-            t1, t2, t3 = eq.theta(d1, c), eq.theta(d2, c), eq.theta(d1 + d2, c)
+            t1, t2, t3 = theta(d1, c), theta(d2, c), theta(d1 + d2, c)
             expected = (d1 - TWO_PI * (n1 + 1) - 2.0 * t1 - t3 + t2,
                         d2 - TWO_PI * (n2 + 1) - 2.0 * t2 - t3 + t1)
             assert eq.residual_real_thetasum(d1, d2, c, n1, n2) == expected, (d1, d2, c)
             if c == 0.0 and (d1 == 0.0 or d2 == 0.0):
                 continue  # dtheta divides by c^2 + dk^2 = 0
-            p1, p2, p3 = eq.dtheta(d1, c), eq.dtheta(d2, c), eq.dtheta(d1 + d2, c)
+            p1, p2, p3 = dtheta(d1, c), dtheta(d2, c), dtheta(d1 + d2, c)
             expected = ((1.0 - 2.0 * p1 - p3, p2 - p3), (p1 - p3, 1.0 - 2.0 * p2 - p3))
             assert eq.jacobian_real_thetasum(d1, d2, c) == expected, (d1, d2, c)
 
@@ -127,7 +138,7 @@ class TestResidualReal:
 def equal_delta(d: float, c: float, n0: int) -> float:
     """Scalar residual of the common delta when n1 = n2 = n0, the oracle for
     the diagonal of the coupled real chart (each of its rows reduces to it)."""
-    return d - eq.theta(d, c) - eq.theta(2.0 * d, c) - TWO_PI * (n0 + 1)
+    return d - theta(d, c) - theta(2.0 * d, c) - TWO_PI * (n0 + 1)
 
 
 class TestResidualEqualDelta:
@@ -233,6 +244,39 @@ class TestResidualComplex:
         st = solve_state(QuantumLabel(0, 2), -9.0)
         point = cont.residual_complex(st.coords.alpha, st.coords.gamma, -9.0, QuantumLabel(0, 2))
         assert max(abs(point.residual[0]), abs(point.residual[1])) < 1e-10
+
+
+def gamma_squared_from_alpha(alpha: float, c: float) -> float:
+    """Closed-form gamma^2(alpha, c) from the n1 = 1 family alpha equation.
+
+    At alpha = 0 this reduces to c^2*(6+c)/(-9*(4+c)), the critical-point
+    relation.  Uses an odd-part series below |alpha| = 1e-3 to avoid the 0/0
+    cancellation at alpha -> 0.
+    """
+    if c >= 0:
+        raise ValueError(f"requires c < 0, got {c}")
+    if alpha < 0:
+        raise ValueError(f"requires alpha >= 0, got {alpha}")
+    if alpha < 1e-3:
+        # num ~ -(f'(0) + f'''(0) a^2/6), den ~ 9(h'(0) + h'''(0) a^2/6)
+        a2 = alpha * alpha
+        fp = c ** 3 * (c + 6.0)
+        fppp = c ** 4 + 18.0 * c ** 3 + 78.0 * c * c + 72.0 * c
+        hp = c * (c + 4.0)
+        hppp = c * c + 12.0 * c + 24.0
+        den = hp + hppp * a2 / 6.0
+        if abs(den) < 1e-13 * max(1.0, abs(hp)):
+            raise ZeroDivisionError(f"gamma^2 pole at alpha={alpha}, c={c}")
+        return -(fp + fppp * a2 / 6.0) / (9.0 * den)
+    ea = math.exp(alpha)
+    f_m = (c - 2 * alpha) ** 2 * (c - alpha) ** 2 / ea
+    f_p = (c + 2 * alpha) ** 2 * (c + alpha) ** 2 * ea
+    h_m = (c - 2 * alpha) ** 2 / ea
+    h_p = (c + 2 * alpha) ** 2 * ea
+    den = 9.0 * (h_p - h_m)
+    if abs(den) < 1e-13 * max(1.0, abs(h_p) + abs(h_m)):
+        raise ZeroDivisionError(f"gamma^2 pole at alpha={alpha}, c={c}")
+    return (f_m - f_p) / den
 
 
 class TestGammaSquared:
@@ -378,6 +422,22 @@ CHARTS = [
 ]
 
 
+def fd_jacobian(residual, x):
+    """Central-difference rows d(residual)/dx at x.
+
+    The probe for unknown j is 6e-6*|x_j| (6e-6 where x_j = 0), so
+    exponentially small unknowns keep their sign; 6e-6 ~ eps**(1/3) balances
+    truncation against rounding.
+    """
+    cols = []
+    for j, xj in enumerate(x):
+        h = 6e-6 * abs(xj) or 6e-6
+        up, down = list(x), list(x)
+        up[j], down[j] = xj + h, xj - h
+        cols.append([(a - b) / (2.0 * h) for a, b in zip(residual(up), residual(down))])
+    return tuple(tuple(col[i] for col in cols) for i in range(len(x)))
+
+
 @pytest.mark.parametrize("c", [-5.0, -40.0, -200.0, -1000.0])
 @pytest.mark.parametrize("chart, label, sign", CHARTS)
 def test_closed_form_jacobian_matches_fd_oracle(chart, label, sign, c):
@@ -443,6 +503,14 @@ def test_residual_raises_only_off_the_guard(chart, label, sign, c):
         for x in ((math.nextafter(pole, -math.inf), 0.0), (math.nextafter(pole, math.inf), 0.0),
                   (pole, math.nextafter(0.0, math.inf))):
             check(x, True)
+
+
+def ddelta_dc(delta: float, c: float) -> float:
+    """Implicit derivative d(delta)/dc on the equal-delta root curve."""
+    d2 = delta * delta
+    num = 6.0 * delta * (c * c + 2.0 * d2)
+    den = c * c * (c * c + 5.0 * d2) + 4.0 * d2 * d2 + 6.0 * c * (2.0 * d2 + c * c)
+    return num / den
 
 
 class TestImplicitDerivative:

@@ -9,17 +9,19 @@ from bethe3 import (
     Momenta,
     QuantumLabel,
     RealCoords,
-    build_state,
-    deltas_from_k,
-    k_from_alpha_gamma,
-    k_from_deltas,
-    np_from_label,
     partner_state,
     psi,
     solve_state,
 )
+from bethe3.model import build_state, deltas_from_k, k_from_deltas, np_from_label
 
 TWO_PI = 2 * math.pi
+
+
+def momenta(coords):
+    """The momenta build_state makes from coords, at a label of the same p (0 or 2*pi)."""
+    label = QuantumLabel(0, 0) if coords.p == 0.0 else QuantumLabel(0, 1)
+    return build_state(label, -1.0, coords).momenta
 
 
 class TestNpRule:
@@ -125,16 +127,16 @@ class TestDeltaConversions:
 
 class TestAlphaGamma:
     def test_origin(self):
-        m = k_from_alpha_gamma(0.0, 0.0, 0.0)
+        m = momenta(ComplexCoords(0.0, 0.0, 0.0))
         assert m == (0, 0, 0)
 
     def test_bound_pair_at_rest(self):
-        m = k_from_alpha_gamma(0.0, 1.0, 0.0)
+        m = momenta(ComplexCoords(1.0, 0.0, 0.0))
         assert m.k1 == 1j and m.k2 == -1j and m.k3 == 0
 
     def test_moving_case(self):
         p = TWO_PI
-        m = k_from_alpha_gamma(p, 2.0, -1.0)
+        m = momenta(ComplexCoords(2.0, -1.0, p))
         assert m.k1 == pytest.approx(complex(p / 3 - 1, 2), abs=1e-14)
         assert m.k2 == pytest.approx(complex(p / 3 - 1, -2), abs=1e-14)
         assert m.k3 == pytest.approx(complex(p / 3 + 2, 0), abs=1e-14)
@@ -143,7 +145,7 @@ class TestAlphaGamma:
         assert m.energy() == pytest.approx(coords.energy(), rel=1e-13)
 
     def test_conjugate_invariant(self):
-        m = k_from_alpha_gamma(0.0, 0.7, 0.3)
+        m = momenta(ComplexCoords(0.7, 0.3, 0.0))
         assert m.k1 == m.k2.conjugate()
         assert m.k3.imag == 0.0
 
@@ -168,11 +170,11 @@ class TestEnergy:
         for _ in range(100):
             d1, d2 = rng.uniform(0, 20, 2)
             rc = RealCoords(d1, d2, 0.0)
-            assert rc.energy() == pytest.approx(rc.momenta().energy(), rel=1e-12)
+            assert rc.energy() == pytest.approx(momenta(rc).energy(), rel=1e-12)
             a, g = rng.uniform(0.1, 10), rng.uniform(-5, 5)
             cc = ComplexCoords(a, g, TWO_PI)
-            assert cc.energy() == pytest.approx(cc.momenta().energy(), rel=1e-12)
-            assert abs(sum(k ** 2 for k in cc.momenta()).imag) < 1e-10 * max(1, abs(cc.energy()))
+            assert cc.energy() == pytest.approx(momenta(cc).energy(), rel=1e-12)
+            assert abs(sum(k ** 2 for k in momenta(cc)).imag) < 1e-10 * max(1, abs(cc.energy()))
             # third route: the delta-form evaluated with the complex gaps
             delta1 = -2j * a
             delta2 = 1j * a - 3 * g
@@ -242,7 +244,8 @@ class TestBuildStateChecks:
     lambda v: build_state(QuantumLabel(0, 0), -1.0, RealCoords(*v)),
     lambda v: build_state(QuantumLabel(0, 0), -1.0, ComplexCoords(*v)),
     lambda v: k_from_deltas(v[2], v[0], v[1]),
-    lambda v: k_from_alpha_gamma(v[2], v[0], v[1]),
+    # the momenta route of the removed k_from_alpha_gamma, kept under its id
+    lambda v: momenta(ComplexCoords(*v)),
     lambda v: psi(v, solve_state(QuantumLabel(1, 2), -2.0)),
 ], ids=["build_state-real", "build_state-complex", "k_from_deltas", "k_from_alpha_gamma", "psi"])
 def test_non_finite_components_raise(make, slot, bad):

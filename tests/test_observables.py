@@ -6,16 +6,15 @@ import pytest
 from bethe3 import (
     QuantumLabel,
     density_grid,
-    find_critical,
     norm_squared,
     partner_state,
     potential_expectation,
-    simplex_integral_exponents,
     solve_state,
 )
 import bethe3.observables as obs
+from bethe3.continuation import find_critical
 from bethe3.model import Momenta
-from bethe3.observables import _entry, _sums, _symmetric_table
+from bethe3.observables import _entry, _sums, _symmetric_table, simplex_integral_exponents
 from bethe3.verify import simplex_triples
 from bethe3.wavefunction import PERMUTATIONS, DegenerateMomentaError, amplitudes
 
@@ -266,7 +265,7 @@ class TestDensityGrid:
         st = solved(0, 2, -9.0)
         grid = density_grid(st, 24)
         edge_mean = grid.density[grid.edge_mask()].mean()
-        interior_mean = grid.density[grid.interior_mask()].mean()
+        interior_mean = grid.density[~grid.edge_mask()].mean()
         assert edge_mean > interior_mean
 
     def test_repulsive_interference_without_concentration(self):
@@ -276,13 +275,13 @@ class TestDensityGrid:
         grid = density_grid(st, 24)
         contrast = grid.density.max() / grid.density.mean()
         assert 1.5 < contrast < 15.0
-        edge_ratio = grid.density[grid.edge_mask()].mean() / grid.density[grid.interior_mask()].mean()
+        edge_ratio = grid.density[grid.edge_mask()].mean() / grid.density[~grid.edge_mask()].mean()
         assert 0.2 < edge_ratio < 5.0
         trimer = density_grid(solved(0, 0, -9.0), 24)
         assert trimer.density.max() / trimer.density.mean() > 3.0 * contrast
 
     def test_values_match_direct_evaluation(self):
-        from bethe3 import norm_squared, psi_ordered
+        from bethe3.wavefunction import psi_ordered
 
         st = solved(2, 2, -3.0)
         grid = density_grid(st, 16)

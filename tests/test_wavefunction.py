@@ -14,21 +14,25 @@ from bethe3 import (
     Momenta,
     QuantumLabel,
     RealCoords,
-    amplitudes,
-    build_state,
     dimer_prefactor,
     jump_residual,
     partner_state,
     periodicity_residual,
     psi,
-    psi_ordered,
     solve_state,
 )
+from bethe3.model import build_state
 from bethe3.wavefunction import (
-    PERMUTATIONS, ClassificationError, DegenerateMomentaError, grad_psi_ordered,
+    PERMUTATIONS, ClassificationError, DegenerateMomentaError, _six_term_pass, amplitudes,
+    labelled, psi_ordered,
 )
 
 TWO_PI = 2 * math.pi
+
+
+def grad_psi_ordered(state, x1, x2, x3, axis):
+    """d psi / d x_axis of the raw six-term sum (axis in {0,1,2})."""
+    return _six_term_pass(state.momenta, labelled(amplitudes, state), x1, x2, x3, (axis,))[1]
 
 
 def representative_states():
@@ -294,13 +298,13 @@ import bethe3
 states = [bethe3.solve_state(bethe3.QuantumLabel(*lab), c)
           for lab, c in (((1, 2), -2.0), ((0, 2), -9.0), ((1, 0), -5.0))]
 def values(st, f):
-    return [bethe3.psi_ordered(st, f(0.1), f(0.2), f(0.7)), bethe3.jump_residual(st, f(0.3), f(0.7)),
+    return [bethe3.wavefunction.psi_ordered(st, f(0.1), f(0.2), f(0.7)), bethe3.jump_residual(st, f(0.3), f(0.7)),
             bethe3.jump_residual(st, f(0.8), f(0.2)), bethe3.periodicity_residual(st, f(0.25), f(0.6))]
 points = [[bethe3.psi((0.9, 1.2, -0.3), st)] + values(st, float) for st in states]
 loaded = 'numpy' in sys.modules
 import numpy as np
 wrapped = np.sort(np.mod(np.asarray((0.9, 1.2, -0.3)), 1.0))
-arrays = [[bethe3.psi_ordered(st, *(np.asarray(v) for v in wrapped))] + values(st, np.asarray)
+arrays = [[bethe3.wavefunction.psi_ordered(st, *(np.asarray(v) for v in wrapped))] + values(st, np.asarray)
           for st in states]
 print(loaded, repr(points) == repr(arrays))
 """
