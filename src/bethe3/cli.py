@@ -197,15 +197,14 @@ def _critical(ns):
 
 
 def _density(ns):
-    from .observables import density_grid
+    from .observables import density_points
 
     label = ns.labels[0]
-    try:
-        grid = density_grid(solve_state(label, ns.c), ns.resolution)
+    try:  # the norm and the grid's factors are built here, before the first row
+        points = density_points(solve_state(label, ns.c), ns.resolution)
     except _SOLVER_ERRORS as exc:
         yield _failure(exc, label, ns.c)
         return
-    points = zip(grid.r12.tolist(), grid.r23.tolist(), grid.r31.tolist(), grid.density.tolist())
     for r12, r23, r31, density in points:
         yield {"r12": r12, "r23": r23, "r31": r31, "density": density}
 

@@ -627,11 +627,16 @@ def spectrum(
     labels: list[QuantumLabel], c: float, include_partners: bool = False
 ) -> SpectrumResult:
     """Solve every label at fixed c; states sorted by energy, errors collected
-    (a non-finite c raises ValueError and a single QuantumLabel in place of
-    the list TypeError, both up front).  A label whose state is already in
-    the result, solved or added as a partner, is skipped."""
+    (a non-finite c raises ValueError, and a single QuantumLabel in place of
+    the list or an entry that is not a QuantumLabel TypeError, all up front).
+    A label whose state is already in the result, solved or added as a
+    partner, is skipped."""
     if isinstance(labels, QuantumLabel):
         raise TypeError(f"labels must be a list of QuantumLabels, got the single label {labels!r}")
+    labels = list(labels)
+    for i, label in enumerate(labels):
+        if not isinstance(label, QuantumLabel):
+            raise TypeError(f"labels[{i}] must be a QuantumLabel, got {label!r}")
     _require_finite(c=c)
     states: list[StateSolution] = []
     failures: dict[QuantumLabel, str] = {}

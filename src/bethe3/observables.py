@@ -57,6 +57,20 @@ and one table serve both sums.  That pair of sums is memoised for the last
 state evaluated: callers take norm_squared and then
 potential_expectation(state, norm=n) of the same state, and without the
 memo the second call would rebuild the whole table.
+
+The density on the ternary lattice has two routes, and both stay, each the
+faster on its own use.  density_grid returns numpy arrays (a TernaryGrid)
+from psi_ordered's six-term sum, one exponential per permutation and
+point; in a process that already has numpy it is the faster (at resolution
+256 the pure-Python product below takes 1.6-1.7 times as long).
+density_points streams the same lattice as float tuples with cmath and no
+numpy: at x = (0, r12, r12 + r23) each term is a row factor
+e^{i(k_P2 + k_P3) r12} times a column factor e^{i k_P3 r23}, so 3n row and
+3n column exponentials serve all n(n+1)/2 points.  The `bethe3 density`
+command writes text rows, and importing numpy would cost it far more than
+the grid does.  density_grid is to take the same factors as a numpy
+product once the benchmark harness can measure that without its per-op
+bookkeeping raising peak memory.
 """
 from __future__ import annotations
 
@@ -64,6 +78,7 @@ import cmath
 import functools
 import math
 import numbers
+from collections.abc import Iterator
 
 from .model import Momenta, StateSolution
 from .tolerances import MAX_GRID_POINTS, MAX_SUM_CONDITION, NEAR_DEGENERATE_EXPONENT, NORM_IMAG_RTOL
@@ -295,6 +310,15 @@ class TernaryGrid:
         return (self.r12 < eps) | (self.r23 < eps) | (self.r31 < eps)
 
 
+def _resolution(n) -> int:
+    """n as an int; ValueError unless it is an integer >= 8 whose n(n+1)/2
+    lattice points stay within MAX_GRID_POINTS (so n <= 1413)."""
+    if not (isinstance(n, numbers.Integral) and n >= 8 and n * (n + 1) // 2 <= MAX_GRID_POINTS):
+        raise ValueError(
+            f"resolution must be an integer >= 8 with n(n+1)/2 <= {MAX_GRID_POINTS}, got {n!r}")
+    return int(n)
+
+
 def density_grid(state: StateSolution, resolution: int) -> TernaryGrid:
     """Normalized |psi|^2 on the ternary lattice.
 
@@ -304,10 +328,7 @@ def density_grid(state: StateSolution, resolution: int) -> TernaryGrid:
     below 8, or is above 1413 where the n(n+1)/2 points pass MAX_GRID_POINTS,
     raises ValueError before any array is built.
     """
-    n = resolution
-    if not (isinstance(n, numbers.Integral) and n >= 8 and n * (n + 1) // 2 <= MAX_GRID_POINTS):
-        raise ValueError(
-            f"resolution must be an integer >= 8 with n(n+1)/2 <= {MAX_GRID_POINTS}, got {n!r}")
+    n = _resolution(resolution)
     norm = norm_squared(state)  # before numpy: a state past the depth limit fails cheaply
     import numpy as np
 
@@ -321,3 +342,48 @@ def density_grid(state: StateSolution, resolution: int) -> TernaryGrid:
     values = psi_ordered(state, np.zeros_like(x2), x2, x3)
     density = np.abs(values) ** 2 / norm
     return TernaryGrid(resolution=n, r12=r12, r23=r23, r31=r31, density=density)
+
+
+def density_points(state: StateSolution,
+                   resolution: int) -> Iterator[tuple[float, float, float, float]]:
+    """The points of density_grid(state, resolution) as float tuples
+    (r12, r23, r31, density), in its order, without numpy.
+
+    The resolution check, the norm and every exponential run at call time,
+    so a bad resolution or a state past the depth limit raises before the
+    first point.  The r columns equal the grid's bit for bit; the density
+    agrees within a few ulps of the grid's maximum (the product below
+    rounds differently from the six-term sum).  At x = (0, r12, r12 + r23)
+    each term of psi is a row factor e^{i(k_P2 + k_P3) r12} times a column
+    factor e^{i k_P3 r23}: the row factors, with the amplitudes and
+    1/sqrt(norm), give one weight per P3, and a point costs three complex
+    multiply-adds.
+    """
+    n = _resolution(resolution)
+    scale = 1.0 / math.sqrt(norm_squared(state))
+    amp = labelled(amplitudes, state)
+    k = state.momenta
+    r = [i / (n - 1) for i in range(n)]
+    exp = cmath.exp
+    # k_P2 + k_P3 by P1, and the (P1, scaled a(P)) of the two P that end in 0, 1, 2
+    rows = (1j * (k[1] + k[2]), 1j * (k[0] + k[2]), 1j * (k[0] + k[1]))
+    (j0, a0), (j1, a1), (j2, a2), (j3, a3), (j4, a4), (j5, a5) = [
+        (PERMUTATIONS[ip][0], scale * amp[ip]) for ip in _BY_P3]
+    weights = []
+    for x in r:
+        f = (exp(rows[0] * x), exp(rows[1] * x), exp(rows[2] * x))
+        weights.append((a0 * f[j0] + a1 * f[j1], a2 * f[j2] + a3 * f[j3], a4 * f[j4] + a5 * f[j5]))
+    k0, k1, k2 = 1j * k[0], 1j * k[1], 1j * k[2]
+    columns = [(exp(k0 * y), exp(k1 * y), exp(k2 * y)) for y in r]
+    return _points(r, weights, columns)
+
+
+def _points(r, weights, columns):
+    """Row-major (r12, r23, r31, |w . column|^2) over the lower triangle."""
+    n = len(r)
+    for i, (x, (w0, w1, w2)) in enumerate(zip(r, weights)):
+        for y, (c0, c1, c2) in zip(r[:n - i], columns):
+            r31 = 1.0 - x - y
+            if -1e-14 < r31 < 1e-14:
+                r31 = 0.0
+            yield x, y, r31, abs(w0 * c0 + w1 * c1 + w2 * c2) ** 2

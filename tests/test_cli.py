@@ -8,9 +8,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from bethe3 import cli, observables
+from bethe3 import QuantumLabel, cli, observables, solve_state
 from bethe3.cli import EXIT_OK, EXIT_SOLVER, EXIT_USAGE, EXIT_VERIFY, main
 
 
@@ -160,6 +161,21 @@ class TestDensity:
         assert r12 + r23 + r31 == pytest.approx(1.0, abs=1e-12)
         assert dens >= 0.0
 
+    def test_csv_rows_match_density_grid(self, capsys):
+        # 17 significant digits read back the written doubles exactly
+        code, out, _ = run_cli(
+            ["density", "--label", "0,2", "--c", "-9", "--resolution", "64", "--format", "csv"],
+            capsys)
+        assert code == EXIT_OK
+        _, *rows = out.strip().splitlines()
+        r12, r23, r31, density = (np.array(col, dtype=float)
+                                  for col in zip(*(row.split(",") for row in rows)))
+        grid = observables.density_grid(solve_state(QuantumLabel(0, 2), -9.0), 64)
+        assert np.array_equal(r12, grid.r12) and np.array_equal(r23, grid.r23)
+        assert np.array_equal(r31, grid.r31)
+        top = grid.density.max()
+        assert np.max(np.abs(density - grid.density)) <= 32 * np.finfo(float).eps * top
+
     @pytest.mark.parametrize("args", [
         ["density", "--label", "0,0", "--c", "-5", "--resolution", "8"],
         ["spectrum", "--labels", "0,0", "1,2", "--c", "-5", "--observables"],
@@ -169,7 +185,7 @@ class TestDensity:
         def divide_by_zero(*args, **kwargs):
             raise ZeroDivisionError("float division by zero")
 
-        monkeypatch.setattr(observables, "density_grid", divide_by_zero)
+        monkeypatch.setattr(observables, "density_points", divide_by_zero)
         monkeypatch.setattr(observables, "norm_squared", divide_by_zero)
         code, out, _ = run_cli(args, capsys)
         assert code == EXIT_SOLVER
@@ -238,7 +254,7 @@ class TestCsvErrors:
         def divide_by_zero(*args, **kwargs):
             raise ZeroDivisionError("float division by zero")
 
-        monkeypatch.setattr(observables, "density_grid", divide_by_zero)
+        monkeypatch.setattr(observables, "density_points", divide_by_zero)
         code, out, err = run_cli(
             ["density", "--label", "0,0", "--c", "-5", "--resolution", "8", "--format", "csv"],
             capsys,
@@ -521,10 +537,11 @@ def test_solver_commands_leave_numpy_out():
         ["critical", "--n2", "1..3"],
         ["spectrum", "--labels", "0,0", "1,1", "--c", "-5", "--partners", "--observables"],
         ["trace", "--label", "0,0", "--c-range", "-2..1", "--step", "0.5", "--observables"],
+        ["density", "--label", "0,2", "--c", "-9", "--resolution", "8"],
     ]
     # numpy takes longer to import than the interpreter takes to start
     assert run_in_fresh_python([]) == "False"
-    assert run_in_fresh_python(argvs) == "0 0 0 False"
+    assert run_in_fresh_python(argvs) == "0 0 0 0 False"
 
 
 LAZY_MODULES = ("bethe3.observables", "bethe3.wavefunction", "bethe3.verify")
@@ -569,12 +586,8 @@ def test_lazy_names_resolve_to_submodule_objects():
         bethe3.nowhere
 
 
-@pytest.mark.parametrize("argv", [
-    ["density", "--label", "0,2", "--c", "-9", "--resolution", "8"],
-    ["verify", "--suite", "core"],
-])
-def test_array_commands_load_numpy_on_demand(argv):
-    assert run_in_fresh_python([argv]) == "0 True"
+def test_array_commands_load_numpy_on_demand():
+    assert run_in_fresh_python([["verify", "--suite", "core"]]) == "0 True"
 
 
 def test_failing_density_leaves_numpy_out():

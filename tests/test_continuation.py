@@ -758,7 +758,7 @@ class TestStepControl:
         with pytest.raises(ValueError, match=f"^step must be finite, got {bad}$"):
             trace_root(label, -1.0, 1.0, step=bad)
 
-    @pytest.mark.parametrize("bad", [(1, 2), "1,2", 1, None])
+    @pytest.mark.parametrize("bad", [(1, 2), "1,2", 1, None, [0, 0]])
     def test_non_label_rejected(self, bad, newton_counter):
         # a typed error naming the value, not an AttributeError from inside
         message = f"^label must be a QuantumLabel, got {re.escape(repr(bad))}$"
@@ -768,13 +768,16 @@ class TestStepControl:
             trace_root(bad, -1.0, 1.0, 0.5)
         with pytest.raises(TypeError, match=message):
             critical_point(bad)
-        assert newton_counter.calls == 0
         # a bare label is not iterated as a list of its two components
         with pytest.raises(TypeError, match=r"single label QuantumLabel\(n1=1, n2=2\)"):
             spectrum(QuantumLabel(1, 2), -3.0)
-        res = spectrum([bad, QuantumLabel(2, 2)], -3.0)
-        assert [s.label for s in res.states] == [QuantumLabel(2, 2)]
-        assert list(res.failures.values()) == [f"TypeError: label must be a QuantumLabel, got {bad!r}"]
+        # every entry is checked before any solve: collected as a failure,
+        # (1, 2) hid the equal label after it, and [0, 0] is unhashable
+        for labels, i in [([bad, QuantumLabel(1, 2)], 0), ([QuantumLabel(2, 2), bad], 1)]:
+            with pytest.raises(TypeError, match=f"^labels\\[{i}\\] must be a QuantumLabel, got "
+                                                f"{re.escape(repr(bad))}$"):
+                spectrum(labels, -3.0)
+        assert newton_counter.calls == 0
 
     @pytest.mark.parametrize("c_min, c_max, step, message", [
         (-1.0, 1.0, 0.0, "step must be positive"), (-1.0, 1.0, -0.05, "step must be positive"),

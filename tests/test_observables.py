@@ -343,6 +343,38 @@ class TestDensityGrid:
             density_grid(solved(2, 2, -3.0), resolution)
 
 
+class TestDensityPoints:
+    """density_points streams density_grid's lattice without numpy: the r
+    columns bit for bit, the density within rounding of the grid maximum."""
+
+    # real (c > 0, c = 0, c < 0), dimer, trimer and a trimer near its depth limit
+    STATES = [(1, 2, 3.0), (2, 3, 0.0), (2, 2, -3.0), (0, 2, -9.0), (0, 0, -9.0), (0, 0, -30.0)]
+
+    @pytest.mark.parametrize("n1, n2, c", STATES)
+    @pytest.mark.parametrize("resolution", [8, 9, 64, np.int64(12)])
+    def test_matches_grid(self, n1, n2, c, resolution):
+        st = solved(n1, n2, c)
+        grid = density_grid(st, resolution)
+        points = list(obs.density_points(st, resolution))
+        assert all(type(v) is float for point in points for v in point)
+        r12, r23, r31, density = (np.array(col) for col in zip(*points))
+        assert np.array_equal(r12, grid.r12) and np.array_equal(r23, grid.r23)
+        assert np.array_equal(r31, grid.r31)
+        # the product and the six-term sum round differently: never compared by
+        # equality, but within 32 ulps of the largest value (at most 11 seen)
+        top = grid.density.max()
+        assert np.max(np.abs(density - grid.density)) <= 32 * np.finfo(float).eps * top
+
+    @pytest.mark.parametrize("resolution", [4, 8.0, 1414])
+    def test_bad_resolution_raises_at_call(self, resolution):
+        with pytest.raises(ValueError, match="resolution must be an integer"):
+            obs.density_points(solved(2, 2, -3.0), resolution)
+
+    def test_deep_state_raises_at_call(self):
+        with pytest.raises(ZeroDivisionError, match=r"^two-body pole: .* for \(0,0\)$"):
+            obs.density_points(solved(0, 0, -40.0), 8)
+
+
 class TestPairSumInternals:
     def test_norm_imag_defect_guard(self):
         st = solved(1, 2, -2.0)
