@@ -586,8 +586,14 @@ def test_lazy_names_resolve_to_submodule_objects():
         bethe3.nowhere
 
 
-def test_array_commands_load_numpy_on_demand():
-    assert run_in_fresh_python([["verify", "--suite", "core"]]) == "0 True"
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "observables"],
+    ["verify", "--suite", "core"],
+])
+def test_array_commands_load_numpy_on_demand(argv):
+    # density streams without numpy (test_solver_commands_leave_numpy_out);
+    # the verify suites still build arrays
+    assert run_in_fresh_python([argv]) == "0 True"
 
 
 def test_failing_density_leaves_numpy_out():
