@@ -3,10 +3,15 @@
 Each suite is a generator that yields its checks as CheckResult(name,
 passed, detail), so a `suite_*` called directly returns a generator;
 run_suite lists them.  These mirror the package test suite's core identities
-so a deployed build can self-check without pytest.
+so a deployed build can self-check without pytest.  They run without numpy:
+the seeded draws come from random.Random, the density check reads
+observables.density_points (the route of `bethe3 density`), and the
+simplex quadrature of bethe3.oracles integrates x1 exactly and (x2, x3) on
+Gauss-Legendre nodes found by Newton's method, in pure Python.
 """
 from __future__ import annotations
 
+import random
 from typing import Iterator, NamedTuple
 
 from . import asymptotics as asym
@@ -20,11 +25,12 @@ from .model import (
     partner_state,
 )
 from .observables import (
-    density_grid,
+    density_points,
     norm_squared,
     potential_expectation,
     simplex_integral_exponents,
 )
+from .tolerances import IDENTITY_TOL, RESIDUAL_TOL
 from .wavefunction import dimer_prefactor, jump_residual, periodicity_residual
 
 SEED = 20260809
@@ -41,15 +47,14 @@ def _check(name: str, passed: bool, detail: str) -> CheckResult:
 
 
 def suite_core() -> Iterator[CheckResult]:
-    import numpy as np
-
-    rng = np.random.default_rng(SEED)
+    rng = random.Random(SEED)
     cases = {(0, 0): 0, (0, 1): 1, (1, 0): -1, (1, 1): 0, (2, 7): -1, (5, 1): -1, (3, 1): 1}
     ok = all(QuantumLabel(a, b).np == v for (a, b), v in cases.items())
     yield _check("np-rule", ok, f"{len(cases)} labels")
 
     worst = 0.0
-    for k1, k2, k3 in np.sort(rng.uniform(-30, 30, (1000, 3)), axis=1).tolist():
+    for _ in range(1000):
+        k1, k2, k3 = sorted([rng.uniform(-30, 30), rng.uniform(-30, 30), rng.uniform(-30, 30)])
         p, d1, d2 = deltas_from_k(k_from_deltas(k1 + k2 + k3, k2 - k1, k3 - k2))
         m = k_from_deltas(p, d1, d2)
         worst = max(worst, abs(m.k1.real - k1), abs(m.k2.real - k2), abs(m.k3.real - k3))
@@ -74,7 +79,7 @@ def suite_roots() -> Iterator[CheckResult]:
 
     traj = trace_root(QuantumLabel(2, 2), -30.0, 30.0, step=0.25)
     drift = max(abs(s.momenta.total - TWO_PI * s.label.np) for s in traj.samples)
-    yield _check("momentum-conservation", drift < 1e-10, f"max drift {drift:.2e}")
+    yield _check("momentum-conservation", drift < IDENTITY_TOL, f"max drift {drift:.2e}")
 
     eq_defect = 0.0
     for s in traj.samples:
@@ -84,7 +89,9 @@ def suite_roots() -> Iterator[CheckResult]:
     st = solve_state(QuantumLabel(1, 3), -2.5)
     r = max(map(abs, eq.residual_real(st.coords.delta1, st.coords.delta2, st.c, st.label).residual))
     log_r = log_form_residual(traj)
-    yield _check("residual-at-root", r < 1e-11 and log_r < 1e-9,
+    # a real state's coords are the solver's unknowns, so its residual is the
+    # one the corrector drove below RESIDUAL_TOL
+    yield _check("residual-at-root", r < RESIDUAL_TOL and log_r < 1e-9,
                  f"|r|={r:.2e}, log form along (2,2) {log_r:.2e}")
 
 
@@ -104,9 +111,7 @@ def suite_asymptotics() -> Iterator[CheckResult]:
 
 
 def suite_wavefunction() -> Iterator[CheckResult]:
-    import numpy as np
-
-    rng = np.random.default_rng(SEED + 1)
+    rng = random.Random(SEED + 1)
     states = [
         solve_state(QuantumLabel(2, 2), -3.0),
         solve_state(QuantumLabel(1, 2), 1.5),
@@ -116,7 +121,7 @@ def suite_wavefunction() -> Iterator[CheckResult]:
     worst = 0.0
     for st in states:
         for _ in range(20):
-            a, b = np.sort(rng.uniform(0.0, 1.0, 2))
+            a, b = sorted([rng.random(), rng.random()])
             worst = max(worst, jump_residual(st, a, b), periodicity_residual(st, a, b))
     yield _check("boundary-conditions", worst < 1e-9, f"max residual {worst:.2e}")
 
@@ -130,11 +135,13 @@ def suite_wavefunction() -> Iterator[CheckResult]:
 
 def simplex_triples() -> list[tuple[complex, complex, complex]]:
     """The 60 seeded exponent triples (a1, a2, -a1 - a2) of simplex-vs-quadrature."""
-    import numpy as np
-
-    rng = np.random.default_rng(SEED + 2)
-    pairs = [rng.uniform(-12, 12, 2) + 1j * rng.uniform(-2, 2, 2) for _ in range(60)]
-    return [(a1, a2, -a1 - a2) for a1, a2 in pairs]
+    rng = random.Random(SEED + 2)
+    triples = []
+    for _ in range(60):
+        a1 = complex(rng.uniform(-12, 12), rng.uniform(-2, 2))
+        a2 = complex(rng.uniform(-12, 12), rng.uniform(-2, 2))
+        triples.append((a1, a2, -a1 - a2))
+    return triples
 
 
 def suite_observables() -> Iterator[CheckResult]:
@@ -143,9 +150,9 @@ def suite_observables() -> Iterator[CheckResult]:
     worst = 0.0
     for a1, a2, a3 in simplex_triples():
         got = simplex_integral_exponents(a1, a2, a3)
-        # 24 nodes per axis suffice for these bounded exponents, at an eighth of
-        # the cost of 48: they err by at most 6.4e-15 here against 40 digits
-        # (48 nodes: 3.4e-14; 12 nodes: 3.5e-8, which fails the check)
+        # 24 nodes per axis suffice for these bounded exponents, at a quarter
+        # of the cost of 48: they err by at most 2.9e-15 here against 40 digits
+        # (48 nodes: 1.5e-15; 12 nodes: 1.6e-7, which fails the check)
         ref = quad_simplex_exp(a1, a2, a3, n=24)
         worst = max(worst, abs(got - ref) / max(1e-30, abs(ref)))
     yield _check("simplex-vs-quadrature", worst < 1e-8, f"max rel {worst:.2e}")
@@ -157,10 +164,11 @@ def suite_observables() -> Iterator[CheckResult]:
     yield _check("v-sign", v < 0, f"<V>={v:.6e}")
 
     st = solve_state(QuantumLabel(0, 0), -9.0)
-    grid = density_grid(st, 32)
-    vmax = grid.density.max()
-    yield _check("trimer-vertex-max", grid.density[grid.vertex_mask()].max() == vmax,
-                 f"max={vmax:.3e}")
+    points = list(density_points(st, 32))
+    vmax = max(p[3] for p in points)
+    # a vertex of the lattice is a point where some r equals 1.0 exactly
+    vertex_max = max(p[3] for p in points if 1.0 in p[:3])
+    yield _check("trimer-vertex-max", vertex_max == vmax, f"max={vmax:.3e}")
 
 
 SUITES = {

@@ -3,14 +3,17 @@ the test suite.
 
 The quadrature oracles are independent evaluation routes: tensor
 Gauss-Legendre on smooth mapped domains (the integrands are analytic inside
-the ordered simplex, so convergence is spectral).  The simplex-exponential
-oracle lives in bethe3.oracles, shared with `bethe3 verify`.  pair_terms is
-the direct form of the norm and coincidence sums, one term per permutation
-pair, against which the grouped sums of bethe3.observables are checked.
+the ordered simplex, so convergence is spectral).  The numpy-free
+simplex-exponential oracle and its Gauss-Legendre nodes live in
+bethe3.oracles, shared with `bethe3 verify`; tensor_simplex_exp, the numpy
+tensor rule on the same nodes, checks that oracle.  pair_terms is the direct
+form of the norm and coincidence sums, one term per permutation pair,
+against which the grouped sums of bethe3.observables are checked.
 gaudin_norm is the Gaudin-Korepin determinant form of the norm, which needs
 no simplex integral at all.
 """
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -19,7 +22,7 @@ import pytest
 
 import bethe3.equations as eq
 from bethe3 import QuantumLabel, solve_state
-from bethe3.oracles import gl_nodes, quad_simplex_exp, simplex_rule  # noqa: F401  (re-exported)
+from bethe3.oracles import gl_nodes, quad_simplex_exp  # noqa: F401  (re-exported)
 from bethe3.wavefunction import PERMUTATIONS, amplitudes
 
 
@@ -32,6 +35,29 @@ def psi_on_grid(state, x1, x2, x3):
             1j * (k[perm[0]] * x1 + k[perm[1]] * x2 + k[perm[2]] * x3)
         )
     return val
+
+
+@functools.lru_cache(maxsize=4)
+def simplex_rule(n=48):
+    """Nodes x1, x2, x3 and weights of tensor GL on 0 <= x1 <= x2 <= x3 <= 1.
+
+    Maps the simplex to the cube via x3 = t3, x2 = t3 t2, x1 = t3 t2 t1
+    (Jacobian t3^2 t2); for analytic integrands GL converges spectrally.
+    Built once per n and shared, so its arrays are read-only.
+    """
+    x, w = np.array(gl_nodes(n))
+    t3, t2, t1 = np.meshgrid(x, x, x, indexing="ij")
+    w3, w2, w1 = np.meshgrid(w, w, w, indexing="ij")
+    rule = (t3 * t2 * t1, t3 * t2, t3, t3 ** 2 * t2 * w1 * w2 * w3)
+    for a in rule:
+        a.setflags(write=False)
+    return rule
+
+
+def tensor_simplex_exp(a1, a2, a3, n=48):
+    """int over 0<=x1<=x2<=x3<=1 of exp(i(a1 x1 + a2 x2 + a3 x3)) by the tensor rule."""
+    x1, x2, x3, w = simplex_rule(n)
+    return np.sum(np.exp(1j * (a1 * x1 + a2 * x2 + a3 * x3)) * w)
 
 
 def quad_norm(state, n=48):

@@ -13,6 +13,7 @@ import pytest
 
 from bethe3 import QuantumLabel, cli, observables, solve_state
 from bethe3.cli import EXIT_OK, EXIT_SOLVER, EXIT_USAGE, EXIT_VERIFY, main
+from bethe3.verify import SUITES
 
 
 def run_cli(args, capsys):
@@ -538,10 +539,12 @@ def test_solver_commands_leave_numpy_out():
         ["spectrum", "--labels", "0,0", "1,1", "--c", "-5", "--partners", "--observables"],
         ["trace", "--label", "0,0", "--c-range", "-2..1", "--step", "0.5", "--observables"],
         ["density", "--label", "0,2", "--c", "-9", "--resolution", "8"],
+        ["verify", "--suite", "all"],
+        *(["verify", "--suite", name] for name in SUITES),
     ]
     # numpy takes longer to import than the interpreter takes to start
     assert run_in_fresh_python([]) == "False"
-    assert run_in_fresh_python(argvs) == "0 0 0 0 False"
+    assert run_in_fresh_python(argvs) == "0 " * len(argvs) + "False"
 
 
 LAZY_MODULES = ("bethe3.observables", "bethe3.wavefunction", "bethe3.verify")
@@ -586,14 +589,15 @@ def test_lazy_names_resolve_to_submodule_objects():
         bethe3.nowhere
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify", "--suite", "observables"],
-    ["verify", "--suite", "core"],
-])
-def test_array_commands_load_numpy_on_demand(argv):
-    # density streams without numpy (test_solver_commands_leave_numpy_out);
-    # the verify suites still build arrays
-    assert run_in_fresh_python([argv]) == "0 True"
+def test_density_grid_loads_numpy_on_demand():
+    # no command builds arrays (test_solver_commands_leave_numpy_out); the
+    # in-process grid does, and loads numpy at its first call
+    probe = ("import sys, bethe3\n"
+             "before = 'numpy' in sys.modules\n"
+             "st = bethe3.solve_state(bethe3.QuantumLabel(0, 2), -9.0)\n"
+             "grid = bethe3.density_grid(st, 8)\n"
+             "print(before, 'numpy' in sys.modules, len(grid))")
+    assert fresh_python(probe) == "False True 36"
 
 
 def test_failing_density_leaves_numpy_out():

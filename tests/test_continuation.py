@@ -313,6 +313,21 @@ class TestTraceRoot:
                  if s.c == 2.0 else s for s in traj.samples]
         assert log_form_residual(traj._replace(samples=wrong)) > 1.0
 
+    def test_log_form_needs_a_c0_sample(self):
+        traj = trace_root(QuantumLabel(2, 2), 1.0, 3.0, step=0.5)
+        with pytest.raises(ValueError, match=r"\(2,2\) on c = 1.0..3.0: no c = 0 sample"):
+            log_form_residual(traj)
+
+    def test_log_form_needs_real_samples_with_gaps(self):
+        # (0,0) is complex below c = 0 and has all three gaps 0 at c = 0
+        traj = trace_root(QuantumLabel(0, 0), -2.0, 1.0, step=0.5)
+        with pytest.raises(ValueError, match=r"\(0,0\) on c = -2.0..1.0: the sample at c = -2.0 "
+                                             "is not on the real branch"):
+            log_form_residual(traj)
+        real_side = traj._replace(samples=[s for s in traj.samples if s.c >= 0.0])
+        with pytest.raises(ValueError, match=r"\(0,0\) on c = 0.0..1.0: a zero gap at c = 0"):
+            log_form_residual(real_side)
+
 
 class TestGammaBounds:
     def test_family1_wide_bound_everywhere(self):

@@ -28,6 +28,7 @@ from conftest import (
     quad_simplex_exp,
     simplex_rule,
     solved,
+    tensor_simplex_exp,
 )
 
 TWO_PI = 2 * math.pi
@@ -108,11 +109,51 @@ class TestSimplexIntegral:
             simplex_integral_exponents(1.0, 2.0, 3.0)
 
     def test_quadrature_rule_built_once_and_read_only(self):
-        # every quad_simplex_exp call shares one cached rule, so no caller may write to it
+        # every tensor-rule call shares one cached rule, so no caller may write
+        # to it; every quad_simplex_exp call shares one cached pair of node tuples
         assert simplex_rule(48) is simplex_rule(48)
-        for arr in (*simplex_rule(48), *gl_nodes(48)):
+        for arr in simplex_rule(48):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.0
+        assert gl_nodes(48) is gl_nodes(48)
+        assert [type(part) for part in gl_nodes(48)] == [tuple, tuple]
+
+    @pytest.mark.parametrize("n, weight_rtol", [(8, 1e-14), (24, 2e-13), (48, 2e-12), (160, 2e-11)])
+    def test_nodes_match_leggauss(self, n, weight_rtol):
+        # the weight bound grows with n as leggauss's own weights lose digits
+        # (test_nodes_match_mpmath): 1.3e-12 at n = 48 and 1.5e-11 at n = 160
+        x, w = np.polynomial.legendre.leggauss(n)
+        nodes, weights = gl_nodes(n)
+        assert np.max(np.abs(np.array(nodes) - 0.5 * (x + 1.0))) <= 1.2e-16
+        assert np.max(np.abs(np.array(weights) / (0.5 * w) - 1.0)) <= weight_rtol
+
+    @pytest.mark.parametrize("n, weight_rtol", [(48, 3e-14), (160, 3e-13)])
+    def test_nodes_match_mpmath(self, n, weight_rtol):
+        # each node polished to 40 digits by Newton steps on mpmath.legendre
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for t, w in zip(*gl_nodes(n)):
+                x = 2 * mpmath.mpf(t) - 1
+                for _ in range(3):
+                    p = mpmath.legendre(n, x)
+                    dp = n * (mpmath.legendre(n - 1, x) - x * p) / (1 - x * x)
+                    x -= p / dp
+                assert abs(t - (1 + x) / 2) <= 1.2e-16
+                assert abs(w * (1 - x * x) * dp * dp - 1) <= weight_rtol
+
+    def test_collapsed_rule_matches_tensor_rule(self):
+        # x1 exact and (x2, x3) on the 2-D rule against the numpy tensor rule
+        # on the same nodes, over the three degeneracy cases and small a1
+        rng = np.random.default_rng(202)
+        keys = (
+            random_keys(rng, 4, "all_zero")
+            + random_keys(rng, 40, "one_zero")
+            + random_keys(rng, 40, "none_zero")
+            + [(a1, a2, -a1 - a2) for a1 in (0.0, 1e-12, 1e-7) for a2 in (3.0, -5.0 + 1j, 11.0 - 2j)]
+        )
+        for trio in keys:
+            ref = tensor_simplex_exp(*trio)
+            assert abs(quad_simplex_exp(*trio) - ref) <= 1e-13 * abs(ref), trio
 
 
 class TestNorm:
