@@ -589,15 +589,22 @@ def test_lazy_names_resolve_to_submodule_objects():
         bethe3.nowhere
 
 
-def test_density_grid_loads_numpy_on_demand():
-    # no command builds arrays (test_solver_commands_leave_numpy_out); the
-    # in-process grid does, and loads numpy at its first call
-    probe = ("import sys, bethe3\n"
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "observables"],
+    ["verify", "--suite", "core"],
+])
+def test_array_commands_load_numpy_on_demand(argv):
+    # no command builds arrays, the verify suites included
+    # (test_solver_commands_leave_numpy_out); the in-process grid does, and
+    # loads numpy at its first call, after them in the same process
+    probe = ("import contextlib, io, sys, bethe3, bethe3.cli\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             f"    code = bethe3.cli.main({argv!r})\n"
              "before = 'numpy' in sys.modules\n"
              "st = bethe3.solve_state(bethe3.QuantumLabel(0, 2), -9.0)\n"
              "grid = bethe3.density_grid(st, 8)\n"
-             "print(before, 'numpy' in sys.modules, len(grid))")
-    assert fresh_python(probe) == "False True 36"
+             "print(code, before, 'numpy' in sys.modules, len(grid))")
+    assert fresh_python(probe) == "0 False True 36"
 
 
 def test_failing_density_leaves_numpy_out():
